@@ -1,8 +1,12 @@
 """Builders that turn the block-race rules into solvable models.
 
-A single transition generator, :func:`transitions`, is the source of truth
-for both the matrix builders here and the Monte Carlo simulator; tests fail
-if the two ever diverge.
+The rules are computed once, over the whole grid, by :func:`transition_table`:
+for every (action, state) pair it gives each branch's next state,
+probability and block rewards, with the feasibility of the pair.  The model
+matrices and expected rewards, the simulator's step tables, the model
+validation and the text dump are all read from that table.
+:func:`transitions` states the same rules for one state-action pair; it is
+kept as the scalar reference the tests compare the table against.
 
 The built model keeps two-component block rewards untransformed.  The scalar
 reward used by the average-reward solver, ``(1-rho)*attacker - rho*honest``,
@@ -33,8 +37,7 @@ from .model import (
     Fork,
     MiningParams,
     RewardPair,
-    enumerate_states,
-    feasible_actions,
+    Variant,
     initial_states,
     num_states,
     state_index,
@@ -157,10 +160,76 @@ class MiningModel:
         return [action for action in Action if self.feasible[action, index]]
 
 
-def _disabled_pairs(variant: ThresholdVariant) -> tuple[int, int, Action]:
-    if variant is ThresholdVariant.OVERRIDE_DISABLED_AT_1_0:
-        return 1, 0, Action.OVERRIDE
-    return 0, 1, Action.ADOPT
+class TransitionTable(NamedTuple):
+    """The rules of :func:`transitions` for every (action, state) pair of a
+    grid, indexed ``[action, state, branch]``.
+
+    Branches keep :func:`transitions`' order: the attacker block, then the
+    honest block (race won, then race lost, where ``race`` is set).  A pair
+    without a race has two branches; its third repeats the second with
+    probability zero.  Infeasible pairs, including every action but adopt at
+    the truncation boundary, hold zeros.
+    """
+
+    next_state: np.ndarray  # (actions, n, 3) grid index
+    probability: np.ndarray  # (actions, n, 3)
+    attacker: np.ndarray  # (actions, n, 3) attacker blocks accepted
+    honest: np.ndarray  # (actions, n, 3) honest blocks accepted
+    feasible: np.ndarray  # (actions, n) bool
+    race: np.ndarray  # (actions, n) bool, three branches with a race split
+
+
+def grid_coordinates(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, h, fork)`` of every grid state, in index order."""
+    index = np.arange(num_states(T))
+    rest = index // 3
+    return rest // (T + 1), rest % (T + 1), index % 3
+
+
+def transition_table(params: MiningParams, T: int) -> TransitionTable:
+    """Evaluate the block-race rules on the whole {0..T}^2 grid at once.
+
+    Interior states get every action
+    :func:`~selfish_mining.model.feasible_actions` allows; truncation-boundary
+    states keep adopt alone.
+    """
+    a, h, fork = grid_coordinates(T)
+    alpha, win, lost = params.alpha, params.race_win_prob, 1 - params.alpha
+    interior = np.maximum(a, h) < T
+    late_match = params.variant is Variant.UNIFORM_TIE_BREAK
+    can_match = (fork == Fork.RELEVANT) | ((fork == Fork.IRRELEVANT) & late_match)
+    match_ok = interior & (a >= h) & can_match
+    feasible = np.stack([np.ones_like(interior), interior & (a > h), match_ok, interior])
+    never = np.zeros_like(interior)
+    race = np.stack([never, never, match_ok, interior & (fork == Fork.ACTIVE) & (a >= h)])
+
+    # (next a, next h, next fork, attacker blocks, honest blocks, probability)
+    irr, rel, act = Fork.IRRELEVANT, Fork.RELEVANT, Fork.ACTIVE
+    lead = a - h
+    racing = [
+        (a + 1, h, act, 0, 0, alpha),
+        (lead, 1, rel, h, 0, win * lost),
+        (a, h + 1, rel, 0, 0, (1 - win) * lost),
+    ]
+    two_branch = [
+        ((1, 0, irr, 0, h, alpha), (0, 1, irr, 0, h, lost)),  # adopt
+        ((lead, 0, irr, h + 1, 0, alpha), (lead - 1, 1, rel, h + 1, 0, lost)),
+        racing[:2],  # match always races
+        ((a + 1, h, irr, 0, 0, alpha), (a, h + 1, rel, 0, 0, lost)),  # wait
+    ]
+    # without a race the third branch repeats the second at probability 0
+    plain = [[first, second, second[:5] + (0.0,)] for first, second in two_branch]
+    shape = (len(Action), len(a), 3)
+    columns = [np.zeros(shape, np.int32) for _ in range(5)] + [np.zeros(shape)]
+    for action in Action:
+        for branch in range(3):
+            for column, r, p in zip(columns, racing[branch], plain[action][branch]):
+                column[action, :, branch] = np.where(race[action], r, p)
+    na, nh, nf, attacker, honest, probability = columns
+    next_state = nf + 3 * (nh + (T + 1) * na)
+    for column in (next_state, probability, attacker, honest):
+        column[~feasible] = 0
+    return TransitionTable(next_state, probability, attacker, honest, feasible, race)
 
 
 def build_base_model(params: MiningParams, T: int) -> MiningModel:
@@ -170,77 +239,51 @@ def build_base_model(params: MiningParams, T: int) -> MiningModel:
     terminal action with adopt's transition distribution and adopt's reward
     (the boundary mode of :func:`build_truncated` decides its scalar value).
     """
+    table = transition_table(params, T)
     n = num_states(T)
-    states = enumerate_states(T)
-    n_actions = len(Action)
-
-    feasible = np.zeros((n_actions, n), dtype=bool)
-    exp_attacker = np.zeros((n_actions, n))
-    exp_honest = np.zeros((n_actions, n))
-    rows: list[list[int]] = [[] for _ in range(n_actions)]
-    cols: list[list[int]] = [[] for _ in range(n_actions)]
-    probs: list[list[float]] = [[] for _ in range(n_actions)]
-
-    for idx, state in enumerate(states):
-        if max(state.a, state.h) == T:
-            actions = [Action.ADOPT]
-        else:
-            actions = sorted(feasible_actions(state, params))
-        for action in actions:
-            feasible[action, idx] = True
-            ea = eh = 0.0
-            for prob, nxt, reward in transitions(state, action, params):
-                if prob <= 0.0:
-                    continue
-                rows[action].append(idx)
-                cols[action].append(state_index(nxt, T))
-                probs[action].append(prob)
-                ea += prob * reward.attacker
-                eh += prob * reward.honest
-            exp_attacker[action, idx] = ea
-            exp_honest[action, idx] = eh
-
+    live = [np.nonzero(table.probability[action] > 0.0) for action in Action]
     matrices = tuple(
         sparse.coo_matrix(
-            (probs[action], (rows[action], cols[action])), shape=(n, n)
+            (table.probability[act][pick], (pick[0], table.next_state[act][pick])),
+            shape=(n, n),
         ).tocsr()
-        for action in Action
+        for act, pick in zip(Action, live)
     )
+    p = table.probability
+    exp_attacker = sum(p[..., b] * table.attacker[..., b] for b in range(3))
+    exp_honest = sum(p[..., b] * table.honest[..., b] for b in range(3))
 
     initial = np.zeros(n)
     first, second = initial_states(T)
     initial[first] = params.alpha
     initial[second] = 1 - params.alpha
 
-    boundary = np.zeros(n, dtype=bool)
-    for idx, state in enumerate(states):
-        boundary[idx] = max(state.a, state.h) == T
-
+    a, h, _fork = grid_coordinates(T)
     return MiningModel(
         params=params,
         T=T,
-        feasible=feasible,
+        feasible=table.feasible,
         transition=matrices,
         exp_attacker=exp_attacker,
         exp_honest=exp_honest,
         initial=initial,
-        boundary=boundary,
+        boundary=np.maximum(a, h) == T,
     )
 
 
-def build_honest_disabled(
-    params: MiningParams, T: int, variant: ThresholdVariant
-) -> MiningModel:
-    """Base model with one half of honest mining removed: override at (1,0)
-    or adopt at (0,1), across all fork labels.  Wait remains feasible there,
-    so the model stays well formed."""
-    if T < 2:
+def build_honest_disabled(model: MiningModel, variant: ThresholdVariant) -> MiningModel:
+    """A built base model with one half of honest mining removed: override
+    at (1,0) or adopt at (0,1), across all fork labels.  Wait remains
+    feasible there, so the model stays well formed."""
+    if model.T < 2:
         raise ValueError("honest-disabled models need T >= 2")
-    model = build_base_model(params, T)
-    a, h, action = _disabled_pairs(variant)
+    if variant is ThresholdVariant.OVERRIDE_DISABLED_AT_1_0:
+        a, h, action = 1, 0, Action.OVERRIDE
+    else:
+        a, h, action = 0, 1, Action.ADOPT
+    first = state_index(ChainState(a, h, Fork.IRRELEVANT), model.T)
     feasible = model.feasible.copy()
-    for fork in Fork:
-        feasible[action, state_index(ChainState(a, h, fork), T)] = False
+    feasible[action, first : first + len(Fork)] = False
     return replace(model, feasible=feasible, disabled=variant)
 
 
@@ -303,20 +346,31 @@ def build_truncated(model: MiningModel, mode: BoundaryMode, rho: float) -> Scala
     return ScalarModel(model=model, rho=rho, mode=mode, rewards=rewards)
 
 
+def _cat(*parts) -> np.ndarray:
+    """Elementwise string concatenation of arrays and scalars."""
+    text = np.asarray(parts[0]).astype(str)
+    for part in parts[1:]:
+        text = np.char.add(text, np.asarray(part).astype(str))
+    return text
+
+
 def dump_model(model: MiningModel) -> str:
     """Per-row text dump, one line per (state, action), for golden-file
     diffing: ``a,h,fork | action -> [p:next:rA,rH] ...``."""
-    lines = []
-    for idx, state in enumerate(enumerate_states(model.T)):
-        for action in model.feasible_at(idx):
-            entries = [
-                f"{prob:.12g}:({nxt.a},{nxt.h},{nxt.fork.name.lower()})"
-                f":{reward.attacker},{reward.honest}"
-                for prob, nxt, reward in transitions(state, action, model.params)
-                if prob > 0.0
-            ]
-            lines.append(
-                f"{state.a},{state.h},{state.fork.name.lower()}"
-                f" | {action.name.lower()} -> [{' '.join(entries)}]"
-            )
-    return "\n".join(lines) + "\n"
+    table = transition_table(model.params, model.T)
+    a, h, fork = grid_coordinates(model.T)
+    names = _cat(a, ",", h, ",", np.array([f.name.lower() for f in Fork])[fork])
+    state, action = np.nonzero(model.feasible.T)  # state-major, like the grid
+    pick = (action, state)
+    entries = _cat(
+        " ", np.char.mod("%.12g", table.probability[pick]),
+        ":(", names[table.next_state[pick]], "):",
+        table.attacker[pick], ",", table.honest[pick],
+    )
+    entries[table.probability[pick] <= 0.0] = ""
+    action_names = np.array([act.name.lower() for act in Action])
+    lines = _cat(
+        names[state], " | ", action_names[action], " -> [",
+        np.char.lstrip(_cat(*entries.T), " "), "]",
+    )
+    return "\n".join(lines.tolist()) + "\n"

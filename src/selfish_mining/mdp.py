@@ -16,18 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
-from .chain import MiningModel, ScalarModel
+from .chain import MiningModel, ScalarModel, grid_coordinates, transition_table
 from .model import Action, Policy, state_at
 
 DAMPING = 0.01
-STATIONARY_TOL = 1e-12
-DIRECT_SOLVE_LIMIT = 50_000
+STATIONARY_NEGATIVE_TOL = 1e-12
+STATIONARY_RESIDUAL_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
-    """Raised when value iteration fails to reach the requested span."""
+    """Raised when value iteration fails to reach the requested span, or
+    when a stationary solve returns no valid distribution."""
 
     def __init__(self, message: str, span: float, iterations: int):
         super().__init__(message)
@@ -173,62 +175,83 @@ def solve_average_reward(
     )
 
 
+def _chosen_rows(model: MiningModel, choose: np.ndarray) -> sparse.csr_matrix:
+    """Sum over actions of the transition rows ``choose[action]`` marks."""
+    rows = sum(
+        sparse.diags(choose[action].astype(float)) @ model.transition[action]
+        for action in Action
+    )
+    return rows.tocsr()
+
+
+def _policy_choice(policy: Policy) -> np.ndarray:
+    """(num actions, n) mask of the action the policy takes in each state."""
+    return np.arange(len(Action))[:, None] == policy.actions[None, :]
+
+
 def reachable_mask(model: MiningModel, policy: Policy | None = None) -> np.ndarray:
     """Forward closure from the initial states, following either the policy's
     actions or every feasible action."""
-    n = model.n
-    seen = np.zeros(n, dtype=bool)
-    frontier = list(np.flatnonzero(model.initial > 0.0))
-    for idx in frontier:
-        seen[idx] = True
-    while frontier:
-        nxt: set[int] = set()
-        for idx in frontier:
-            if policy is not None:
-                actions = [Action(policy.actions[idx])]
-            else:
-                actions = model.feasible_at(idx)
-            for action in actions:
-                row = model.transition[action]
-                targets = row.indices[row.indptr[idx] : row.indptr[idx + 1]]
-                for target in targets:
-                    if not seen[target]:
-                        seen[target] = True
-                        nxt.add(int(target))
-        frontier = list(nxt)
+    choose = model.feasible if policy is None else _policy_choice(policy)
+    graph = _chosen_rows(model, choose)
+    seen = np.zeros(model.n, dtype=bool)
+    for start in np.flatnonzero(model.initial > 0.0):
+        seen[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
     return seen
+
+
+def reachable_feasible(model: MiningModel, policy: Policy) -> np.ndarray:
+    """Indices of the states the policy reaches, in order; raises
+    ``ValueError`` if it assigns an infeasible action at one of them."""
+    if policy.T != model.T:
+        raise ValueError(
+            f"policy truncation {policy.T} does not match model truncation {model.T}"
+        )
+    idxs = np.flatnonzero(reachable_mask(model, policy))
+    bad = idxs[~model.feasible[policy.actions[idxs], idxs]]
+    if len(bad):
+        raise ValueError(
+            f"policy assigns infeasible action"
+            f" {Action(policy.actions[bad[0]]).name.lower()}"
+            f" at reachable state {state_at(int(bad[0]), model.T)}"
+        )
+    return idxs
 
 
 def stationary_distribution(P: sparse.csr_matrix) -> np.ndarray:
     """Stationary distribution of an irreducible chain.
 
-    Direct sparse solve up to :data:`DIRECT_SOLVE_LIMIT` states (one state's
-    probability grounded to remove the rank deficiency, keeping the system
-    fully sparse), power iteration above it.
+    One direct sparse solve, with one state's probability grounded to remove
+    the rank deficiency, keeping the system fully sparse.  Raises
+    :class:`SolverError` when the solution has a non-finite entry, an entry
+    below ``-STATIONARY_NEGATIVE_TOL`` or a residual ``max|pi P - pi|`` above
+    ``STATIONARY_RESIDUAL_TOL``, as a reducible chain gives; what is left
+    below zero is round-off, and is clipped.
     """
     n = P.shape[0]
     if n == 1:
         return np.ones(1)
-    if n <= DIRECT_SOLVE_LIMIT:
-        Q = (P.T - sparse.identity(n, format="csr")).tocsc()
-        keep = np.arange(1, n)
-        rhs = -np.asarray(Q[keep, 0].todense()).ravel()
-        reduced = Q[keep][:, keep].tocsr()
-        tail = sparse_linalg.spsolve(reduced, rhs)
-        pi = np.empty(n)
-        pi[0] = 1.0
-        pi[1:] = tail
-        pi = np.maximum(pi, 0.0)
-        return pi / pi.sum()
-    pi = np.full(n, 1.0 / n)
-    PT = P.T.tocsr()
-    for _ in range(10_000_000):
-        nxt = PT.dot(pi)
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() <= STATIONARY_TOL:
-            return nxt
-        pi = nxt
-    raise SolverError("power iteration did not converge", span=np.nan, iterations=0)
+    Q = (P.T - sparse.identity(n, format="csr")).tocsc()
+    keep = np.arange(1, n)
+    rhs = -np.asarray(Q[keep, 0].todense()).ravel()
+    reduced = Q[keep][:, keep].tocsr()
+    tail = sparse_linalg.spsolve(reduced, rhs)
+    pi = np.empty(n)
+    pi[0] = 1.0
+    pi[1:] = tail
+    normalized = pi / pi.sum()
+    lowest = normalized.min()
+    residual = np.abs(P.T.dot(normalized) - normalized).max()
+    # NaN fails both comparisons: a singular system comes back as NaN
+    if not (lowest >= -STATIONARY_NEGATIVE_TOL and residual <= STATIONARY_RESIDUAL_TOL):
+        raise SolverError(
+            f"stationary solve gave no distribution (smallest entry {lowest:.3e},"
+            f" residual {residual:.3e}); is the chain irreducible?",
+            span=np.nan,
+            iterations=0,
+        )
+    pi = np.maximum(pi, 0.0)
+    return pi / pi.sum()
 
 
 @dataclass(frozen=True)
@@ -250,35 +273,11 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     decomposition and cannot be evaluated this way.  The policy must assign a
     feasible action to every reachable state.
     """
-    if policy.T != model.T:
-        raise ValueError(
-            f"policy truncation {policy.T} does not match model truncation {model.T}"
-        )
-    reachable = reachable_mask(model, policy)
-    idxs = np.flatnonzero(reachable)
-    for idx in idxs:
-        action = policy.actions[idx]
-        if not model.feasible[action, idx]:
-            state = state_at(int(idx), model.T)
-            raise ValueError(
-                f"policy assigns infeasible action"
-                f" {Action(action).name.lower()} at reachable state {state}"
-            )
-
-    order = {int(idx): pos for pos, idx in enumerate(idxs)}
-    rows, cols, probs = [], [], []
-    for pos, idx in enumerate(idxs):
-        action = policy.actions[idx]
-        row = model.transition[action]
-        start, stop = row.indptr[idx], row.indptr[idx + 1]
-        for target, prob in zip(row.indices[start:stop], row.data[start:stop]):
-            rows.append(pos)
-            cols.append(order[int(target)])
-            probs.append(prob)
-    P = sparse.coo_matrix((probs, (rows, cols)), shape=(len(idxs), len(idxs))).tocsr()
+    idxs = reachable_feasible(model, policy)
+    chosen = policy.actions[idxs]
+    P = _chosen_rows(model, _policy_choice(policy))[idxs][:, idxs].sorted_indices()
     pi = stationary_distribution(P)
 
-    chosen = policy.actions[idxs]
     attacker = float(np.dot(pi, model.exp_attacker[chosen, idxs]))
     honest = float(np.dot(pi, model.exp_honest[chosen, idxs]))
     total = attacker + honest
@@ -320,8 +319,6 @@ class ModelDiagnostics:
 def validate_model(model: MiningModel) -> ModelDiagnostics:
     """Machine-readable consistency report for a built model: row
     normalization, reward-sign rules, boundary restriction, reachability."""
-    from .chain import transitions  # local import avoids a cycle
-
     checks: list[ModelCheck] = []
 
     bad_rows = []
@@ -340,50 +337,43 @@ def validate_model(model: MiningModel) -> ModelDiagnostics:
         )
     )
 
-    sign_bad: list[str] = []
-    for idx in range(model.n):
-        state = state_at(idx, model.T)
-        for action in model.feasible_at(idx):
-            for prob, nxt, reward in transitions(state, action, model.params):
-                if prob <= 0:
-                    continue
-                if reward.attacker < 0 or reward.honest < 0:
-                    sign_bad.append(f"negative reward at {state} {action.name}")
-                if reward.attacker > 0:
-                    is_override = action is Action.OVERRIDE and reward.attacker == state.h + 1
-                    is_race_win = (
-                        action in (Action.MATCH, Action.WAIT)
-                        and reward.attacker == state.h
-                        and nxt.h == 1
-                    )
-                    if not (is_override or is_race_win):
-                        sign_bad.append(
-                            f"attacker reward outside override/race-win at {state}"
-                        )
-                if reward.honest > 0 and not (
-                    action is Action.ADOPT and reward.honest == state.h
-                ):
-                    sign_bad.append(f"honest reward outside adopt at {state}")
+    # Rewards may only be paid as an override's h+1 attacker blocks, a won
+    # race's h attacker blocks or an adopt's h honest blocks.
+    table = transition_table(model.params, model.T)
+    h = grid_coordinates(model.T)[1][None, :, None]
+    next_h = table.next_state // 3 % (model.T + 1)
+    action = np.arange(len(Action))[:, None, None]
+    race_win = (action >= Action.MATCH) & (table.attacker == h) & (next_h == 1)
+    attacker_ok = (table.attacker == 0) | race_win | (
+        (action == Action.OVERRIDE) & (table.attacker == h + 1)
+    )
+    honest_ok = (table.honest == 0) | ((action == Action.ADOPT) & (table.honest == h))
+    live = model.feasible[:, :, None] & (table.probability > 0)
+    act, idx, _branch = np.nonzero(live & ~(attacker_ok & honest_ok))
+    sign_bad = [
+        f"misplaced reward at {state_at(int(i), model.T)} {Action(x).name}"
+        for x, i in zip(act[:3], idx[:3])
+    ]
     checks.append(
         ModelCheck(
             "reward-signs",
             not sign_bad,
-            "reward placement consistent" if not sign_bad else "; ".join(sign_bad[:3]),
+            "reward placement consistent" if not sign_bad else "; ".join(sign_bad),
         )
     )
 
-    boundary_bad = []
-    for idx in np.flatnonzero(model.boundary):
-        actions = model.feasible_at(int(idx))
-        if actions != [Action.ADOPT]:
-            boundary_bad.append(state_at(int(idx), model.T))
+    only_adopt = model.feasible[Action.ADOPT] & (model.feasible.sum(axis=0) == 1)
+    boundary_bad = [
+        state_at(int(idx), model.T)
+        for idx in np.flatnonzero(model.boundary & ~only_adopt)[:3]
+    ]
     checks.append(
         ModelCheck(
             "boundary-restriction",
             not boundary_bad,
             "boundary states are terminal-adopt only"
             if not boundary_bad
-            else f"non-terminal boundary states: {boundary_bad[:3]}",
+            else f"non-terminal boundary states: {boundary_bad}",
         )
     )
 

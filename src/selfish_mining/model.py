@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -238,7 +238,7 @@ def action_name(action: Action) -> str:
 def action_from_name(name: str) -> Action:
     try:
         return _ACTIONS_BY_NAME[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown action {name!r}") from None
 
 
@@ -313,12 +313,19 @@ class Policy:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Policy":
-        actions = np.array(
-            [action_from_name(name) for name in data["actions"]], dtype=np.int8
-        )
+        """Inverse of :meth:`to_json_dict`; raises ``ValueError`` naming the
+        field when the document does not have that shape."""
+        if not isinstance(data, dict):
+            raise ValueError(f"policy JSON must be an object, not {type(data).__name__}")
+        T, names = data.get("T"), data.get("actions")
+        if isinstance(T, bool) or not isinstance(T, int):
+            raise ValueError(f"policy field 'T' must be an integer (got {T!r})")
+        if not isinstance(names, list):
+            raise ValueError(f"policy field 'actions' must be a list (got {names!r})")
+        actions = np.array([action_from_name(name) for name in names], dtype=np.int8)
         variant = Variant(data["variant"]) if "variant" in data else None
         return cls(
-            T=int(data["T"]),
+            T=T,
             actions=actions,
             alpha=data.get("alpha"),
             gamma=data.get("gamma"),
@@ -343,11 +350,3 @@ def builtin_policy(name: str, T: int, params: MiningParams) -> Policy:
         ) from None
     return Policy.tabulate(rule, T, params, label=name)
 
-
-def iter_boundary_indices(T: int) -> Iterable[int]:
-    """Indices of truncation-boundary states, max(a,h) = T."""
-    for a in range(T + 1):
-        for h in range(T + 1):
-            if max(a, h) == T:
-                base = 3 * (h + (T + 1) * a)
-                yield from (base, base + 1, base + 2)

@@ -260,10 +260,10 @@ def _certify_honest(
     """Certification test at one hashrate: honest mining is optimal if both
     honest-disabled over-paying models, scalarized at rho = alpha, have gain
     at or below -eps.  Returns (certified, worst gain)."""
-    params = MiningParams(alpha, gamma, variant)
+    model = build_base_model(MiningParams(alpha, gamma, variant), T)
     worst = -np.inf
     for tv in ThresholdVariant:
-        disabled = build_honest_disabled(params, T, tv)
+        disabled = build_honest_disabled(model, tv)
         scalar = build_truncated(disabled, BoundaryMode.OVER_PAYING, rho=alpha)
         result = solve_average_reward(scalar, eps, max_iters)
         worst = max(worst, result.gain)

@@ -1,8 +1,8 @@
 """Seeded Monte Carlo execution of a policy on the block-arrival process.
 
-The simulator consumes the same transition generator as the model builders
-(:func:`selfish_mining.chain.transitions`); per state it precompiles the
-policy's action into three branch targets -- attacker block, honest block
+The simulator reads the same transition table as the model builder
+(:func:`selfish_mining.chain.transition_table`); per state it takes the
+policy's row of it, three branch targets -- attacker block, honest block
 winning a race for the attacker, honest block otherwise -- so a round is two
 uniform draws: block ownership first, then the race outcome (the second draw
 happens every round and is ignored when no race is live, keeping the stream
@@ -21,18 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import transitions
-from .mdp import reachable_mask
-from .model import (
-    Action,
-    MiningParams,
-    Policy,
-    enumerate_states,
-    initial_states,
-    num_states,
-    state_at,
-    state_index,
-)
+from .chain import MiningModel, build_base_model, transition_table
+from .mdp import reachable_feasible
+from .model import Action, MiningParams, Policy, initial_states
 
 CHUNK_ROUNDS = 8192
 BATCH_COUNT = 100  # batch-means segments for the standard error estimate
@@ -94,66 +85,34 @@ class StepTables:
     honest_reward: np.ndarray
 
 
-def compile_step_tables(policy: Policy, params: MiningParams) -> StepTables:
-    """Flatten the policy's per-state transition lists into arrays.
+def compile_step_tables(policy: Policy, model: MiningModel) -> StepTables:
+    """Read the policy's branches out of the model's transition table.
 
-    Rejects the policy if it assigns an infeasible action anywhere reachable;
-    boundary states are forced to adopt first.
+    Boundary states are forced to adopt first; the policy is then rejected
+    if it assigns an infeasible action anywhere reachable.
     """
-    T = policy.T
-    n = num_states(T)
-    actions = policy.actions.copy()
-    for idx, state in enumerate(enumerate_states(T)):
-        if max(state.a, state.h) == T:
-            actions[idx] = Action.ADOPT
-
-    # Feasibility audit on the states actually visited.
-    from .chain import build_base_model  # local import avoids a cycle
-
-    model = build_base_model(params, T)
-    forced = Policy(T=T, actions=actions)
-    for idx in np.flatnonzero(reachable_mask(model, forced)):
-        if not model.feasible[actions[idx], idx]:
-            raise ValueError(
-                f"policy assigns infeasible action"
-                f" {Action(actions[idx]).name.lower()}"
-                f" at reachable state {state_at(int(idx), T)}"
-            )
-
-    next_attacker = np.zeros(n, dtype=np.int64)
-    next_win = np.zeros(n, dtype=np.int64)
-    next_lose = np.zeros(n, dtype=np.int64)
-    race_p = np.zeros(n)
-    reward_base = np.zeros(n, dtype=np.int64)
-    reward_win = np.zeros(n, dtype=np.int64)
-    reward_honest = np.zeros(n, dtype=np.int64)
-
-    for idx, state in enumerate(enumerate_states(T)):
-        entries = transitions(state, Action(actions[idx]), params)
-        att = entries[0]
-        next_attacker[idx] = state_index(att.next_state, T)
-        reward_base[idx] = att.reward.attacker
-        reward_honest[idx] = att.reward.honest
-        if len(entries) == 2:
-            honest_entry = entries[1]
-            next_win[idx] = next_lose[idx] = state_index(honest_entry.next_state, T)
-            reward_win[idx] = honest_entry.reward.attacker
-            race_p[idx] = 0.0
-        else:
-            win, lose = entries[1], entries[2]
-            next_win[idx] = state_index(win.next_state, T)
-            next_lose[idx] = state_index(lose.next_state, T)
-            reward_win[idx] = win.reward.attacker
-            race_p[idx] = params.race_win_prob
-
+    if policy.T != model.T:
+        raise ValueError(
+            f"policy truncation {policy.T} does not match model truncation {model.T}"
+        )
+    actions = np.where(model.boundary, Action.ADOPT, policy.actions).astype(np.int8)
+    reachable_feasible(model, Policy(T=model.T, actions=actions))
+    states = np.arange(model.n)
+    table = transition_table(model.params, model.T)
+    nxt, attacker = (
+        np.ascontiguousarray(column[actions, states].T, dtype=np.int64)
+        for column in (table.next_state, table.attacker)
+    )
     return StepTables(
-        next_attacker=next_attacker,
-        next_race_win=next_win,
-        next_race_lose=next_lose,
-        race_win_prob=race_p,
-        attacker_reward_base=reward_base,
-        attacker_reward_win=reward_win,
-        honest_reward=reward_honest,
+        next_attacker=nxt[0],
+        next_race_win=nxt[1],
+        next_race_lose=nxt[2],
+        race_win_prob=np.where(
+            table.race[actions, states], model.params.race_win_prob, 0.0
+        ),
+        attacker_reward_base=attacker[0],
+        attacker_reward_win=attacker[1],
+        honest_reward=table.honest[actions, states, 0].astype(np.int64),
     )
 
 
@@ -229,36 +188,10 @@ def _stderr(batch_revs: np.ndarray) -> float:
     return float(valid.std(ddof=1) / np.sqrt(len(valid)))
 
 
-def simulate_policy(config: SimConfig) -> SimResult:
-    """Run one seeded simulation; deterministic for a fixed seed."""
-    tables = compile_step_tables(config.policy, config.params)
-    batches = BATCH_COUNT if config.rounds >= 100 * BATCH_COUNT else max(
-        2, min(10, config.rounds)
-    )
-    attacker, honest, batch_revs = _run_replicas(
-        tables, config.params, config.rounds, [config.seed], batches
-    )
-    att, hon = int(attacker[0]), int(honest[0])
-    total = att + hon
-    rev = att / total if total > 0 else float("nan")
-    return SimResult(
-        attacker_blocks=att,
-        honest_blocks=hon,
-        rev=rev,
-        rounds=config.rounds,
-        seed=config.seed,
-        stderr=_stderr(batch_revs[0]),
-    )
-
-
-def simulate_batch(
-    config: SimConfig, replicas: int, seed_stride: int = 1
-) -> SimBatch:
-    """Independent replicas with seeds ``seed + k*stride``, run in lockstep."""
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2 (got {replicas})")
-    tables = compile_step_tables(config.policy, config.params)
-    seeds = [config.seed + k * seed_stride for k in range(replicas)]
+def _simulate(config: SimConfig, seeds: list[int]) -> list[SimResult]:
+    """Compile the policy's tables and run one replica per seed in lockstep."""
+    model = build_base_model(config.params, config.policy.T)
+    tables = compile_step_tables(config.policy, model)
     batches = BATCH_COUNT if config.rounds >= 100 * BATCH_COUNT else max(
         2, min(10, config.rounds)
     )
@@ -266,7 +199,7 @@ def simulate_batch(
         tables, config.params, config.rounds, seeds, batches
     )
     results = []
-    for k in range(replicas):
+    for k, seed in enumerate(seeds):
         att, hon = int(attacker[k]), int(honest[k])
         total = att + hon
         results.append(
@@ -275,10 +208,27 @@ def simulate_batch(
                 honest_blocks=hon,
                 rev=att / total if total > 0 else float("nan"),
                 rounds=config.rounds,
-                seed=seeds[k],
+                seed=seed,
                 stderr=_stderr(batch_revs[k]),
             )
         )
+    return results
+
+
+def simulate_policy(config: SimConfig) -> SimResult:
+    """Run one seeded simulation; deterministic for a fixed seed."""
+    return _simulate(config, [config.seed])[0]
+
+
+def simulate_batch(
+    config: SimConfig, replicas: int, seed_stride: int = 1
+) -> SimBatch:
+    """Independent replicas with seeds ``seed + k*stride``, run in lockstep."""
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2 (got {replicas})")
+    results = _simulate(
+        config, [config.seed + k * seed_stride for k in range(replicas)]
+    )
     revs = np.array([r.rev for r in results])
     return SimBatch(
         mean_rev=float(revs.mean()),

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
-from selfish_mining.chain import transitions
+import numpy as np
+from scipy import sparse
+
+from selfish_mining.chain import MiningModel, ThresholdVariant, transitions
 from selfish_mining.model import (
     Action,
     ChainState,
     Fork,
     MiningParams,
+    Policy,
     enumerate_states,
+    feasible_actions,
+    initial_states,
+    num_states,
+    state_index,
 )
 
 ACCEPTANCE_LINES: list[str] = []
@@ -135,3 +144,141 @@ def forward_closure_all_actions(
 
 def grid_states(T: int) -> list[ChainState]:
     return enumerate_states(T)
+
+
+def reference_model(params: MiningParams, T: int) -> MiningModel:
+    """The model built by walking :func:`transitions` state by state: the
+    loop the vectorized builder replaced, kept as its reference."""
+    n = num_states(T)
+    states = enumerate_states(T)
+    n_actions = len(Action)
+
+    feasible = np.zeros((n_actions, n), dtype=bool)
+    exp_attacker = np.zeros((n_actions, n))
+    exp_honest = np.zeros((n_actions, n))
+    rows: list[list[int]] = [[] for _ in range(n_actions)]
+    cols: list[list[int]] = [[] for _ in range(n_actions)]
+    probs: list[list[float]] = [[] for _ in range(n_actions)]
+
+    for idx, state in enumerate(states):
+        if max(state.a, state.h) == T:
+            actions = [Action.ADOPT]
+        else:
+            actions = sorted(feasible_actions(state, params))
+        for action in actions:
+            feasible[action, idx] = True
+            ea = eh = 0.0
+            for prob, nxt, reward in transitions(state, action, params):
+                if prob <= 0.0:
+                    continue
+                rows[action].append(idx)
+                cols[action].append(state_index(nxt, T))
+                probs[action].append(prob)
+                ea += prob * reward.attacker
+                eh += prob * reward.honest
+            exp_attacker[action, idx] = ea
+            exp_honest[action, idx] = eh
+
+    matrices = tuple(
+        sparse.coo_matrix(
+            (probs[action], (rows[action], cols[action])), shape=(n, n)
+        ).tocsr()
+        for action in Action
+    )
+
+    initial = np.zeros(n)
+    first, second = initial_states(T)
+    initial[first] = params.alpha
+    initial[second] = 1 - params.alpha
+
+    boundary = np.zeros(n, dtype=bool)
+    for idx, state in enumerate(states):
+        boundary[idx] = max(state.a, state.h) == T
+
+    return MiningModel(
+        params=params,
+        T=T,
+        feasible=feasible,
+        transition=matrices,
+        exp_attacker=exp_attacker,
+        exp_honest=exp_honest,
+        initial=initial,
+        boundary=boundary,
+    )
+
+
+def reference_honest_disabled(
+    model: MiningModel, variant: ThresholdVariant
+) -> MiningModel:
+    """A :func:`reference_model` with override removed at (1,0) or adopt at
+    (0,1), across all fork labels."""
+    if variant is ThresholdVariant.OVERRIDE_DISABLED_AT_1_0:
+        a, h, action = 1, 0, Action.OVERRIDE
+    else:
+        a, h, action = 0, 1, Action.ADOPT
+    feasible = model.feasible.copy()
+    for fork in Fork:
+        feasible[action, state_index(ChainState(a, h, fork), model.T)] = False
+    return replace(model, feasible=feasible, disabled=variant)
+
+
+def assert_models_identical(got: MiningModel, want: MiningModel) -> None:
+    """Every field equal bit for bit, dtypes and sparse layouts included."""
+    assert (got.params, got.T, got.disabled) == (want.params, want.T, want.disabled)
+    for name in ("feasible", "exp_attacker", "exp_honest", "initial", "boundary"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+    for action, (g, w) in enumerate(zip(got.transition, want.transition)):
+        assert g.shape == w.shape, action
+        for part in ("data", "indices", "indptr"):
+            gp, wp = getattr(g, part), getattr(w, part)
+            assert gp.dtype == wp.dtype and gp.tobytes() == wp.tobytes(), (action, part)
+
+
+def reference_dump(model: MiningModel) -> str:
+    """The text of ``dump_model``, written line by line from
+    :func:`transitions`."""
+    lines = []
+    for idx, state in enumerate(enumerate_states(model.T)):
+        for action in model.feasible_at(idx):
+            entries = [
+                f"{prob:.12g}:({nxt.a},{nxt.h},{nxt.fork.name.lower()})"
+                f":{reward.attacker},{reward.honest}"
+                for prob, nxt, reward in transitions(state, action, model.params)
+                if prob > 0.0
+            ]
+            lines.append(
+                f"{state.a},{state.h},{state.fork.name.lower()}"
+                f" | {action.name.lower()} -> [{' '.join(entries)}]"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def reference_step_tables(policy: Policy, params: MiningParams) -> dict:
+    """The simulator's step tables for a feasible policy, read state by
+    state from :func:`transitions`; boundary states adopt."""
+    T = policy.T
+    n = num_states(T)
+    tables = {
+        "next_attacker": np.zeros(n, dtype=np.int64),
+        "next_race_win": np.zeros(n, dtype=np.int64),
+        "next_race_lose": np.zeros(n, dtype=np.int64),
+        "race_win_prob": np.zeros(n),
+        "attacker_reward_base": np.zeros(n, dtype=np.int64),
+        "attacker_reward_win": np.zeros(n, dtype=np.int64),
+        "honest_reward": np.zeros(n, dtype=np.int64),
+    }
+    for idx, state in enumerate(enumerate_states(T)):
+        action = Action.ADOPT if max(state.a, state.h) == T else policy.action_at(state)
+        entries = transitions(state, action, params)
+        att, honest_block = entries[0], entries[1]
+        lose = entries[-1]
+        tables["next_attacker"][idx] = state_index(att.next_state, T)
+        tables["attacker_reward_base"][idx] = att.reward.attacker
+        tables["honest_reward"][idx] = att.reward.honest
+        tables["next_race_win"][idx] = state_index(honest_block.next_state, T)
+        tables["next_race_lose"][idx] = state_index(lose.next_state, T)
+        tables["attacker_reward_win"][idx] = honest_block.reward.attacker
+        tables["race_win_prob"][idx] = params.race_win_prob if len(entries) == 3 else 0.0
+    return tables

@@ -229,14 +229,16 @@ class TestScalarization:
 class TestHonestDisabled:
     def test_override_removed_at_lead_one(self):
         model = build_honest_disabled(
-            MiningParams(0.3, 0.0), 8, ThresholdVariant.OVERRIDE_DISABLED_AT_1_0
+            build_base_model(MiningParams(0.3, 0.0), 8),
+            ThresholdVariant.OVERRIDE_DISABLED_AT_1_0,
         )
         idx = state_index(ChainState(1, 0, Fork.IRRELEVANT), 8)
         assert model.feasible_at(idx) == [Action.ADOPT, Action.WAIT]
 
     def test_adopt_removed_at_deficit_one(self):
         model = build_honest_disabled(
-            MiningParams(0.3, 0.0), 8, ThresholdVariant.ADOPT_DISABLED_AT_0_1
+            build_base_model(MiningParams(0.3, 0.0), 8),
+            ThresholdVariant.ADOPT_DISABLED_AT_0_1,
         )
         idx = state_index(ChainState(0, 1, Fork.IRRELEVANT), 8)
         assert model.feasible_at(idx) == [Action.WAIT]
@@ -244,7 +246,7 @@ class TestHonestDisabled:
     def test_all_other_states_unchanged(self):
         params = MiningParams(0.3, 0.0)
         base = build_base_model(params, 8)
-        disabled = build_honest_disabled(params, 8, ThresholdVariant.ADOPT_DISABLED_AT_0_1)
+        disabled = build_honest_disabled(base, ThresholdVariant.ADOPT_DISABLED_AT_0_1)
         touched = {
             state_index(ChainState(0, 1, fork), 8) for fork in Fork
         }

@@ -120,6 +120,29 @@ class TestRenderCommand:
         assert rc == 2
 
 
+class TestPolicyFileValidation:
+    @pytest.mark.parametrize(
+        "document,field",
+        [
+            ({"T": 5}, "'actions'"),
+            ([1, 2], "object"),
+            ({"T": 5, "actions": 3}, "'actions'"),
+            ({"actions": ["adopt"]}, "'T'"),
+            ({"T": 1, "actions": [["adopt"]]}, "unknown action"),
+        ],
+    )
+    @pytest.mark.parametrize("subcommand", ["evaluate", "simulate", "render"])
+    def test_malformed_policy_exits_2(self, workdir, capsys, subcommand, document, field):
+        with open("p.json", "w") as handle:
+            json.dump(document, handle)
+        args = [subcommand, "--policy", "p.json"]
+        if subcommand != "render":
+            args += ["--alpha", "0.3", "--gamma", "0"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+
 class TestSimulateCommand:
     def test_single_run_repro(self, workdir, capsys):
         args = [

@@ -118,6 +118,11 @@ class TestStationary:
         pi = stationary_distribution(P)
         assert pi == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_reducible_chain_rejected(self):
+        with pytest.raises(SolverError, match="irreducible"):
+            stationary_distribution(sparse.identity(3, format="csr"))
+
 
 class TestExactEvaluation:
     def test_honest_revenue_equals_alpha(self):

@@ -173,8 +173,9 @@ class TestThreshold:
         declared certified."""
         certified, worst = _certify_honest(0.2, 0.5, Variant.STANDARD, 16, 1e-4, 10**6)
         assert certified
+        base = build_base_model(MiningParams(0.2, 0.5), 16)
         for tv in ThresholdVariant:
-            model = build_honest_disabled(MiningParams(0.2, 0.5), 16, tv)
+            model = build_honest_disabled(base, tv)
             scalar = build_truncated(model, BoundaryMode.OVER_PAYING, rho=0.2)
             assert solve_average_reward(scalar, 1e-4).gain <= -1e-4
 

@@ -109,7 +109,7 @@ class TestAccounting:
         T = 8
         model = build_base_model(params, T)
         policy = builtin_policy("sm1", T, params)
-        tables = compile_step_tables(policy, params)
+        tables = compile_step_tables(policy, model)
         alpha = params.alpha
         forced = policy.actions.copy()
         for idx in range(model.n):
