@@ -59,6 +59,6 @@ from .optimize import (
     profit_threshold,
     sweep,
 )
-from .simulate import SimBatch, SimConfig, SimResult, simulate_batch, simulate_policy
+from .simulate import SimBatch, SimConfig, SimResult, simulate_batch
 
 __version__ = "0.1.0"

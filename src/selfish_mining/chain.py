@@ -2,9 +2,11 @@
 
 The rules are computed once, over the whole grid, by :func:`transition_table`:
 for every (action, state) pair it gives each branch's next state,
-probability and block rewards, with the feasibility of the pair.  The model
-matrices and expected rewards, the simulator's step tables, the model
-validation and the text dump are all read from that table.
+probability and block rewards, with the feasibility of the pair.  The model's
+transition operator and expected rewards, the simulator's step tables, the
+model validation and the text dump are all read from that table.  Every
+per-(action, state) quantity of a built model shares one row layout: row
+``action*n + state``, the (actions, n) arrays flattened in C order.
 :func:`transitions` states the same rules for one state-action pair; it is
 kept as the scalar reference the tests compare the table against.
 
@@ -134,13 +136,19 @@ def transitions(
 
 @dataclass(frozen=True, eq=False)
 class MiningModel:
-    """Enumerated truncated decision process with per-action sparse
-    transition matrices and per-(action, state) expected block rewards."""
+    """Enumerated truncated decision process: one stacked sparse transition
+    operator and per-(action, state) expected block rewards.
+
+    Row ``action*n + state`` of ``transition`` is the next-state
+    distribution of taking ``action`` in ``state``; it is empty where the
+    pair is infeasible.  ``feasible``, ``exp_attacker`` and ``exp_honest``
+    flatten to the same row order.
+    """
 
     params: MiningParams
     T: int
     feasible: np.ndarray  # (num actions, n) bool
-    transition: tuple[sparse.csr_matrix, ...]  # one (n, n) matrix per action
+    transition: sparse.csr_matrix  # (num actions * n, n), row action*n + state
     exp_attacker: np.ndarray  # (num actions, n) expected attacker blocks
     exp_honest: np.ndarray  # (num actions, n) expected honest blocks
     initial: np.ndarray  # (n,) initial distribution
@@ -241,14 +249,11 @@ def build_base_model(params: MiningParams, T: int) -> MiningModel:
     """
     table = transition_table(params, T)
     n = num_states(T)
-    live = [np.nonzero(table.probability[action] > 0.0) for action in Action]
-    matrices = tuple(
-        sparse.coo_matrix(
-            (table.probability[act][pick], (pick[0], table.next_state[act][pick])),
-            shape=(n, n),
-        ).tocsr()
-        for act, pick in zip(Action, live)
-    )
+    live = np.nonzero(table.probability > 0.0)
+    transition = sparse.coo_matrix(
+        (table.probability[live], (live[0] * n + live[1], table.next_state[live])),
+        shape=(len(Action) * n, n),
+    ).tocsr()
     p = table.probability
     exp_attacker = sum(p[..., b] * table.attacker[..., b] for b in range(3))
     exp_honest = sum(p[..., b] * table.honest[..., b] for b in range(3))
@@ -263,7 +268,7 @@ def build_base_model(params: MiningParams, T: int) -> MiningModel:
         params=params,
         T=T,
         feasible=table.feasible,
-        transition=matrices,
+        transition=transition,
         exp_attacker=exp_attacker,
         exp_honest=exp_honest,
         initial=initial,

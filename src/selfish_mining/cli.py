@@ -31,7 +31,7 @@ from .optimize import (
     sweep,
 )
 from .render import render_policy_text
-from .simulate import SimConfig, simulate_batch, simulate_policy
+from .simulate import SimConfig, simulate_batch
 
 EXIT_OK = 0
 EXIT_FLAG_ERROR = 2
@@ -93,16 +93,21 @@ def _params_from(args: argparse.Namespace) -> MiningParams:
         raise CliError(str(exc)) from exc
 
 
+def _read_policy_file(path: str) -> Policy:
+    """Load a policy JSON file; a missing file or a malformed one exits 2."""
+    if not os.path.exists(path):
+        raise CliError(f"policy file not found: {path}")
+    with open(path) as handle:
+        return Policy.from_json_dict(json.load(handle))
+
+
 def _load_policy(
     spec: str, args: argparse.Namespace, params: MiningParams
 ) -> tuple[Policy, str]:
     """Resolve a --policy flag: a built-in name or a policy JSON path."""
     if spec in BUILTIN_POLICIES:
         return builtin_policy(spec, args.T, params), spec
-    if not os.path.exists(spec):
-        raise CliError(f"policy file not found: {spec}")
-    with open(spec) as handle:
-        policy = Policy.from_json_dict(json.load(handle))
+    policy = _read_policy_file(spec)
     label = policy.label or os.path.basename(spec)
     mismatched = (
         (policy.alpha is not None and policy.alpha != params.alpha)
@@ -181,10 +186,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.policy):
-        raise CliError(f"policy file not found: {args.policy}")
-    with open(args.policy) as handle:
-        policy = Policy.from_json_dict(json.load(handle))
+    policy = _read_policy_file(args.policy)
     try:
         text = render_policy_text(policy, t_view=args.t_view)
     except ValueError as exc:
@@ -204,8 +206,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     policy, label = _load_policy(args.policy, args, params)
     config = SimConfig(params=params, policy=policy, rounds=args.rounds, seed=args.seed)
     outputs: list[str] = []
+    batch = simulate_batch(config, max(args.replicas, 1), args.seed_stride)
     if args.replicas <= 1:
-        result = simulate_policy(config)
+        result = batch.results[0]
         payload = result.to_json_dict()
         payload["policy"] = label
         print(f"rev={result.rev:.6f} stderr={result.stderr:.2e}")
@@ -214,7 +217,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             _write_json(path, payload)
             outputs.append(path)
     else:
-        batch = simulate_batch(config, args.replicas, args.seed_stride)
         print(
             f"mean_rev={batch.mean_rev:.6f} std_rev={batch.std_rev:.2e}"
             f" replicas={args.replicas}"

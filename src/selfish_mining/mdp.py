@@ -67,7 +67,7 @@ class SolveResult:
 
 def relative_value_iteration(
     feasible: np.ndarray,
-    transition: tuple[sparse.csr_matrix, ...],
+    transition: sparse.csr_matrix,
     rewards: np.ndarray,
     reference: int,
     eps: float,
@@ -75,13 +75,14 @@ def relative_value_iteration(
     initial_values: np.ndarray | None = None,
     forced_actions: np.ndarray | None = None,
 ) -> RviResult:
-    """Solve a finite average-reward MDP given per-action layers.
+    """Solve a finite average-reward MDP given its stacked operator.
 
-    ``feasible`` and ``rewards`` are (num_actions, n); ``transition`` holds
-    one (n, n) row-stochastic matrix per action (rows of infeasible actions
-    are ignored).  ``forced_actions`` pins the policy and turns the solve
-    into fixed-policy evaluation.  Raises :class:`SolverError` instead of
-    returning an unconverged result.
+    ``feasible`` and ``rewards`` are (num_actions, n); ``transition`` is the
+    (num_actions * n, n) operator whose row ``action*n + state`` is that
+    pair's next-state distribution (rows of infeasible pairs are ignored), so
+    a sweep is one sparse matrix-vector product.  ``forced_actions`` pins the
+    policy and turns the solve into fixed-policy evaluation.  Raises
+    :class:`SolverError` instead of returning an unconverged result.
     """
     if eps <= 0:
         raise ValueError(f"solver tolerance must be positive (got {eps})")
@@ -102,12 +103,10 @@ def relative_value_iteration(
     # Infeasible (action, state) pairs carry -inf reward so they never win
     # the max; every state keeps at least one feasible action.
     masked_rewards = np.where(feasible, rewards, -np.inf)
-    q = np.empty((n_actions, n))
     arange_n = np.arange(n)
     span = np.inf
     for iteration in range(1, max_iters + 1):
-        for action in range(n_actions):
-            q[action] = masked_rewards[action] + transition[action].dot(values)
+        q = masked_rewards + transition.dot(values).reshape(n_actions, n)
         if forced_actions is None:
             bellman = q.max(axis=0)
         else:
@@ -175,25 +174,25 @@ def solve_average_reward(
     )
 
 
-def _chosen_rows(model: MiningModel, choose: np.ndarray) -> sparse.csr_matrix:
-    """Sum over actions of the transition rows ``choose[action]`` marks."""
-    rows = sum(
-        sparse.diags(choose[action].astype(float)) @ model.transition[action]
-        for action in Action
+def _selected_rows(model: MiningModel, policy: Policy | None) -> sparse.csr_matrix:
+    """(n, n) sum, per state, of the operator rows the policy takes there, or
+    of every feasible row when ``policy`` is None: an (n, num_actions * n)
+    0/1 selector times the stacked operator."""
+    if policy is None:
+        flat = np.flatnonzero(model.feasible)
+    else:
+        flat = policy.actions.astype(np.int64) * model.n + np.arange(model.n)
+    selector = sparse.csr_matrix(
+        (np.ones(len(flat)), (flat % model.n, flat)),
+        shape=(model.n, model.transition.shape[0]),
     )
-    return rows.tocsr()
-
-
-def _policy_choice(policy: Policy) -> np.ndarray:
-    """(num actions, n) mask of the action the policy takes in each state."""
-    return np.arange(len(Action))[:, None] == policy.actions[None, :]
+    return selector @ model.transition
 
 
 def reachable_mask(model: MiningModel, policy: Policy | None = None) -> np.ndarray:
     """Forward closure from the initial states, following either the policy's
     actions or every feasible action."""
-    choose = model.feasible if policy is None else _policy_choice(policy)
-    graph = _chosen_rows(model, choose)
+    graph = _selected_rows(model, policy)
     seen = np.zeros(model.n, dtype=bool)
     for start in np.flatnonzero(model.initial > 0.0):
         seen[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
@@ -275,7 +274,7 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     """
     idxs = reachable_feasible(model, policy)
     chosen = policy.actions[idxs]
-    P = _chosen_rows(model, _policy_choice(policy))[idxs][:, idxs].sorted_indices()
+    P = _selected_rows(model, policy)[idxs][:, idxs].sorted_indices()
     pi = stationary_distribution(P)
 
     attacker = float(np.dot(pi, model.exp_attacker[chosen, idxs]))
@@ -321,14 +320,12 @@ def validate_model(model: MiningModel) -> ModelDiagnostics:
     normalization, reward-sign rules, boundary restriction, reachability."""
     checks: list[ModelCheck] = []
 
-    bad_rows = []
-    for action in Action:
-        P = model.transition[action]
-        sums = np.asarray(P.sum(axis=1)).ravel()
-        offenders = np.flatnonzero(model.feasible[action] & (np.abs(sums - 1.0) > 1e-12))
-        bad_rows.extend(
-            (state_at(int(i), model.T), action.name.lower()) for i in offenders[:3]
-        )
+    sums = np.asarray(model.transition.sum(axis=1)).reshape(model.feasible.shape)
+    act, idx = np.nonzero(model.feasible & (np.abs(sums - 1.0) > 1e-12))
+    bad_rows = [
+        (state_at(int(i), model.T), Action(x).name.lower())
+        for x, i in zip(act[:3], idx[:3])
+    ]
     checks.append(
         ModelCheck(
             "row-normalization",
@@ -387,7 +384,7 @@ def validate_model(model: MiningModel) -> ModelDiagnostics:
         )
     )
 
-    in_grid = all(model.transition[a].shape == (model.n, model.n) for a in Action)
+    in_grid = model.transition.shape == (len(Action) * model.n, model.n)
     checks.append(
         ModelCheck(
             "grid-closure",

@@ -323,14 +323,29 @@ class Policy:
         if not isinstance(names, list):
             raise ValueError(f"policy field 'actions' must be a list (got {names!r})")
         actions = np.array([action_from_name(name) for name in names], dtype=np.int8)
-        variant = Variant(data["variant"]) if "variant" in data else None
+        for field in ("alpha", "gamma"):
+            value = data.get(field)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ValueError(f"policy field {field!r} must be a number (got {value!r})")
+        label = data.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f"policy field 'label' must be a string (got {label!r})")
+        try:
+            variant = Variant(data["variant"]) if "variant" in data else None
+        except ValueError:
+            raise ValueError(
+                f"policy field 'variant' must be one of"
+                f" {[v.value for v in Variant]} (got {data['variant']!r})"
+            ) from None
         return cls(
             T=T,
             actions=actions,
             alpha=data.get("alpha"),
             gamma=data.get("gamma"),
             variant=variant,
-            label=data.get("label"),
+            label=label,
         )
 
 

@@ -43,7 +43,6 @@ class OptimizeConfig:
     T: int = DEFAULT_T
     eps: float = DEFAULT_EPS
     eps_prime: float = DEFAULT_EPS_PRIME
-    max_iters: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.T < 2:
@@ -147,9 +146,7 @@ def find_optimal(
     while True:
         rho = 0.5 * (low + high)
         scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho)
-        result = solve_average_reward(
-            scalar, solver_eps, config.max_iters, initial_values=values
-        )
+        result = solve_average_reward(scalar, solver_eps, initial_values=values)
         values = result.values
         went_low = result.gain > 0.0
         probes.append(
@@ -167,9 +164,7 @@ def find_optimal(
 
     rho_prime = max(low - config.eps / 4.0, 0.0)
     over = build_truncated(model, BoundaryMode.OVER_PAYING, rho_prime)
-    over_result = solve_average_reward(
-        over, config.eps_prime, config.max_iters, initial_values=values
-    )
+    over_result = solve_average_reward(over, config.eps_prime, initial_values=values)
     u = over_result.gain
     overpaying_bound = rho_prime + 2.0 * (u + config.eps_prime)
     ceiling = upper_bound_revenue(config.params.alpha)
@@ -255,7 +250,6 @@ def _certify_honest(
     variant: Variant,
     T: int,
     eps: float,
-    max_iters: int,
 ) -> tuple[bool, float]:
     """Certification test at one hashrate: honest mining is optimal if both
     honest-disabled over-paying models, scalarized at rho = alpha, have gain
@@ -265,7 +259,7 @@ def _certify_honest(
     for tv in ThresholdVariant:
         disabled = build_honest_disabled(model, tv)
         scalar = build_truncated(disabled, BoundaryMode.OVER_PAYING, rho=alpha)
-        result = solve_average_reward(scalar, eps, max_iters)
+        result = solve_average_reward(scalar, eps)
         worst = max(worst, result.gain)
         if worst > -eps:
             return False, worst
@@ -278,7 +272,6 @@ def profit_threshold(
     T: int = DEFAULT_T,
     eps: float = DEFAULT_EPS,
     alpha_tol: float = 1e-3,
-    max_iters: int = 1_000_000,
 ) -> ThresholdReport:
     """Bracket the minimal hashrate at which deviating from honest mining
     becomes profitable.
@@ -296,7 +289,7 @@ def profit_threshold(
     alpha_lower = 0.0
     while high - low > alpha_tol:
         mid = 0.5 * (low + high)
-        certified, worst = _certify_honest(mid, gamma, variant, T, eps, max_iters)
+        certified, worst = _certify_honest(mid, gamma, variant, T, eps)
         if certified:
             probes.append(ThresholdProbe(mid, "certified", worst))
             low = mid
@@ -310,9 +303,7 @@ def profit_threshold(
         # below the bracket.
         candidate = high - alpha_tol
         if candidate > 0.0:
-            certified, worst = _certify_honest(
-                candidate, gamma, variant, T, eps, max_iters
-            )
+            certified, worst = _certify_honest(candidate, gamma, variant, T, eps)
             kind = "certified" if certified else "not-certified"
             probes.append(ThresholdProbe(candidate, kind, worst))
             if certified:
@@ -330,7 +321,7 @@ def profit_threshold(
             step *= 2.0
             continue
         params = MiningParams(candidate, gamma, variant)
-        report = find_optimal(OptimizeConfig(params, T, eps, eps, max_iters))
+        report = find_optimal(OptimizeConfig(params, T, eps, eps))
         if report.lower_bound > candidate + eps:
             probes.append(
                 ThresholdProbe(candidate, "profitable", report.lower_bound)

@@ -2,13 +2,15 @@
 
 The simulator reads the same transition table as the model builder
 (:func:`selfish_mining.chain.transition_table`); per state it takes the
-policy's row of it, three branch targets -- attacker block, honest block
-winning a race for the attacker, honest block otherwise -- so a round is two
-uniform draws: block ownership first, then the race outcome (the second draw
-happens every round and is ignored when no race is live, keeping the stream
-layout fixed).  Generators are numpy PCG64 (period 2^128), one independent
+policy's row of it, three branches -- 0: attacker block, 1: honest block
+winning a race for the attacker, 2: honest block otherwise -- stored at
+``3*state + branch``.  A round is two uniform draws that pick the branch:
+block ownership first, then the race outcome (the second draw happens every
+round and is ignored when no race is live, keeping the stream layout
+fixed).  Generators are numpy PCG64 (period 2^128), one independent
 stream per replica, seeded with ``seed + k*stride``; a fixed seed fully
-determines the run.
+determines the run.  :func:`simulate_batch` is the one entry point; a single
+run is a batch of one replica.
 
 At states on the policy's truncation boundary (max(a, h) = T) the simulator
 forces adopt, mirroring the pessimistic truncation the policies were solved
@@ -70,19 +72,17 @@ class SimBatch:
 
 @dataclass(frozen=True, eq=False)
 class StepTables:
-    """Per-state branch targets and rewards for a fixed policy.
+    """Per-state branch rows and rewards for a fixed policy.
 
-    The honest-block reward is branch-independent, and the attacker reward
-    only differs on a won race, so two reward tables per side suffice.
+    Row ``state`` of the (n, 3) tables holds branches 0 (attacker block),
+    1 (race won) and 2 (any other honest block).  The honest-block reward
+    does not depend on the branch.
     """
 
-    next_attacker: np.ndarray
-    next_race_win: np.ndarray
-    next_race_lose: np.ndarray
-    race_win_prob: np.ndarray
-    attacker_reward_base: np.ndarray  # attacker blocks on non-winning branches
-    attacker_reward_win: np.ndarray
-    honest_reward: np.ndarray
+    next_state: np.ndarray  # (n, 3) grid index
+    attacker: np.ndarray  # (n, 3) attacker blocks accepted
+    honest: np.ndarray  # (n,) honest blocks accepted
+    race_win_prob: np.ndarray  # (n,) zero where no race is live
 
 
 def compile_step_tables(policy: Policy, model: MiningModel) -> StepTables:
@@ -99,26 +99,20 @@ def compile_step_tables(policy: Policy, model: MiningModel) -> StepTables:
     reachable_feasible(model, Policy(T=model.T, actions=actions))
     states = np.arange(model.n)
     table = transition_table(model.params, model.T)
-    nxt, attacker = (
-        np.ascontiguousarray(column[actions, states].T, dtype=np.int64)
-        for column in (table.next_state, table.attacker)
-    )
     return StepTables(
-        next_attacker=nxt[0],
-        next_race_win=nxt[1],
-        next_race_lose=nxt[2],
+        next_state=table.next_state[actions, states].astype(np.int64),
+        attacker=table.attacker[actions, states].astype(np.int64),
+        honest=table.honest[actions, states, 0].astype(np.int64),
         race_win_prob=np.where(
             table.race[actions, states], model.params.race_win_prob, 0.0
         ),
-        attacker_reward_base=attacker[0],
-        attacker_reward_win=attacker[1],
-        honest_reward=table.honest[actions, states, 0].astype(np.int64),
     )
 
 
 def _run_replicas(
     tables: StepTables,
     params: MiningParams,
+    T: int,
     rounds: int,
     seeds: list[int],
     batches: int,
@@ -129,8 +123,7 @@ def _run_replicas(
     m = len(seeds)
     gens = [np.random.default_rng(s) for s in seeds]
 
-    n = tables.next_attacker.shape[0]
-    T = int(round((n // 3) ** 0.5)) - 1
+    next_state, attacker_blocks = tables.next_state.ravel(), tables.attacker.ravel()
     first, second = initial_states(T)
 
     start = np.array([gen.random() for gen in gens])
@@ -149,21 +142,13 @@ def _run_replicas(
     while done < rounds:
         span = min(CHUNK_ROUNDS, rounds - done)
         draws = np.stack([gen.random((span, 2)) for gen in gens])  # (m, span, 2)
+        own = draws[:, :, 0] < alpha
         for t in range(span):
-            u_own = draws[:, t, 0]
-            u_race = draws[:, t, 1]
-            att = u_own < alpha
-            win = ~att & (u_race < tables.race_win_prob[state])
-            nxt = np.where(
-                att,
-                tables.next_attacker[state],
-                np.where(win, tables.next_race_win[state], tables.next_race_lose[state]),
-            )
-            attacker += np.where(
-                win, tables.attacker_reward_win[state], tables.attacker_reward_base[state]
-            )
-            honest += tables.honest_reward[state]
-            state = nxt
+            lost = draws[:, t, 1] >= tables.race_win_prob[state]
+            row = 3 * state + np.where(own[:, t], 0, 1 + lost)  # branch 0, 1 or 2
+            attacker += attacker_blocks[row]
+            honest += tables.honest[state]
+            state = next_state[row]
             done += 1
             while edge_pos <= batches and done == edges[edge_pos]:
                 batch_att[:, edge_pos - 1] = attacker - prev_att
@@ -196,7 +181,7 @@ def _simulate(config: SimConfig, seeds: list[int]) -> list[SimResult]:
         2, min(10, config.rounds)
     )
     attacker, honest, batch_revs = _run_replicas(
-        tables, config.params, config.rounds, seeds, batches
+        tables, config.params, model.T, config.rounds, seeds, batches
     )
     results = []
     for k, seed in enumerate(seeds):
@@ -215,23 +200,19 @@ def _simulate(config: SimConfig, seeds: list[int]) -> list[SimResult]:
     return results
 
 
-def simulate_policy(config: SimConfig) -> SimResult:
-    """Run one seeded simulation; deterministic for a fixed seed."""
-    return _simulate(config, [config.seed])[0]
-
-
 def simulate_batch(
     config: SimConfig, replicas: int, seed_stride: int = 1
 ) -> SimBatch:
-    """Independent replicas with seeds ``seed + k*stride``, run in lockstep."""
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2 (got {replicas})")
+    """Independent replicas with seeds ``seed + k*stride``, run in lockstep;
+    deterministic for a fixed seed.  ``std_rev`` is NaN for one replica."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1 (got {replicas})")
     results = _simulate(
         config, [config.seed + k * seed_stride for k in range(replicas)]
     )
     revs = np.array([r.rev for r in results])
     return SimBatch(
         mean_rev=float(revs.mean()),
-        std_rev=float(revs.std(ddof=1)),
+        std_rev=float(revs.std(ddof=1)) if replicas > 1 else float("nan"),
         results=tuple(results),
     )

@@ -146,9 +146,19 @@ def grid_states(T: int) -> list[ChainState]:
     return enumerate_states(T)
 
 
-def reference_model(params: MiningParams, T: int) -> MiningModel:
-    """The model built by walking :func:`transitions` state by state: the
-    loop the vectorized builder replaced, kept as its reference."""
+def action_rows(model: MiningModel, action: Action) -> sparse.csr_matrix:
+    """The (n, n) block of the stacked operator that holds ``action``'s rows."""
+    start = int(action) * model.n
+    return model.transition[start : start + model.n]
+
+
+def reference_layers(
+    params: MiningParams, T: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[sparse.csr_matrix, ...]]:
+    """Feasibility, expected attacker and honest blocks, and one (n, n)
+    transition matrix per action, built by walking :func:`transitions` state
+    by state: the loop the vectorized builder replaced, kept as its
+    reference."""
     n = num_states(T)
     states = enumerate_states(T)
     n_actions = len(Action)
@@ -185,6 +195,15 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
         ).tocsr()
         for action in Action
     )
+    return feasible, exp_attacker, exp_honest, matrices
+
+
+def reference_model(params: MiningParams, T: int) -> MiningModel:
+    """:func:`reference_layers` as a model, its per-action matrices stacked
+    into the (actions * n, n) operator."""
+    feasible, exp_attacker, exp_honest, matrices = reference_layers(params, T)
+    n = num_states(T)
+    states = enumerate_states(T)
 
     initial = np.zeros(n)
     first, second = initial_states(T)
@@ -199,7 +218,7 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
         params=params,
         T=T,
         feasible=feasible,
-        transition=matrices,
+        transition=sparse.vstack(matrices, format="csr"),
         exp_attacker=exp_attacker,
         exp_honest=exp_honest,
         initial=initial,
@@ -229,11 +248,39 @@ def assert_models_identical(got: MiningModel, want: MiningModel) -> None:
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), name
-    for action, (g, w) in enumerate(zip(got.transition, want.transition)):
-        assert g.shape == w.shape, action
-        for part in ("data", "indices", "indptr"):
-            gp, wp = getattr(g, part), getattr(w, part)
-            assert gp.dtype == wp.dtype and gp.tobytes() == wp.tobytes(), (action, part)
+    g, w = got.transition, want.transition
+    assert g.format == w.format == "csr" and g.shape == w.shape
+    for part in ("data", "indices", "indptr"):
+        gp, wp = getattr(g, part), getattr(w, part)
+        assert gp.dtype == wp.dtype and gp.tobytes() == wp.tobytes(), part
+
+
+def reference_rvi(
+    feasible: np.ndarray,
+    matrices: tuple[sparse.csr_matrix, ...],
+    rewards: np.ndarray,
+    reference: int,
+    eps: float,
+) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """Damped relative value iteration with one sparse product per action
+    and sweep, the loop the stacked solver replaced.  Returns the gain, the
+    sweep count, the relative values and the greedy actions."""
+    damping = 0.01
+    masked = np.where(feasible, rewards, -np.inf)
+    values = np.zeros(rewards.shape[1])
+    q = np.empty(rewards.shape)
+    for iteration in range(1, 1_000_000):
+        for action, matrix in enumerate(matrices):
+            q[action] = masked[action] + matrix.dot(values)
+        bellman = q.max(axis=0)
+        residual = bellman - values
+        low, high = residual.min(), residual.max()
+        if high - low <= eps:
+            greedy = np.argmax(q, axis=0).astype(np.int8)
+            return float(0.5 * (low + high)), iteration, values, greedy
+        values = (1.0 - damping) * bellman + damping * values
+        values -= values[reference]
+    raise AssertionError("reference value iteration did not converge")
 
 
 def reference_dump(model: MiningModel) -> str:
@@ -257,28 +304,25 @@ def reference_dump(model: MiningModel) -> str:
 
 def reference_step_tables(policy: Policy, params: MiningParams) -> dict:
     """The simulator's step tables for a feasible policy, read state by
-    state from :func:`transitions`; boundary states adopt."""
+    state from :func:`transitions`; boundary states adopt.  Row ``state`` of
+    the (n, 3) tables holds the attacker-block branch, the race-won branch
+    and the other honest-block branch; without a race the last two are the
+    same honest-block entry."""
     T = policy.T
     n = num_states(T)
     tables = {
-        "next_attacker": np.zeros(n, dtype=np.int64),
-        "next_race_win": np.zeros(n, dtype=np.int64),
-        "next_race_lose": np.zeros(n, dtype=np.int64),
+        "next_state": np.zeros((n, 3), dtype=np.int64),
+        "attacker": np.zeros((n, 3), dtype=np.int64),
+        "honest": np.zeros(n, dtype=np.int64),
         "race_win_prob": np.zeros(n),
-        "attacker_reward_base": np.zeros(n, dtype=np.int64),
-        "attacker_reward_win": np.zeros(n, dtype=np.int64),
-        "honest_reward": np.zeros(n, dtype=np.int64),
     }
     for idx, state in enumerate(enumerate_states(T)):
         action = Action.ADOPT if max(state.a, state.h) == T else policy.action_at(state)
         entries = transitions(state, action, params)
-        att, honest_block = entries[0], entries[1]
-        lose = entries[-1]
-        tables["next_attacker"][idx] = state_index(att.next_state, T)
-        tables["attacker_reward_base"][idx] = att.reward.attacker
-        tables["honest_reward"][idx] = att.reward.honest
-        tables["next_race_win"][idx] = state_index(honest_block.next_state, T)
-        tables["next_race_lose"][idx] = state_index(lose.next_state, T)
-        tables["attacker_reward_win"][idx] = honest_block.reward.attacker
+        branches = (entries[0], entries[1], entries[-1])
+        for branch, (_prob, nxt, reward) in enumerate(branches):
+            tables["next_state"][idx, branch] = state_index(nxt, T)
+            tables["attacker"][idx, branch] = reward.attacker
+        tables["honest"][idx] = entries[0].reward.honest
         tables["race_win_prob"][idx] = params.race_win_prob if len(entries) == 3 else 0.0
     return tables

@@ -23,7 +23,7 @@ from selfish_mining.model import (
     state_index,
 )
 
-from helpers import overpaying_reward_exact
+from helpers import action_rows, overpaying_reward_exact
 
 
 def entries_as_dict(entries):
@@ -89,7 +89,7 @@ class TestModelBuild:
     def test_rows_normalized_and_zero_entries_dropped(self):
         model = build_base_model(MiningParams(0.35, 0.0), 10)
         for action in Action:
-            P = model.transition[action]
+            P = action_rows(model, action)
             sums = np.asarray(P.sum(axis=1)).ravel()
             feasible = model.feasible[action]
             assert np.allclose(sums[feasible], 1.0, atol=1e-12)
@@ -98,7 +98,7 @@ class TestModelBuild:
     def test_match_row_has_two_entries_at_gamma_zero(self):
         model = build_base_model(MiningParams(0.35, 0.0), 10)
         idx = state_index(ChainState(2, 1, Fork.RELEVANT), 10)
-        row = model.transition[Action.MATCH]
+        row = action_rows(model, Action.MATCH)
         assert row.indptr[idx + 1] - row.indptr[idx] == 2
 
     def test_boundary_states_are_adopt_only(self):
@@ -251,7 +251,7 @@ class TestHonestDisabled:
             state_index(ChainState(0, 1, fork), 8) for fork in Fork
         }
         for action in Action:
-            assert (base.transition[action] != disabled.transition[action]).nnz == 0
+            assert (action_rows(base, action) != action_rows(disabled, action)).nnz == 0
             same = base.feasible[action] == disabled.feasible[action]
             assert all(same[i] for i in range(base.n) if i not in touched)
 
@@ -269,7 +269,7 @@ class TestVariantEquivalence:
             std_feasible = standard.feasible[action]
             # uniform only ever adds feasibility (late match), never removes
             assert (std_feasible & ~uniform.feasible[action]).sum() == 0
-            delta = standard.transition[action] - uniform.transition[action]
+            delta = action_rows(standard, action) - action_rows(uniform, action)
             rows = np.unique(delta.tocoo().row)
             assert not any(std_feasible[r] for r in rows)
 

@@ -129,6 +129,11 @@ class TestPolicyFileValidation:
             ({"T": 5, "actions": 3}, "'actions'"),
             ({"actions": ["adopt"]}, "'T'"),
             ({"T": 1, "actions": [["adopt"]]}, "unknown action"),
+            ({"T": 1, "actions": ["adopt"] * 12, "alpha": "x"}, "'alpha'"),
+            ({"T": 1, "actions": ["adopt"] * 12, "alpha": True}, "'alpha'"),
+            ({"T": 1, "actions": ["adopt"] * 12, "gamma": "y"}, "'gamma'"),
+            ({"T": 1, "actions": ["adopt"] * 12, "label": 3}, "'label'"),
+            ({"T": 1, "actions": ["adopt"] * 12, "variant": "z"}, "'variant'"),
         ],
     )
     @pytest.mark.parametrize("subcommand", ["evaluate", "simulate", "render"])

@@ -1,6 +1,7 @@
 """The grid-wide transition table against the per-state walks of
 :func:`selfish_mining.chain.transitions` kept in ``helpers``: built models,
-simulator step tables and model dumps must agree bit for bit."""
+simulator step tables and model dumps must agree bit for bit, and so must
+the stacked-operator solver and a per-action value iteration."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfish_mining.chain import (
+    BoundaryMode,
     ThresholdVariant,
     build_base_model,
     build_honest_disabled,
+    build_truncated,
     dump_model,
 )
+from selfish_mining.mdp import solve_average_reward
 from selfish_mining.model import MiningParams, Policy, Variant
 from selfish_mining.simulate import compile_step_tables
 
@@ -20,7 +24,9 @@ from helpers import (
     assert_models_identical,
     reference_dump,
     reference_honest_disabled,
+    reference_layers,
     reference_model,
+    reference_rvi,
     reference_step_tables,
 )
 
@@ -82,3 +88,21 @@ def test_dump_matches_reference(params, T):
     if T >= 2:
         disabled = build_honest_disabled(model, ThresholdVariant.ADOPT_DISABLED_AT_0_1)
         assert dump_model(disabled) == reference_dump(disabled)
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+@pytest.mark.parametrize("T", [2, 8, 30])
+def test_solver_matches_per_action_iteration(T, mode):
+    params = MiningParams(0.4, 0.5)
+    scalar = build_truncated(build_base_model(params, T), mode, rho=0.45)
+    got = solve_average_reward(scalar, 1e-8)
+    gain, iterations, values, actions = reference_rvi(
+        scalar.model.feasible,
+        reference_layers(params, T)[3],
+        scalar.rewards,
+        scalar.model.reference_index,
+        1e-8,
+    )
+    assert (got.gain, got.iterations) == (gain, iterations)
+    assert got.values.tobytes() == values.tobytes()
+    assert got.policy.actions.tobytes() == actions.tobytes()

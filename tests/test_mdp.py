@@ -28,44 +28,46 @@ from selfish_mining.model import (
     state_index,
 )
 
-from helpers import forward_closure_all_actions, sm1_reference_revenue
+from helpers import action_rows, forward_closure_all_actions, sm1_reference_revenue
 from selfish_mining.model import feasible_actions
 
 
 def toy_mdp(rewards_by_action, transition_rows):
-    """Dense toy layers: transition_rows[action][i] is a probability row."""
+    """Dense toy layers, stacked into one operator: transition_rows[action][i]
+    is a probability row."""
     n_actions = len(rewards_by_action)
     n = len(rewards_by_action[0])
     feasible = np.ones((n_actions, n), dtype=bool)
     rewards = np.array(rewards_by_action, dtype=float)
-    matrices = tuple(
-        sparse.csr_matrix(np.array(rows, dtype=float)) for rows in transition_rows
+    operator = sparse.vstack(
+        [sparse.csr_matrix(np.array(rows, dtype=float)) for rows in transition_rows],
+        format="csr",
     )
-    return feasible, matrices, rewards
+    return feasible, operator, rewards
 
 
 class TestRelativeValueIteration:
     def test_constant_reward_two_state_chain(self):
         r = 0.7
-        feasible, matrices, rewards = toy_mdp(
+        feasible, operator, rewards = toy_mdp(
             [[r, r]], [[[0.0, 1.0], [1.0, 0.0]]]
         )
-        result = relative_value_iteration(feasible, matrices, rewards, 0, eps=1e-10)
+        result = relative_value_iteration(feasible, operator, rewards, 0, eps=1e-10)
         assert result.gain == pytest.approx(r, abs=1e-9)
 
     def test_period_two_chain_converges_via_damping(self):
-        feasible, matrices, rewards = toy_mdp(
+        feasible, operator, rewards = toy_mdp(
             [[1.0, 0.0]], [[[0.0, 1.0], [1.0, 0.0]]]
         )
-        result = relative_value_iteration(feasible, matrices, rewards, 0, eps=1e-9)
+        result = relative_value_iteration(feasible, operator, rewards, 0, eps=1e-9)
         assert result.gain == pytest.approx(0.5, abs=1e-8)
 
     def test_greedy_prefers_better_action_and_low_ordinal_ties(self):
         identity = [[1.0, 0.0], [0.0, 1.0]]
-        feasible, matrices, rewards = toy_mdp(
+        feasible, operator, rewards = toy_mdp(
             [[1.0, 1.0], [1.0, 0.5]], [identity, identity]
         )
-        result = relative_value_iteration(feasible, matrices, rewards, 0, eps=1e-9)
+        result = relative_value_iteration(feasible, operator, rewards, 0, eps=1e-9)
         # state 0: tie between actions -> ordinal 0; state 1: action 0 wins
         assert list(result.actions) == [0, 0]
 
@@ -237,13 +239,14 @@ class TestValidation:
         for _ in range(50):
             idx = rng.randrange(model.n)
             for action in model.feasible_at(idx):
-                row = model.transition[action]
+                row = action_rows(model, action)
                 total = row.data[row.indptr[idx] : row.indptr[idx + 1]].sum()
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_corrupted_probability_is_named(self):
         model = build_base_model(MiningParams(0.4, 0.5), 5)
-        model.transition[Action.WAIT].data[4] += 0.05
+        operator = model.transition
+        operator.data[operator.indptr[Action.WAIT * model.n] + 4] += 0.05
         report = validate_model(model)
         failed = {c.name: c for c in report.checks if not c.passed}
         assert "row-normalization" in failed

@@ -44,7 +44,7 @@ class TestFindOptimal:
         report = find_optimal(OptimizeConfig(MiningParams(0.1, 0.0), T=20, eps=eps))
         assert report.lower_bound == pytest.approx(0.1, abs=1.3 * eps)
         assert report.lower_bound <= 0.1
-        certified, worst = _certify_honest(0.1, 0.0, Variant.STANDARD, 20, eps, 10**6)
+        certified, worst = _certify_honest(0.1, 0.0, Variant.STANDARD, 20, eps)
         assert certified and worst <= -eps
 
     def test_probe_bracket_invariant(self):
@@ -171,7 +171,7 @@ class TestThreshold:
     def test_certification_is_two_sided(self):
         """Both honest-disabled variants must be losing before a probe is
         declared certified."""
-        certified, worst = _certify_honest(0.2, 0.5, Variant.STANDARD, 16, 1e-4, 10**6)
+        certified, worst = _certify_honest(0.2, 0.5, Variant.STANDARD, 16, 1e-4)
         assert certified
         base = build_base_model(MiningParams(0.2, 0.5), 16)
         for tv in ThresholdVariant:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,18 +19,22 @@ from selfish_mining.simulate import (
     SimConfig,
     compile_step_tables,
     simulate_batch,
-    simulate_policy,
 )
 
-from helpers import sm1_reference_revenue
+from helpers import action_rows, sm1_reference_revenue
+
+
+def simulate_one(config: SimConfig):
+    """One seeded replica."""
+    return simulate_batch(config, replicas=1).results[0]
 
 
 class TestDeterminism:
     def test_fixed_seed_reproduces_counts(self):
         params = MiningParams(0.35, 0.5)
         cfg = SimConfig(params, builtin_policy("sm1", 15, params), rounds=20_000, seed=99)
-        first = simulate_policy(cfg)
-        second = simulate_policy(cfg)
+        first = simulate_one(cfg)
+        second = simulate_one(cfg)
         assert first.attacker_blocks == second.attacker_blocks
         assert first.honest_blocks == second.honest_blocks
         assert first.rev == second.rev and first.stderr == second.stderr
@@ -49,19 +55,29 @@ class TestDeterminism:
         assert len({r.rev for r in batch.results}) > 1
         assert [r.seed for r in batch.results] == [3, 4, 5, 6]
 
+    def test_one_replica_is_first_of_batch(self):
+        params = MiningParams(0.35, 0.5)
+        cfg = SimConfig(params, builtin_policy("sm1", 12, params), rounds=5_000, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = simulate_batch(cfg, replicas=1)
+        first = simulate_batch(cfg, replicas=3).results[0]
+        assert np.isnan(single.std_rev) and single.mean_rev == single.results[0].rev
+        assert single.results[0] == first
+
 
 class TestStatistics:
     def test_honest_revenue_within_ci(self):
         params = MiningParams(0.3, 0.7)
         cfg = SimConfig(params, builtin_policy("honest", 12, params), rounds=200_000, seed=11)
-        result = simulate_policy(cfg)
+        result = simulate_one(cfg)
         assert abs(result.rev - 0.3) <= 4 * result.stderr
         assert abs(result.rev - 0.3) <= 0.01
 
     def test_sm1_revenue_against_renewal_form(self):
         params = MiningParams(0.35, 0.0)
         cfg = SimConfig(params, builtin_policy("sm1", 40, params), rounds=300_000, seed=5)
-        result = simulate_policy(cfg)
+        result = simulate_one(cfg)
         assert abs(result.rev - sm1_reference_revenue(0.35, 0.0)) <= 4 * result.stderr
 
     def test_solver_policy_matches_exact_evaluation(self):
@@ -70,14 +86,14 @@ class TestStatistics:
         report = find_optimal(config, model=model)
         exact = evaluate_policy_exact(model, report.policy).rev
         cfg = SimConfig(config.params, report.policy, rounds=400_000, seed=21)
-        result = simulate_policy(cfg)
+        result = simulate_one(cfg)
         assert abs(result.rev - exact) <= 4 * result.stderr
 
     def test_stderr_shrinks_like_sqrt_rounds(self):
         params = MiningParams(0.3, 0.0)
         policy = builtin_policy("honest", 10, params)
-        small = simulate_policy(SimConfig(params, policy, rounds=10_000, seed=1))
-        large = simulate_policy(SimConfig(params, policy, rounds=1_000_000, seed=1))
+        small = simulate_one(SimConfig(params, policy, rounds=10_000, seed=1))
+        large = simulate_one(SimConfig(params, policy, rounds=1_000_000, seed=1))
         ratio = small.stderr / large.stderr
         assert 3.0 <= ratio <= 30.0
 
@@ -95,7 +111,7 @@ class TestAccounting:
     def test_totals_equal_counter_sums(self):
         params = MiningParams(0.4, 0.5)
         cfg = SimConfig(params, builtin_policy("sm1", 12, params), rounds=50_000, seed=8)
-        result = simulate_policy(cfg)
+        result = simulate_one(cfg)
         assert result.attacker_blocks >= 0 and result.honest_blocks >= 0
         assert result.rev == result.attacker_blocks / (
             result.attacker_blocks + result.honest_blocks
@@ -118,15 +134,12 @@ class TestAccounting:
         for idx in range(model.n):
             action = forced[idx]
             win_p = tables.race_win_prob[idx]
-            exp_att = alpha * tables.attacker_reward_base[idx] + (1 - alpha) * (
-                win_p * tables.attacker_reward_win[idx]
-                + (1 - win_p) * tables.attacker_reward_base[idx]
-            )
+            # branches: attacker block, race won, any other honest block
+            probs = (alpha, win_p * (1 - alpha), (1 - win_p) * (1 - alpha))
+            exp_att = sum(p * r for p, r in zip(probs, tables.attacker[idx]))
             assert exp_att == pytest.approx(model.exp_attacker[action, idx])
-            assert tables.honest_reward[idx] == pytest.approx(
-                model.exp_honest[action, idx]
-            )
-            row = model.transition[action]
+            assert tables.honest[idx] == pytest.approx(model.exp_honest[action, idx])
+            row = action_rows(model, action)
             targets = {}
             for t, p in zip(
                 row.indices[row.indptr[idx] : row.indptr[idx + 1]],
@@ -134,14 +147,8 @@ class TestAccounting:
             ):
                 targets[int(t)] = targets.get(int(t), 0.0) + p
             got = {}
-            got[int(tables.next_attacker[idx])] = alpha
-            got[int(tables.next_race_win[idx])] = (
-                got.get(int(tables.next_race_win[idx]), 0.0) + win_p * (1 - alpha)
-            )
-            got[int(tables.next_race_lose[idx])] = (
-                got.get(int(tables.next_race_lose[idx]), 0.0)
-                + (1 - win_p) * (1 - alpha)
-            )
+            for target, p in zip(tables.next_state[idx], probs):
+                got[int(target)] = got.get(int(target), 0.0) + p
             got = {k: v for k, v in got.items() if v > 0}
             assert got == pytest.approx(targets)
 
@@ -151,7 +158,7 @@ class TestValidationErrors:
         params = MiningParams(0.3, 0.0)
         cfg = SimConfig(params, builtin_policy("honest", 8, params), rounds=100, seed=0)
         with pytest.raises(ValueError, match="replicas"):
-            simulate_batch(cfg, replicas=1)
+            simulate_batch(cfg, replicas=0)
 
     def test_zero_rounds_rejected(self):
         params = MiningParams(0.3, 0.0)
@@ -166,4 +173,4 @@ class TestValidationErrors:
         actions[idx] = Action.OVERRIDE
         bad = Policy(T=8, actions=actions)
         with pytest.raises(ValueError, match="override"):
-            simulate_policy(SimConfig(params, bad, rounds=100, seed=0))
+            simulate_one(SimConfig(params, bad, rounds=100, seed=0))
