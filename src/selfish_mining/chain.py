@@ -13,7 +13,7 @@ kept as the scalar reference the tests compare the table against.
 The built model keeps two-component block rewards untransformed.  The scalar
 reward used by the average-reward solver, ``(1-rho)*attacker - rho*honest``,
 is applied lazily by :func:`build_truncated`, so one built model serves every
-rho probed by the optimizer's binary search.  Truncation-boundary states
+rho of the optimizer's ratio iteration.  Truncation-boundary states
 (max(a,h) = T) carry a single terminal action with adopt's transition
 distribution; its scalar reward depends on the boundary mode:
 

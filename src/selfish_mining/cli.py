@@ -22,7 +22,14 @@ from . import __version__
 from .chain import build_base_model
 from .delay import DelayParams, catchup_probability, deviation_gain, min_profitable_k
 from .mdp import SolverError, evaluate_policy_exact
-from .model import BUILTIN_POLICIES, MiningParams, Policy, Variant, builtin_policy
+from .model import (
+    BUILTIN_POLICIES,
+    MAX_TRUNCATION,
+    MiningParams,
+    Policy,
+    Variant,
+    builtin_policy,
+)
 from .optimize import (
     OptimizeConfig,
     find_optimal,
@@ -206,8 +213,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     policy, label = _load_policy(args.policy, args, params)
     config = SimConfig(params=params, policy=policy, rounds=args.rounds, seed=args.seed)
     outputs: list[str] = []
-    batch = simulate_batch(config, max(args.replicas, 1), args.seed_stride)
-    if args.replicas <= 1:
+    batch = simulate_batch(config, args.replicas, args.seed_stride)
+    if args.replicas == 1:
         result = batch.results[0]
         payload = result.to_json_dict()
         payload["policy"] = label
@@ -243,7 +250,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
             outputs.extend([csv_path, json_path])
     if args.out:
-        seeds = [args.seed + k * args.seed_stride for k in range(max(args.replicas, 1))]
+        seeds = [args.seed + k * args.seed_stride for k in range(args.replicas)]
         _write_manifest(args.out, "simulate", args, outputs, seeds=seeds)
     return EXIT_OK
 
@@ -280,6 +287,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError("sweep needs at least one alpha and one gamma")
     if any(a >= 0.5 or a <= 0 for a in alphas):
         raise CliError("alpha must be > 0 and alpha must be < 0.5 for every point")
+    if not 2 <= args.T <= MAX_TRUNCATION:
+        raise CliError(f"truncation must be in [2, {MAX_TRUNCATION}] (got {args.T})")
     rows = sweep(
         alphas,
         gammas,

@@ -4,8 +4,11 @@ The attacker's relative revenue is a ratio objective, so it is not solvable
 directly as an average-reward MDP.  Scalarizing the two-part rewards at a
 trial revenue ``rho`` yields a family of ordinary MDPs whose optimal gain is
 monotone decreasing in ``rho`` and crosses zero exactly at the optimal
-revenue; :func:`find_optimal` binary-searches that root on the under-paying
-truncation and then certifies an upper bound from one over-paying solve.
+revenue.  :func:`find_optimal` finds that root on the under-paying
+truncation by Dinkelbach's ratio iteration (Dinkelbach 1967): solve the
+model at ``rho``, then move ``rho`` to the exact revenue of the solve's
+greedy policy.  The best revenue met is the lower bound, and one over-paying
+solve certifies an upper bound.
 
 :func:`profit_threshold` searches for the largest hashrate at which honest
 mining is certifiably optimal: at probe ``alpha`` it solves the over-paying
@@ -29,7 +32,7 @@ from .chain import (
     build_honest_disabled,
     build_truncated,
 )
-from .mdp import SolveResult, evaluate_policy_exact, solve_average_reward
+from .mdp import evaluate_policy_exact, solve_average_reward
 from .model import MiningParams, Policy, Variant, builtin_policy, upper_bound_revenue
 
 DEFAULT_T = 75
@@ -58,9 +61,12 @@ class OptimizeConfig:
 
 @dataclass(frozen=True)
 class ProbeRecord:
+    """One Dinkelbach step: the under-paying solve at ``rho`` and the exact
+    revenue ``rev`` of its greedy policy, the next step's ``rho``."""
+
     rho: float
     gain: float
-    went_low: bool  # True when the probe raised the lower end of the bracket
+    rev: float
     iterations: int
     span: float
 
@@ -69,13 +75,15 @@ class ProbeRecord:
 class BoundsReport:
     """Output of the bound computation.
 
-    ``lower_bound`` is ``rho_final - eps`` and certifies achievable revenue
-    (the attached policy earns within ``eps`` of ``rho_final``).
+    ``lower_bound`` is the exact revenue of the attached policy, the best of
+    the policies the ratio iteration met, so it is achievable and equals what
+    :func:`evaluate_policy_exact` reports for that policy bit for bit.
+    ``rho_final`` is the ``rho`` of the last under-paying solve.
     ``upper_bound`` is the smaller of the over-paying certificate
     ``rho_prime + 2*(u + eps_prime)`` and the closed-form ceiling
     ``alpha/(1-alpha)``; both are valid upper bounds on the untruncated
     optimum, so their minimum is reported and the raw certificate is kept in
-    ``overpaying_bound``.
+    ``overpaying_bound``.  ``probes`` holds one record per ratio step.
     """
 
     params: MiningParams
@@ -111,7 +119,7 @@ class BoundsReport:
                 {
                     "rho": p.rho,
                     "gain": p.gain,
-                    "went_low": p.went_low,
+                    "rev": p.rev,
                     "iterations": p.iterations,
                     "span": p.span,
                 }
@@ -123,14 +131,17 @@ class BoundsReport:
 def find_optimal(
     config: OptimizeConfig, model: MiningModel | None = None
 ) -> BoundsReport:
-    """Binary search for the revenue root, then certify an upper bound.
+    """Dinkelbach's ratio iteration for the revenue root, then certify an
+    upper bound.
 
-    The search keeps the invariant gain(low) > 0 >= gain(high): a probe with
-    positive gain means revenue above ``rho`` is achievable, so the bracket's
-    lower end rises; a zero gain goes to the high branch.  It stops once the
-    bracket is narrower than ``eps/8``, re-using the previous probe's value
-    vector to warm-start each solve (the result is a pure function of the
-    inputs either way).
+    Each step solves the under-paying model scalarized at ``rho`` to
+    ``eps/8`` and scores that solve's greedy policy exactly.  The first
+    ``rho`` is ``alpha``, honest mining's revenue, so the first gain is
+    nonnegative.  The iteration stops once the gain is at most ``eps/8`` or
+    the greedy policy earns no more than ``rho``; otherwise ``rho`` becomes
+    that policy's revenue, so ``rho`` rises strictly and the steps end.  Each
+    solve is warm-started from the previous step's value vector (the result
+    is a pure function of the inputs either way).
     """
     if model is None:
         model = build_base_model(config.params, config.T)
@@ -138,31 +149,23 @@ def find_optimal(
         raise ValueError("provided model does not match the configuration")
 
     solver_eps = config.eps / 8.0
-    low, high = 0.0, 1.0
     probes: list[ProbeRecord] = []
     values = None
-    result: SolveResult | None = None
-    rho = 0.5
+    lower_bound, policy = -np.inf, None
+    rho = config.params.alpha
     while True:
-        rho = 0.5 * (low + high)
         scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho)
         result = solve_average_reward(scalar, solver_eps, initial_values=values)
         values = result.values
-        went_low = result.gain > 0.0
-        probes.append(
-            ProbeRecord(rho, result.gain, went_low, result.iterations, result.span)
-        )
-        if went_low:
-            low = rho
-        else:
-            high = rho
-        if high - low < solver_eps:
+        rev = evaluate_policy_exact(model, result.policy).rev
+        probes.append(ProbeRecord(rho, result.gain, rev, result.iterations, result.span))
+        if rev >= lower_bound:
+            lower_bound, policy = rev, result.policy
+        if result.gain <= solver_eps or rev <= rho:
             break
+        rho = rev
 
-    lower_bound = rho - config.eps
-    policy = result.policy
-
-    rho_prime = max(low - config.eps / 4.0, 0.0)
+    rho_prime = max(lower_bound - config.eps / 4.0, 0.0)
     over = build_truncated(model, BoundaryMode.OVER_PAYING, rho_prime)
     over_result = solve_average_reward(over, config.eps_prime, initial_values=values)
     u = over_result.gain

@@ -4,11 +4,19 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from selfish_mining.chain import MiningModel, ThresholdVariant, transitions
+from selfish_mining.chain import (
+    BoundaryMode,
+    MiningModel,
+    ThresholdVariant,
+    build_truncated,
+    transitions,
+)
+from selfish_mining.mdp import solve_average_reward
 from selfish_mining.model import (
     Action,
     ChainState,
@@ -20,7 +28,9 @@ from selfish_mining.model import (
     initial_states,
     num_states,
     state_index,
+    upper_bound_revenue,
 )
+from selfish_mining.optimize import OptimizeConfig
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -326,3 +336,42 @@ def reference_step_tables(policy: Policy, params: MiningParams) -> dict:
         tables["honest"][idx] = entries[0].reward.honest
         tables["race_win_prob"][idx] = params.race_win_prob if len(entries) == 3 else 0.0
     return tables
+
+
+class BisectionBounds(NamedTuple):
+    rho: float
+    upper_bound: float
+
+
+def reference_bisection(config: OptimizeConfig, model: MiningModel) -> BisectionBounds:
+    """Bisection on ``rho`` for the root of the under-paying gain, the search
+    the ratio iteration replaced, with the same over-paying certificate.
+
+    The search keeps the invariant gain(low) > 0 >= gain(high) and stops
+    once the bracket is narrower than ``eps/8``, warm-starting each solve
+    from the previous probe's values.  Its lower bound was ``rho - eps``, and
+    the certificate is solved at ``low - eps/4``.
+    """
+    solver_eps = config.eps / 8.0
+    low, high = 0.0, 1.0
+    values = None
+    while True:
+        rho = 0.5 * (low + high)
+        scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho)
+        result = solve_average_reward(scalar, solver_eps, initial_values=values)
+        values = result.values
+        if result.gain > 0.0:
+            low = rho
+        else:
+            high = rho
+        if high - low < solver_eps:
+            break
+
+    rho_prime = max(low - config.eps / 4.0, 0.0)
+    over = build_truncated(model, BoundaryMode.OVER_PAYING, rho_prime)
+    u = solve_average_reward(over, config.eps_prime, initial_values=values).gain
+    upper_bound = min(
+        rho_prime + 2.0 * (u + config.eps_prime),
+        upper_bound_revenue(config.params.alpha),
+    )
+    return BisectionBounds(rho, upper_bound)

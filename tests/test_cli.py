@@ -79,7 +79,7 @@ class TestEvaluateCommand:
         )
         assert rc == 0
         rev = read_json("ev.evaluate.json")["rev"]
-        assert abs(rev - (lower + eps)) <= eps
+        assert rev == lower
 
     def test_provenance_mismatch_needs_force(self, workdir, capsys):
         main(
@@ -162,6 +162,16 @@ class TestSimulateCommand:
         assert first == second
         assert abs(first["rev"] - 0.3) < 0.02
 
+    @pytest.mark.parametrize("replicas", ["0", "-3"])
+    def test_replicas_validation(self, workdir, capsys, replicas):
+        rc = main(
+            ["simulate", "--policy", "honest", "--alpha", "0.3", "--gamma", "0",
+             "--T", "5", "--rounds", "100", "--replicas", replicas, "--out", "s"]
+        )
+        assert rc == 2
+        assert "replicas must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists("s.sim.json")
+
     def test_replicas_csv(self, workdir, capsys):
         rc = main(
             ["simulate", "--policy", "sm1", "--alpha", "0.35", "--gamma", "0",
@@ -218,6 +228,21 @@ class TestSweepCommand:
     def test_alpha_range_checked(self, workdir, capsys):
         rc = main(["sweep", "--alphas", "0.6", "--gammas", "0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("T", ["1", "20000"])
+    def test_truncation_checked(self, workdir, capsys, T):
+        rc = main(["sweep", "--alphas", "0.3", "--gammas", "0", "--T", T])
+        assert rc == 2
+        assert "truncation" in capsys.readouterr().err
+        assert not os.path.exists("sweep.csv")
+
+    def test_point_errors_stay_in_row(self, workdir, capsys):
+        rc = main(["sweep", "--alphas", "0.1", "--gammas", "0", "--T", "5", "--eps", "1"])
+        assert rc == 0
+        with open("sweep.csv") as handle:
+            row = handle.read().strip().split("\n")[1]
+        assert row.endswith("nan,nan,nan")
+        assert "8*alpha" in capsys.readouterr().err
 
 
 class TestDelayCommand:

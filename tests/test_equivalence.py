@@ -1,7 +1,8 @@
 """The grid-wide transition table against the per-state walks of
 :func:`selfish_mining.chain.transitions` kept in ``helpers``: built models,
 simulator step tables and model dumps must agree bit for bit, and so must
-the stacked-operator solver and a per-action value iteration."""
+the stacked-operator solver and a per-action value iteration.  The ratio
+iteration's bounds are checked against the bisection it replaced."""
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from selfish_mining.chain import (
     build_truncated,
     dump_model,
 )
-from selfish_mining.mdp import solve_average_reward
+from selfish_mining.mdp import evaluate_policy_exact, solve_average_reward
 from selfish_mining.model import MiningParams, Policy, Variant
+from selfish_mining.optimize import OptimizeConfig, find_optimal
 from selfish_mining.simulate import compile_step_tables
 
 from helpers import (
     assert_models_identical,
+    reference_bisection,
     reference_dump,
     reference_honest_disabled,
     reference_layers,
@@ -106,3 +109,17 @@ def test_solver_matches_per_action_iteration(T, mode):
     assert (got.gain, got.iterations) == (gain, iterations)
     assert got.values.tobytes() == values.tobytes()
     assert got.policy.actions.tobytes() == actions.tobytes()
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("alpha,gamma", [(0.2, 0.5), (0.35, 0.0), (0.45, 1.0)])
+@pytest.mark.parametrize("T", [8, 20, 30])
+def test_ratio_iteration_matches_bisection(T, alpha, gamma, variant):
+    eps = 1e-5
+    config = OptimizeConfig(MiningParams(alpha, gamma, variant), T, eps, eps)
+    model = build_base_model(config.params, T)
+    report = find_optimal(config, model=model)
+    reference = reference_bisection(config, model)
+    assert reference.rho - eps <= report.lower_bound <= reference.rho + eps
+    assert report.lower_bound == evaluate_policy_exact(model, report.policy).rev
+    assert abs(report.upper_bound - reference.upper_bound) <= 2 * eps

@@ -47,14 +47,29 @@ class TestFindOptimal:
         certified, worst = _certify_honest(0.1, 0.0, Variant.STANDARD, 20, eps)
         assert certified and worst <= -eps
 
-    def test_probe_bracket_invariant(self):
+    def test_ratio_step_invariant(self):
+        """The ratio iteration starts at honest mining's revenue, raises rho
+        strictly, and records for each step the exact revenue of that step's
+        greedy policy, replayed here solve by solve with the same warm
+        starts; the last gain is within the solver tolerance."""
         eps = 1e-4
-        report = find_optimal(OptimizeConfig(MiningParams(0.4, 0.0), T=20, eps=eps))
+        config = OptimizeConfig(MiningParams(0.4, 0.0), T=20, eps=eps)
+        model = build_base_model(config.params, config.T)
+        report = find_optimal(config, model=model)
+        rhos = [probe.rho for probe in report.probes]
+        assert rhos[0] == 0.4
+        assert all(small < large for small, large in zip(rhos, rhos[1:]))
+        assert report.rho_final == rhos[-1]
+        values = None
         for probe in report.probes:
-            assert probe.went_low == (probe.gain > 0.0)
+            scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, probe.rho)
+            result = solve_average_reward(scalar, eps / 8, initial_values=values)
+            values = result.values
+            assert (result.gain, result.iterations) == (probe.gain, probe.iterations)
             assert probe.span <= eps / 8
-        # binary search narrows onto the revenue root
-        assert abs(report.probes[-1].gain) < eps / 4
+            assert evaluate_policy_exact(model, result.policy).rev == probe.rev
+        assert report.probes[-1].gain <= eps / 8
+        assert report.lower_bound == max(probe.rev for probe in report.probes)
 
     def test_bound_sandwich_and_honest_floor(self):
         eps = 1e-4
