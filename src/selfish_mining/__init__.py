@@ -26,6 +26,7 @@ from .mdp import (
     PolicyValue,
     SolveResult,
     SolverError,
+    evaluate_gain,
     evaluate_policy_exact,
     reachable_mask,
     solve_average_reward,

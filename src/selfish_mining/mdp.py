@@ -1,13 +1,24 @@
-"""Average-reward MDP machinery: relative value iteration and exact policy
-evaluation through the stationary distribution of the induced chain.
+"""Average-reward MDP machinery: a relative value iteration that hands long
+solves to Howard policy iteration, and exact policy evaluation through the
+stationary distribution of the induced chain.
 
-The solver is a plain synchronous relative value iteration with a damping
-step ``V <- (1-tau)*Bellman(V) + tau*V`` (tau = 0.01) guarding against
-periodic chains; damping changes neither the gain estimate nor the greedy
-policy.  The gain is bracketed each sweep by the extremes of the Bellman
-residual ``Bellman(V) - V``, so the reported span is a certified bound on the
-gain error.  Identical inputs produce bit-identical results: iteration order
-is fixed and argmax ties break toward the lowest action ordinal.
+:func:`solve_average_reward` first runs a plain synchronous relative value
+iteration with a damping step ``V <- (1-tau)*Bellman(V) + tau*V`` (tau =
+0.01) guarding against periodic chains; damping changes neither the gain
+estimate nor the greedy policy.  Solves that converge quickly, such as most
+of the threshold search's certification solves, finish within
+``RVI_SWEEP_BUDGET`` sweeps, where one exact evaluation would cost more than
+the sweeps it saves.  A solve still open after them hands its greedy policy
+to Howard policy iteration (Puterman 1994, ch. 8):
+each step evaluates the policy's gain and bias exactly with one grounded
+sparse LU factorization, applies the Bellman operator once, and improves the
+policy greedily, keeping the current action unless another is strictly
+better.  Either way the gain is bracketed by the extremes of the Bellman
+residual ``Bellman(V) - V``, which hold for any value vector, so the reported
+span is a certified bound on the gain error.  Identical inputs produce
+bit-identical results: iteration order is fixed, value iteration breaks
+argmax ties toward the lowest action ordinal, and policy iteration keeps the
+current action on ties.
 """
 
 from __future__ import annotations
@@ -23,13 +34,16 @@ from .chain import MiningModel, ScalarModel, grid_coordinates, transition_table
 from .model import Action, Policy, state_at
 
 DAMPING = 0.01
+RVI_SWEEP_BUDGET = 256
+EVALUATION_RESIDUAL_TOL = 1e-9
 STATIONARY_NEGATIVE_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
-    """Raised when value iteration fails to reach the requested span, or
-    when a stationary solve returns no valid distribution."""
+    """Raised when a solve fails to reach the requested span, when a policy
+    evaluation is singular or inaccurate, or when a stationary solve returns
+    no valid distribution."""
 
     def __init__(self, message: str, span: float, iterations: int):
         super().__init__(message)
@@ -43,9 +57,10 @@ class RviResult:
 
     actions: np.ndarray  # greedy action ordinal per state
     gain: float  # midpoint of the final Bellman-residual bracket
-    iterations: int
+    iterations: int  # Bellman applications
     span: float  # final residual span; bounds the gain error
     values: np.ndarray  # final relative values (reference state pinned to 0)
+    evaluations: int = 0  # exact policy evaluations
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +70,7 @@ class SolveResult:
     iterations: int
     span: float
     values: np.ndarray
+    evaluations: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,6 +81,15 @@ class SolveResult:
         }
 
 
+def _bellman(masked_rewards: np.ndarray, transition: sparse.csr_matrix, values):
+    """Action values ``q`` of ``values``, the Bellman update ``max_a q`` and
+    the bracket ``(low, high)`` of the residual ``max_a q - values``."""
+    q = masked_rewards + transition.dot(values).reshape(masked_rewards.shape)
+    bellman = q.max(axis=0)
+    residual = bellman - values
+    return q, bellman, residual.min(), residual.max()
+
+
 def relative_value_iteration(
     feasible: np.ndarray,
     transition: sparse.csr_matrix,
@@ -73,65 +98,165 @@ def relative_value_iteration(
     eps: float,
     max_iters: int = 1_000_000,
     initial_values: np.ndarray | None = None,
-    forced_actions: np.ndarray | None = None,
 ) -> RviResult:
-    """Solve a finite average-reward MDP given its stacked operator.
+    """Damped relative value iteration on a finite average-reward MDP given
+    its stacked operator.
 
     ``feasible`` and ``rewards`` are (num_actions, n); ``transition`` is the
     (num_actions * n, n) operator whose row ``action*n + state`` is that
     pair's next-state distribution (rows of infeasible pairs are ignored), so
-    a sweep is one sparse matrix-vector product.  ``forced_actions`` pins the
-    policy and turns the solve into fixed-policy evaluation.  Raises
-    :class:`SolverError` instead of returning an unconverged result.
+    a sweep is one sparse matrix-vector product.  Stops at the first sweep
+    whose span is at most ``eps``, or after ``max_iters`` sweeps with that
+    sweep's greedy policy and span; the result's span tells which.
     """
     if eps <= 0:
         raise ValueError(f"solver tolerance must be positive (got {eps})")
-    n_actions, n = rewards.shape
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be positive (got {max_iters})")
     values = (
-        np.zeros(n) if initial_values is None else np.array(initial_values, dtype=float)
+        np.zeros(rewards.shape[1])
+        if initial_values is None
+        else np.array(initial_values, dtype=float)
     )
-    if forced_actions is not None:
-        forced_actions = np.asarray(forced_actions)
-        if len(forced_actions) != n:
-            raise ValueError("forced policy length does not match the state count")
-        bad = np.flatnonzero(~feasible[forced_actions, np.arange(n)])
-        if len(bad):
-            raise ValueError(
-                f"forced policy assigns an infeasible action at state index {bad[0]}"
-            )
-
     # Infeasible (action, state) pairs carry -inf reward so they never win
     # the max; every state keeps at least one feasible action.
     masked_rewards = np.where(feasible, rewards, -np.inf)
-    arange_n = np.arange(n)
-    span = np.inf
     for iteration in range(1, max_iters + 1):
-        q = masked_rewards + transition.dot(values).reshape(n_actions, n)
-        if forced_actions is None:
-            bellman = q.max(axis=0)
-        else:
-            bellman = q[forced_actions, arange_n]
-        residual = bellman - values
-        low, high = residual.min(), residual.max()
-        span = high - low
-        if span <= eps:
-            gain = 0.5 * (low + high)
-            if forced_actions is None:
-                greedy = np.argmax(q, axis=0).astype(np.int8)
-            else:
-                greedy = np.asarray(forced_actions, dtype=np.int8)
+        q, bellman, low, high = _bellman(masked_rewards, transition, values)
+        if high - low <= eps or iteration == max_iters:
             return RviResult(
-                actions=greedy,
-                gain=float(gain),
+                actions=np.argmax(q, axis=0).astype(np.int8),
+                gain=float(0.5 * (low + high)),
                 iterations=iteration,
-                span=float(span),
+                span=float(high - low),
                 values=values,
             )
         values = (1.0 - DAMPING) * bellman + DAMPING * values
         values -= values[reference]
+
+
+def _grounded_system(
+    transition: sparse.csr_matrix, rows: np.ndarray, reference: int
+) -> sparse.csc_matrix:
+    """``I - P`` for the operator rows ``rows``, with the reference state's
+    column replaced by ones; built in its own frame so that the
+    intermediate arrays are freed before the factorization."""
+    n = len(rows)
+    chosen = transition[rows].tocoo()
+    keep = chosen.col != reference
+    others = np.flatnonzero(np.arange(n) != reference)
+    return sparse.csc_matrix(
+        (
+            np.concatenate([-chosen.data[keep], np.ones(n - 1), np.ones(n)]),
+            (
+                np.concatenate([chosen.row[keep], others, np.arange(n)]),
+                np.concatenate([chosen.col[keep], others, np.full(n, reference)]),
+            ),
+        ),
+        shape=(n, n),
+    )
+
+
+def evaluate_gain(
+    feasible: np.ndarray,
+    transition: sparse.csr_matrix,
+    rewards: np.ndarray,
+    reference: int,
+    actions: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Exact gain and bias of a fixed policy on a stacked operator.
+
+    Solves ``(I - P) h + g = r`` with ``h[reference] = 0`` by one sparse LU
+    factorization, the reference state's column of ``I - P`` replaced by the
+    gain's column of ones; the lean ``relax=1, panel_size=1`` options factor
+    these grids faster and in less memory than the defaults.  Returns the
+    gain and the bias.  Raises ``ValueError`` if the policy takes an
+    infeasible action, and :class:`SolverError` when the system is singular
+    (as for a policy with more than one recurrent class), the solution is
+    not finite, or its residual exceeds ``EVALUATION_RESIDUAL_TOL`` relative
+    to the sizes of ``r`` and ``h``.
+    """
+    n = rewards.shape[1]
+    states = np.arange(n)
+    actions = np.asarray(actions, dtype=np.int64)
+    if actions.shape != (n,):
+        raise ValueError("policy length does not match the state count")
+    bad = np.flatnonzero(~feasible[actions, states])
+    if len(bad):
+        raise ValueError(f"policy assigns an infeasible action at state index {bad[0]}")
+    system = _grounded_system(transition, actions * n + states, reference)
+    r = rewards[actions, states]
+    try:
+        x = sparse_linalg.splu(system, relax=1, panel_size=1).solve(r)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(
+            f"policy evaluation failed ({exc}); does the policy have more than"
+            " one recurrent class?",
+            span=np.nan,
+            iterations=0,
+        ) from exc
+    residual = np.abs(system.dot(x) - r).max()
+    scale = 1.0 + np.abs(r).max() + np.abs(x).max()
+    # NaN fails the comparison: a non-finite solution is rejected too
+    if not residual <= EVALUATION_RESIDUAL_TOL * scale:
+        raise SolverError(
+            f"policy evaluation is inaccurate (residual {residual:.3e}); does the"
+            " policy have more than one recurrent class?",
+            span=np.nan,
+            iterations=0,
+        )
+    gain = float(x[reference])
+    x[reference] = 0.0
+    return gain, x
+
+
+def policy_iteration(
+    feasible: np.ndarray,
+    transition: sparse.csr_matrix,
+    rewards: np.ndarray,
+    reference: int,
+    eps: float,
+    actions: np.ndarray,
+    max_iters: int = 1_000_000,
+) -> RviResult:
+    """Howard policy iteration from ``actions`` until the Bellman-residual
+    span of the evaluated bias is at most ``eps``.
+
+    Each step is one :func:`evaluate_gain` and one Bellman application; the
+    improved policy keeps the current action unless another is strictly
+    better, and is the policy returned at the end.  Raises
+    :class:`SolverError` when a step improves nothing while the span is
+    still above ``eps``, or after ``max_iters`` steps.
+    """
+    masked_rewards = np.where(feasible, rewards, -np.inf)
+    states = np.arange(rewards.shape[1])
+    span = np.inf
+    for step in range(1, max_iters + 1):
+        _, values = evaluate_gain(feasible, transition, rewards, reference, actions)
+        q, _, low, high = _bellman(masked_rewards, transition, values)
+        span = high - low
+        best = np.argmax(q, axis=0)
+        better = q[best, states] > q[actions, states]
+        improved = np.where(better, best, actions).astype(np.int8)
+        if span <= eps:
+            return RviResult(
+                actions=improved,
+                gain=float(0.5 * (low + high)),
+                iterations=step,
+                span=float(span),
+                values=values,
+                evaluations=step,
+            )
+        if not better.any():
+            raise SolverError(
+                f"policy iteration stalled at span {span:.3e} > {eps:.3e}:"
+                " no action is strictly better",
+                span=float(span),
+                iterations=step,
+            )
+        actions = improved
     raise SolverError(
-        f"no convergence after {max_iters} iterations (span {span:.3e} > {eps:.3e});"
-        " periodicity or tolerance problem",
+        f"no convergence after {max_iters} policy steps (span {span:.3e} > {eps:.3e})",
         span=float(span),
         iterations=max_iters,
     )
@@ -142,22 +267,41 @@ def solve_average_reward(
     eps_solver: float,
     max_iters: int = 1_000_000,
     initial_values: np.ndarray | None = None,
-    forced_policy: Policy | None = None,
 ) -> SolveResult:
-    """Run relative value iteration on a scalarized mining model, anchored at
-    the reference state (1,0,irrelevant)."""
+    """Solve a scalarized mining model to a Bellman-residual span of at most
+    ``eps_solver``, anchored at the reference state (1,0,irrelevant).
+
+    Relative value iteration runs for at most ``RVI_SWEEP_BUDGET`` sweeps;
+    a solve still open then continues as Howard policy iteration from the
+    last greedy policy.  ``iterations`` counts Bellman applications of both
+    stages and ``evaluations`` the exact policy evaluations; ``max_iters``
+    caps the former, and a solve that reaches it raises
+    :class:`SolverError`.
+    """
     model = scalar.model
-    forced = forced_policy.actions if forced_policy is not None else None
+    system = (model.feasible, model.transition, scalar.rewards, model.reference_index)
     raw = relative_value_iteration(
-        model.feasible,
-        model.transition,
-        scalar.rewards,
-        reference=model.reference_index,
+        *system,
         eps=eps_solver,
-        max_iters=max_iters,
+        max_iters=min(max_iters, RVI_SWEEP_BUDGET),
         initial_values=initial_values,
-        forced_actions=forced,
     )
+    iterations = raw.iterations
+    if raw.span > eps_solver:
+        if iterations == max_iters:
+            raise SolverError(
+                f"no convergence after {max_iters} iterations"
+                f" (span {raw.span:.3e} > {eps_solver:.3e})",
+                span=raw.span,
+                iterations=max_iters,
+            )
+        raw = policy_iteration(
+            *system,
+            eps=eps_solver,
+            actions=raw.actions,
+            max_iters=max_iters - iterations,
+        )
+        iterations += raw.iterations
     policy = Policy(
         T=model.T,
         actions=raw.actions,
@@ -168,9 +312,10 @@ def solve_average_reward(
     return SolveResult(
         policy=policy,
         gain=raw.gain,
-        iterations=raw.iterations,
+        iterations=iterations,
         span=raw.span,
         values=raw.values,
+        evaluations=raw.evaluations,
     )
 
 

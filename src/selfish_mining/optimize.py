@@ -284,8 +284,8 @@ def profit_threshold(
     outward sweep of full bound computations exhibits a concrete profitable
     deviation to pin ``alpha_upper``.
     """
-    if alpha_tol < 1e-5:
-        raise ValueError(f"alpha_tol must be >= 1e-5 (got {alpha_tol})")
+    if not 1e-5 <= alpha_tol < 0.5:
+        raise ValueError(f"alpha_tol must be in [1e-5, 0.5) (got {alpha_tol})")
 
     probes: list[ThresholdProbe] = []
     low, high = 0.0, 0.5

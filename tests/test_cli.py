@@ -203,6 +203,17 @@ class TestThresholdCommand:
         assert report["threshold"] == report["alpha_lower"]
 
 
+    @pytest.mark.parametrize("tol", ["0.5", "0.7"])
+    def test_alpha_tol_checked(self, workdir, capsys, tol):
+        rc = main(
+            ["threshold", "--gamma", "0.5", "--T", "10", "--eps", "1e-3",
+             "--alpha-tol", tol, "--out", "thr"]
+        )
+        assert rc == 2
+        assert "alpha_tol" in capsys.readouterr().err
+        assert not os.path.exists("thr.threshold.json")
+
+
 class TestSweepCommand:
     def test_csv_output_and_determinism(self, workdir, capsys):
         args = [
@@ -228,12 +239,21 @@ class TestSweepCommand:
     def test_alpha_range_checked(self, workdir, capsys):
         rc = main(["sweep", "--alphas", "0.6", "--gammas", "0"])
         assert rc == 2
+        assert main(["sweep", "--alphas", "nan", "--gammas", "0"]) == 2
+        assert not os.path.exists("sweep.csv")
 
     @pytest.mark.parametrize("T", ["1", "20000"])
     def test_truncation_checked(self, workdir, capsys, T):
         rc = main(["sweep", "--alphas", "0.3", "--gammas", "0", "--T", T])
         assert rc == 2
         assert "truncation" in capsys.readouterr().err
+        assert not os.path.exists("sweep.csv")
+
+    @pytest.mark.parametrize("gammas", ["2", "0,-0.1", "nan"])
+    def test_gamma_range_checked(self, workdir, capsys, gammas):
+        rc = main(["sweep", "--alphas", "0.3", "--gammas", gammas, "--T", "5"])
+        assert rc == 2
+        assert "gamma must be in [0, 1]" in capsys.readouterr().err
         assert not os.path.exists("sweep.csv")
 
     def test_point_errors_stay_in_row(self, workdir, capsys):

@@ -1,8 +1,9 @@
 """The grid-wide transition table against the per-state walks of
 :func:`selfish_mining.chain.transitions` kept in ``helpers``: built models,
 simulator step tables and model dumps must agree bit for bit, and so must
-the stacked-operator solver and a per-action value iteration.  The ratio
-iteration's bounds are checked against the bisection it replaced."""
+the stacked-operator value iteration and a per-action one; solves that the
+policy-iteration stage finishes must reach the per-action loop's gain.  The
+ratio iteration's bounds are checked against the bisection it replaced."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from selfish_mining.chain import (
     build_truncated,
     dump_model,
 )
-from selfish_mining.mdp import evaluate_policy_exact, solve_average_reward
+from selfish_mining.mdp import (
+    RVI_SWEEP_BUDGET,
+    evaluate_policy_exact,
+    relative_value_iteration,
+    solve_average_reward,
+)
 from selfish_mining.model import MiningParams, Policy, Variant
 from selfish_mining.optimize import OptimizeConfig, find_optimal
 from selfish_mining.simulate import compile_step_tables
@@ -93,22 +99,45 @@ def test_dump_matches_reference(params, T):
         assert dump_model(disabled) == reference_dump(disabled)
 
 
-@pytest.mark.parametrize("mode", list(BoundaryMode))
-@pytest.mark.parametrize("T", [2, 8, 30])
-def test_solver_matches_per_action_iteration(T, mode):
+def per_action_solve(T, mode, eps=1e-8):
     params = MiningParams(0.4, 0.5)
     scalar = build_truncated(build_base_model(params, T), mode, rho=0.45)
-    got = solve_average_reward(scalar, 1e-8)
-    gain, iterations, values, actions = reference_rvi(
+    reference = reference_rvi(
         scalar.model.feasible,
         reference_layers(params, T)[3],
         scalar.rewards,
         scalar.model.reference_index,
-        1e-8,
+        eps,
+    )
+    return scalar, reference
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+@pytest.mark.parametrize("T", [2, 8, 30])
+def test_solver_matches_per_action_iteration(T, mode):
+    scalar, (gain, iterations, values, actions) = per_action_solve(T, mode)
+    model = scalar.model
+    got = relative_value_iteration(
+        model.feasible, model.transition, scalar.rewards, model.reference_index, 1e-8
     )
     assert (got.gain, got.iterations) == (gain, iterations)
     assert got.values.tobytes() == values.tobytes()
-    assert got.policy.actions.tobytes() == actions.tobytes()
+    assert got.actions.tobytes() == actions.tobytes()
+
+
+@pytest.mark.parametrize(
+    "T,mode", [(8, BoundaryMode.OVER_PAYING), (30, BoundaryMode.UNDER_PAYING)]
+)
+def test_policy_iteration_finishes_long_solves(T, mode):
+    """These two solves need more sweeps than the budget, so the solver
+    finishes them with policy iteration: same certificate, same gain."""
+    eps = 1e-8
+    scalar, (gain, iterations, _values, _actions) = per_action_solve(T, mode, eps)
+    got = solve_average_reward(scalar, eps)
+    assert iterations > RVI_SWEEP_BUDGET and got.evaluations >= 1
+    assert got.iterations == RVI_SWEEP_BUDGET + got.evaluations
+    assert got.span <= eps
+    assert abs(got.gain - gain) <= eps
 
 
 @pytest.mark.parametrize("variant", list(Variant))

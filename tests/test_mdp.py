@@ -11,7 +11,9 @@ from selfish_mining.chain import (
 )
 from selfish_mining.mdp import (
     SolverError,
+    evaluate_gain,
     evaluate_policy_exact,
+    policy_iteration,
     reachable_mask,
     relative_value_iteration,
     solve_average_reward,
@@ -23,6 +25,7 @@ from selfish_mining.model import (
     ChainState,
     Fork,
     MiningParams,
+    Policy,
     builtin_policy,
     state_at,
     state_index,
@@ -44,6 +47,18 @@ def toy_mdp(rewards_by_action, transition_rows):
         format="csr",
     )
     return feasible, operator, rewards
+
+
+def scalar_gain(scalar, policy):
+    """Exact gain of a fixed policy on a scalarized model."""
+    model = scalar.model
+    return evaluate_gain(
+        model.feasible,
+        model.transition,
+        scalar.rewards,
+        model.reference_index,
+        policy.actions,
+    )[0]
 
 
 class TestRelativeValueIteration:
@@ -84,12 +99,8 @@ class TestRelativeValueIteration:
         bad = builtin_policy("honest", 6, model.params)
         actions = bad.actions.copy()
         actions[state_index(ChainState(0, 1, Fork.IRRELEVANT), 6)] = Action.OVERRIDE
-        from selfish_mining.model import Policy
-
         with pytest.raises(ValueError, match="infeasible"):
-            solve_average_reward(
-                scalar, 1e-6, forced_policy=Policy(T=6, actions=actions)
-            )
+            scalar_gain(scalar, Policy(T=6, actions=actions))
 
     @pytest.mark.parametrize("alpha,gamma", [(0.25, 0.0), (0.4, 0.5), (0.45, 1.0)])
     def test_forced_honest_gain_is_alpha_minus_rho(self, alpha, gamma):
@@ -98,8 +109,7 @@ class TestRelativeValueIteration:
         honest = builtin_policy("honest", 10, params)
         for rho in (0.0, alpha, 0.8):
             scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho)
-            result = solve_average_reward(scalar, 1e-9, forced_policy=honest)
-            assert result.gain == pytest.approx(alpha - rho, abs=1e-8)
+            assert scalar_gain(scalar, honest) == pytest.approx(alpha - rho, abs=1e-12)
 
     def test_deterministic_bit_identical(self):
         model = build_base_model(MiningParams(0.4, 0.5), 12)
@@ -110,6 +120,47 @@ class TestRelativeValueIteration:
         assert first.iterations == second.iterations
         assert (first.policy.actions == second.policy.actions).all()
         assert (first.values == second.values).all()
+
+
+class TestPolicyIteration:
+    def test_two_absorbing_states_rejected(self):
+        """Two recurrent classes leave the grounded system singular."""
+        feasible, operator, rewards = toy_mdp(
+            [[1.0, 0.0]], [[[1.0, 0.0], [0.0, 1.0]]]
+        )
+        with pytest.raises(SolverError, match="recurrent class"):
+            evaluate_gain(feasible, operator, rewards, 0, np.zeros(2, dtype=np.int8))
+
+    def test_exact_gain_and_bias(self):
+        feasible, operator, rewards = toy_mdp(
+            [[1.0, 0.0]], [[[0.5, 0.5], [1.0, 0.0]]]
+        )
+        gain, bias = evaluate_gain(feasible, operator, rewards, 0, np.zeros(2))
+        # stationary (2/3, 1/3); h(0) = 0 and h(1) = 0 + 0 - g
+        assert gain == pytest.approx(2 / 3, abs=1e-15)
+        assert bias == pytest.approx([0.0, -2 / 3], abs=1e-15)
+
+    def test_improves_to_optimal_policy(self):
+        stay, move = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]
+        feasible, operator, rewards = toy_mdp([[0.0, 1.0], [0.0, 0.5]], [stay, move])
+        start = np.array([0, 1], dtype=np.int8)  # stuck at the reward-0 state
+        result = policy_iteration(feasible, operator, rewards, 0, 1e-12, start)
+        assert list(result.actions) == [1, 0]
+        assert result.gain == pytest.approx(1.0, abs=1e-12)
+        assert result.span <= 1e-12
+        assert result.iterations == result.evaluations == 2
+
+    def test_stall_raises(self):
+        """With one action per state nothing can improve, so a span left
+        above a tolerance below round-off is a numeric failure."""
+        feasible, operator, rewards = toy_mdp(
+            [[0.1, 0.2, 0.7]],
+            [[[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.6, 0.1, 0.3]]],
+        )
+        with pytest.raises(SolverError, match="no action is strictly better"):
+            policy_iteration(
+                feasible, operator, rewards, 0, 1e-300, np.zeros(3, dtype=np.int8)
+            )
 
 
 class TestStationary:
@@ -176,8 +227,6 @@ class TestExactEvaluation:
         policy = builtin_policy("honest", 6, params)
         actions = policy.actions.copy()
         actions[state_index(ChainState(0, 1, Fork.IRRELEVANT), 6)] = Action.MATCH
-        from selfish_mining.model import Policy
-
         with pytest.raises(ValueError, match=r"match at reachable state"):
             evaluate_policy_exact(model, Policy(T=6, actions=actions))
 
@@ -189,8 +238,7 @@ class TestExactEvaluation:
         sm1 = builtin_policy("sm1", 8, params)
         rev = evaluate_policy_exact(model, sm1).rev
         scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho=rev)
-        result = solve_average_reward(scalar, 1e-11, forced_policy=sm1)
-        assert abs(result.gain) <= 1e-9
+        assert abs(scalar_gain(scalar, sm1)) <= 1e-12
 
     def test_greedy_policy_rescoring_matches_gain(self):
         params = MiningParams(0.42, 0.3)

@@ -195,8 +195,9 @@ class TestThreshold:
             assert solve_average_reward(scalar, 1e-4).gain <= -1e-4
 
     def test_alpha_tol_validated(self):
-        with pytest.raises(ValueError, match="alpha_tol"):
-            profit_threshold(0.5, alpha_tol=1e-6)
+        for tol in (1e-6, 0.5, 0.7):
+            with pytest.raises(ValueError, match="alpha_tol"):
+                profit_threshold(0.5, alpha_tol=tol)
 
 
 class TestSweep:
