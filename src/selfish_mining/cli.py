@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -64,8 +65,21 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by None: JSON has no
+    NaN or infinity, and strict parsers reject the bare tokens."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _write_json(path: str, data: dict) -> None:
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_safe(data), indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, text + "\n")
 
 
 def _write_manifest(
@@ -210,6 +224,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from(args)
     if args.rounds < 1:
         raise CliError(f"rounds must be >= 1 (got {args.rounds})")
+    last = args.seed + (args.replicas - 1) * args.seed_stride
+    if args.replicas >= 1 and min(args.seed, last) < 0:  # seeds are linear in k
+        k = 0 if args.seed < 0 else args.replicas - 1
+        raise CliError(
+            f"--seed {args.seed} with --seed-stride {args.seed_stride} gives replica"
+            f" {k} the seed {args.seed + k * args.seed_stride}; every replica seed"
+            " seed + k*stride must be >= 0"
+        )
     policy, label = _load_policy(args.policy, args, params)
     config = SimConfig(params=params, policy=policy, rounds=args.rounds, seed=args.seed)
     outputs: list[str] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -14,6 +15,8 @@ from selfish_mining.chain import (
     MiningModel,
     ThresholdVariant,
     build_truncated,
+    grid_coordinates,
+    transition_table,
     transitions,
 )
 from selfish_mining.mdp import solve_average_reward
@@ -325,6 +328,7 @@ def reference_step_tables(policy: Policy, params: MiningParams) -> dict:
         "attacker": np.zeros((n, 3), dtype=np.int64),
         "honest": np.zeros(n, dtype=np.int64),
         "race_win_prob": np.zeros(n),
+        "adopt": np.zeros(n, dtype=bool),
     }
     for idx, state in enumerate(enumerate_states(T)):
         action = Action.ADOPT if max(state.a, state.h) == T else policy.action_at(state)
@@ -335,7 +339,40 @@ def reference_step_tables(policy: Policy, params: MiningParams) -> dict:
             tables["attacker"][idx, branch] = reward.attacker
         tables["honest"][idx] = entries[0].reward.honest
         tables["race_win_prob"][idx] = params.race_win_prob if len(entries) == 3 else 0.0
+        tables["adopt"][idx] = action is Action.ADOPT
     return tables
+
+
+def exact_round_law(
+    policy: Policy, params: MiningParams, rounds: int
+) -> dict[tuple[int, int], float]:
+    """Law of (attacker blocks, honest blocks) accepted in the first
+    ``rounds`` rounds from the initial distribution, summed over every
+    branch path through :func:`transition_table`; boundary states adopt."""
+    T = policy.T
+    table = transition_table(params, T)
+    a, h, _ = grid_coordinates(T)
+    actions = np.where(np.maximum(a, h) == T, Action.ADOPT, policy.actions)
+    first, second = initial_states(T)
+    paths = {(first, 0, 0): params.alpha, (second, 0, 0): 1 - params.alpha}
+    for _ in range(rounds):
+        step: dict[tuple[int, int, int], float] = defaultdict(float)
+        for (state, attacker, honest), p in paths.items():
+            action = actions[state]
+            for branch in range(3):
+                q = table.probability[action, state, branch]
+                if q > 0:
+                    key = (
+                        int(table.next_state[action, state, branch]),
+                        attacker + int(table.attacker[action, state, branch]),
+                        honest + int(table.honest[action, state, branch]),
+                    )
+                    step[key] += p * q
+        paths = step
+    law: dict[tuple[int, int], float] = defaultdict(float)
+    for (_, attacker, honest), p in paths.items():
+        law[attacker, honest] += p
+    return dict(law)
 
 
 class BisectionBounds(NamedTuple):

@@ -172,6 +172,40 @@ class TestSimulateCommand:
         assert "replicas must be >= 1" in capsys.readouterr().err
         assert not os.path.exists("s.sim.json")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "-1"], ["--seed", "0", "--replicas", "3", "--seed-stride", "-1"]],
+    )
+    def test_negative_seed_rejected(self, workdir, capsys, flags):
+        rc = main(
+            ["simulate", "--policy", "sm1", "--alpha", "0.3", "--gamma", "0",
+             "--T", "5", "--rounds", "100", *flags, "--out", "s"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--seed-stride" in err
+        assert "Traceback" not in err and "non-negative integer" not in err
+        assert os.listdir(workdir) == []
+
+    @pytest.mark.parametrize("replicas", ["1", "2"])
+    def test_undefined_revenue_is_strict_json_null(self, workdir, capsys, replicas):
+        """One round can end before any block is accepted: rev, stderr and
+        the batch statistics are then undefined and written as null."""
+        rc = main(
+            ["simulate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0",
+             "--T", "10", "--rounds", "1", "--seed", "3", "--replicas", replicas,
+             "--out", "s"]
+        )
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with open("s.sim.json") as handle:
+            data = json.loads(handle.read(), parse_constant=reject)
+        undefined = ["rev", "stderr"] if replicas == "1" else ["mean_rev", "std_rev"]
+        assert all(data[key] is None for key in undefined)
+
     def test_replicas_csv(self, workdir, capsys):
         rc = main(
             ["simulate", "--policy", "sm1", "--alpha", "0.35", "--gamma", "0",

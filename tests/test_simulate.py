@@ -1,8 +1,11 @@
+import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from selfish_mining import simulate
 from selfish_mining.chain import build_base_model
 from selfish_mining.mdp import evaluate_policy_exact
 from selfish_mining.model import (
@@ -21,7 +24,7 @@ from selfish_mining.simulate import (
     simulate_batch,
 )
 
-from helpers import action_rows, sm1_reference_revenue
+from helpers import action_rows, exact_round_law, sm1_reference_revenue
 
 
 def simulate_one(config: SimConfig):
@@ -66,6 +69,37 @@ class TestDeterminism:
         assert single.results[0] == first
 
 
+class TestLaw:
+    @pytest.mark.parametrize("pilot", [simulate.PILOT, 1])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["sm1", "honest"])
+    def test_short_horizon_law(self, monkeypatch, name, rounds, pilot):
+        """Counts after a few rounds, the cycle cut at the budget included,
+        follow the exact law of the chain: each (attacker, honest) cell is
+        within four standard errors over 4000 replicas.  A one-cycle pilot
+        makes every later block one cycle, so the budget is also spent
+        across many blocks."""
+        monkeypatch.setattr(simulate, "PILOT", pilot)
+        params = MiningParams(0.4, 0.5)
+        policy = builtin_policy(name, 4, params)
+        law = exact_round_law(policy, params, rounds)
+        replicas = 4000
+        batch = simulate_batch(SimConfig(params, policy, rounds, seed=rounds), replicas)
+        counts = Counter((r.attacker_blocks, r.honest_blocks) for r in batch.results)
+        assert set(counts) <= set(law)
+        for cell, p in law.items():
+            error = abs(counts[cell] / replicas - p)
+            assert error <= 4 * math.sqrt(p * (1 - p) / replicas), (cell, p)
+
+    def test_scheduling_leaves_results_unchanged(self, monkeypatch):
+        """How many blocks run at once changes no replica's result."""
+        params = MiningParams(0.4, 0.5)
+        cfg = SimConfig(params, builtin_policy("sm1", 12, params), rounds=30_000, seed=6)
+        wide = simulate_batch(cfg, replicas=4)
+        monkeypatch.setattr(simulate, "JOBS", 2)
+        assert simulate_batch(cfg, replicas=4) == wide
+
+
 class TestStatistics:
     def test_honest_revenue_within_ci(self):
         params = MiningParams(0.3, 0.7)
@@ -96,6 +130,21 @@ class TestStatistics:
         large = simulate_one(SimConfig(params, policy, rounds=1_000_000, seed=1))
         ratio = small.stderr / large.stderr
         assert 3.0 <= ratio <= 30.0
+
+    def test_stderr_calibrated(self):
+        """Over 200 seeded replicas the errors, in units of each replica's
+        own standard error, have a standard deviation near one."""
+        params = MiningParams(0.4, 0.5)
+        policy = builtin_policy("sm1", 12, params)
+        exact = evaluate_policy_exact(build_base_model(params, 12), policy).rev
+        batch = simulate_batch(SimConfig(params, policy, rounds=20_000, seed=300), 200)
+        z = [(r.rev - exact) / r.stderr for r in batch.results]
+        assert 0.8 <= np.std(z) <= 1.2
+
+    def test_stderr_needs_two_complete_cycles(self):
+        params = MiningParams(0.3, 0.0)
+        cfg = SimConfig(params, builtin_policy("sm1", 8, params), rounds=1, seed=0)
+        assert all(math.isnan(r.stderr) for r in simulate_batch(cfg, 20).results)
 
     def test_batch_aggregates(self):
         params = MiningParams(0.25, 0.0)

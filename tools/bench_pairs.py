@@ -9,7 +9,8 @@ from seed to seed, so that drift in the machine's load falls on both sides
 alike.  Each workload's metrics are the end-to-end metrics of
 ``BENCHMARK.json``; the file gets their medians and quartiles per side and
 the number of pairs in which the after side was better.  With ``--trace``,
-one traced run per side and workload adds the per-layer solver figures.
+one traced run per side and workload adds the per-layer solver and
+simulator figures.
 
 The summary goes to ``BENCH_<name>.json`` at the root of the repository
 that holds this script.  A section is keyed by workload and seeds, so a later call with
@@ -29,7 +30,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACED_LAYERS = ("mdp.solve_calls", "mdp.solve_s", "mdp.rvi_sweeps")
+TRACED_LAYERS = (
+    "mdp.solve_calls", "mdp.solve_s", "mdp.rvi_sweeps",
+    "simulate.loop_s", "simulate.loop_rounds_per_s", "cli.sim_batch_rounds_per_s",
+)
 
 
 def seed_range(text: str) -> list[int]:
