@@ -6,13 +6,11 @@ from .chain import (
     MiningModel,
     ScalarModel,
     ThresholdVariant,
-    TransitionEntry,
     build_base_model,
     build_honest_disabled,
     build_truncated,
     dump_model,
     overpaying_terminal_reward,
-    transitions,
 )
 from .delay import (
     DelayParams,
@@ -39,14 +37,9 @@ from .model import (
     Fork,
     MiningParams,
     Policy,
-    RewardPair,
     Variant,
     builtin_policy,
-    enumerate_states,
-    feasible_actions,
-    honest_policy,
     num_states,
-    sm1_policy,
     state_at,
     state_index,
     upper_bound_revenue,

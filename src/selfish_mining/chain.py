@@ -7,8 +7,6 @@ transition operator and expected rewards, the simulator's step tables, the
 model validation and the text dump are all read from that table.  Every
 per-(action, state) quantity of a built model shares one row layout: row
 ``action*n + state``, the (actions, n) arrays flattened in C order.
-:func:`transitions` states the same rules for one state-action pair; it is
-kept as the scalar reference the tests compare the table against.
 
 The built model keeps two-component block rewards untransformed.  The scalar
 reward used by the average-reward solver, ``(1-rho)*attacker - rho*honest``,
@@ -34,22 +32,17 @@ import numpy as np
 from scipy import sparse
 
 from .model import (
+    ACTION_NAMES,
     Action,
     ChainState,
     Fork,
     MiningParams,
-    RewardPair,
     Variant,
+    grid_coordinates,
     initial_states,
     num_states,
     state_index,
 )
-
-
-class TransitionEntry(NamedTuple):
-    probability: float
-    next_state: ChainState
-    reward: RewardPair
 
 
 class BoundaryMode(Enum):
@@ -62,76 +55,6 @@ class ThresholdVariant(Enum):
 
     OVERRIDE_DISABLED_AT_1_0 = "override-disabled-at-1-0"
     ADOPT_DISABLED_AT_0_1 = "adopt-disabled-at-0-1"
-
-
-def transitions(
-    state: ChainState, action: Action, params: MiningParams
-) -> tuple[TransitionEntry, ...]:
-    """Raw transition entries for one state-action pair.
-
-    Entries come in a fixed branch order -- attacker block first, then the
-    honest-block branches (race-won before race-lost where a race applies) --
-    and zero-probability race branches are kept, so positional semantics stay
-    stable for the simulator.  Matrix builders drop zero entries.
-    """
-    alpha = params.alpha
-    a, h = state.a, state.h
-
-    if action is Action.ADOPT:
-        reward = RewardPair(0, h)
-        return (
-            TransitionEntry(alpha, ChainState(1, 0, Fork.IRRELEVANT), reward),
-            TransitionEntry(1 - alpha, ChainState(0, 1, Fork.IRRELEVANT), reward),
-        )
-
-    if action is Action.OVERRIDE:
-        if a <= h:
-            raise ValueError(f"override infeasible at {state}")
-        reward = RewardPair(h + 1, 0)
-        return (
-            TransitionEntry(alpha, ChainState(a - h, 0, Fork.IRRELEVANT), reward),
-            TransitionEntry(
-                1 - alpha, ChainState(a - h - 1, 1, Fork.RELEVANT), reward
-            ),
-        )
-
-    race = action is Action.MATCH or (
-        action is Action.WAIT and state.fork is Fork.ACTIVE and a >= h
-    )
-    if race:
-        if action is Action.MATCH and a < h:
-            raise ValueError(f"match infeasible at {state}")
-        win = params.race_win_prob
-        return (
-            TransitionEntry(
-                alpha, ChainState(a + 1, h, Fork.ACTIVE), RewardPair(0, 0)
-            ),
-            TransitionEntry(
-                win * (1 - alpha),
-                ChainState(a - h, 1, Fork.RELEVANT),
-                RewardPair(h, 0),
-            ),
-            TransitionEntry(
-                (1 - win) * (1 - alpha),
-                ChainState(a, h + 1, Fork.RELEVANT),
-                RewardPair(0, 0),
-            ),
-        )
-
-    if action is Action.WAIT:
-        # Plain private mining.  Also used for the inconsistent (and
-        # unreachable) active-fork states with a < h, where no published
-        # attacker chain exists to race.
-        return (
-            TransitionEntry(
-                alpha, ChainState(a + 1, h, Fork.IRRELEVANT), RewardPair(0, 0)
-            ),
-            TransitionEntry(
-                1 - alpha, ChainState(a, h + 1, Fork.RELEVANT), RewardPair(0, 0)
-            ),
-        )
-
-    raise ValueError(f"unknown action {action!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +92,11 @@ class MiningModel:
 
 
 class TransitionTable(NamedTuple):
-    """The rules of :func:`transitions` for every (action, state) pair of a
-    grid, indexed ``[action, state, branch]``.
+    """The block-race rules for every (action, state) pair of a grid,
+    indexed ``[action, state, branch]``.
 
-    Branches keep :func:`transitions`' order: the attacker block, then the
-    honest block (race won, then race lost, where ``race`` is set).  A pair
+    Branches come in a fixed order: the attacker block, then the honest
+    block (race won, then race lost, where ``race`` is set).  A pair
     without a race has two branches; its third repeats the second with
     probability zero.  Infeasible pairs, including every action but adopt at
     the truncation boundary, hold zeros.
@@ -187,19 +110,17 @@ class TransitionTable(NamedTuple):
     race: np.ndarray  # (actions, n) bool, three branches with a race split
 
 
-def grid_coordinates(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(a, h, fork)`` of every grid state, in index order."""
-    index = np.arange(num_states(T))
-    rest = index // 3
-    return rest // (T + 1), rest % (T + 1), index % 3
-
-
 def transition_table(params: MiningParams, T: int) -> TransitionTable:
     """Evaluate the block-race rules on the whole {0..T}^2 grid at once.
 
-    Interior states get every action
-    :func:`~selfish_mining.model.feasible_actions` allows; truncation-boundary
-    states keep adopt alone.
+    At interior states adopt and wait are always feasible.  Override needs a
+    strictly longer secret branch.  Match needs a >= h and a live race
+    opportunity: a relevant fork, or any non-active fork under uniform tie
+    breaking (honest nodes then accept a late equal-length chain with
+    probability 1/2, so no block needs to be prepared in advance).  Waiting
+    in an active fork with a >= h keeps the race going; with a < h, an
+    inconsistent and unreachable state, it is plain private mining.
+    Truncation-boundary states keep adopt alone.
     """
     a, h, fork = grid_coordinates(T)
     alpha, win, lost = params.alpha, params.race_win_prob, 1 - params.alpha
@@ -373,9 +294,8 @@ def dump_model(model: MiningModel) -> str:
         table.attacker[pick], ",", table.honest[pick],
     )
     entries[table.probability[pick] <= 0.0] = ""
-    action_names = np.array([act.name.lower() for act in Action])
     lines = _cat(
-        names[state], " | ", action_names[action], " -> [",
+        names[state], " | ", ACTION_NAMES[action], " -> [",
         np.char.lstrip(_cat(*entries.T), " "), "]",
     )
     return "\n".join(lines.tolist()) + "\n"

@@ -37,9 +37,9 @@ class DelayParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1) (got {self.alpha})")
-        if self.lam <= 0.0:
-            raise ValueError(f"lambda must be > 0 (got {self.lam})")
-        if self.d_ah < 0.0 or self.d_ha < 0.0:
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be > 0 and finite (got {self.lam})")
+        if not (self.d_ah >= 0.0 and self.d_ha >= 0.0):
             raise ValueError("delays must be >= 0")
 
 

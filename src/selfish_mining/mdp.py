@@ -30,8 +30,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
-from .chain import MiningModel, ScalarModel, grid_coordinates, transition_table
-from .model import Action, Policy, state_at
+from .chain import MiningModel, ScalarModel, transition_table
+from .model import Action, Policy, grid_coordinates, state_at
 
 DAMPING = 0.01
 RVI_SWEEP_BUDGET = 256

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -55,13 +55,6 @@ class Variant(str, Enum):
     UNIFORM_TIE_BREAK = "uniform"
 
 
-class RewardPair(NamedTuple):
-    """Blocks permanently accepted on a transition, attacker and honest."""
-
-    attacker: int
-    honest: int
-
-
 @dataclass(frozen=True)
 class MiningParams:
     """Attack parameters.
@@ -79,9 +72,9 @@ class MiningParams:
     variant: Variant = Variant.STANDARD
 
     def __post_init__(self) -> None:
-        if self.alpha >= 0.5:
+        if not self.alpha < 0.5:
             raise ValueError(f"alpha must be < 0.5 (got {self.alpha})")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError(f"alpha must be > 0 (got {self.alpha})")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1] (got {self.gamma})")
@@ -109,13 +102,6 @@ class ChainState:
     def __post_init__(self) -> None:
         if self.a < 0 or self.h < 0:
             raise ValueError(f"chain lengths must be nonnegative (got {self})")
-
-    def to_json_dict(self) -> dict:
-        return {"a": self.a, "h": self.h, "fork": self.fork.name.lower()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChainState":
-        return cls(int(data["a"]), int(data["h"]), Fork[data["fork"].upper()])
 
 
 def _check_truncation(T: int) -> None:
@@ -150,15 +136,11 @@ def state_at(index: int, T: int) -> ChainState:
     return ChainState(rest // (T + 1), rest % (T + 1), fork)
 
 
-def enumerate_states(T: int) -> list[ChainState]:
-    """All grid states in index order; the first element is (0,0,irrelevant)."""
-    _check_truncation(T)
-    return [
-        ChainState(a, h, fork)
-        for a in range(T + 1)
-        for h in range(T + 1)
-        for fork in Fork
-    ]
+def grid_coordinates(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, h, fork)`` of every grid state, in index order."""
+    index = np.arange(num_states(T))
+    rest = index // 3
+    return rest // (T + 1), rest % (T + 1), index % 3
 
 
 def initial_states(T: int) -> tuple[int, int]:
@@ -169,56 +151,6 @@ def initial_states(T: int) -> tuple[int, int]:
     )
 
 
-def feasible_actions(state: ChainState, params: MiningParams) -> frozenset[Action]:
-    """Actions available at an interior state (max(a,h) below the truncation;
-    truncation-boundary states are restricted separately by the model builder).
-
-    Adopt and wait are always available.  Override needs a strictly longer
-    secret branch.  Match needs a >= h and a live race opportunity: a relevant
-    fork, or any non-active fork under uniform tie breaking (honest nodes then
-    accept a late equal-length chain with probability 1/2, so no block needs
-    to be prepared in advance).
-    """
-    actions = {Action.ADOPT, Action.WAIT}
-    if state.a > state.h:
-        actions.add(Action.OVERRIDE)
-    if state.a >= state.h:
-        if state.fork is Fork.RELEVANT:
-            actions.add(Action.MATCH)
-        elif (
-            state.fork is Fork.IRRELEVANT
-            and params.variant is Variant.UNIFORM_TIE_BREAK
-        ):
-            actions.add(Action.MATCH)
-    return frozenset(actions)
-
-
-def honest_policy(state: ChainState) -> Action:
-    """The protocol-following policy: publish a longer chain immediately,
-    abandon a shorter one, wait on ties."""
-    if state.h > state.a:
-        return Action.ADOPT
-    if state.a > state.h:
-        return Action.OVERRIDE
-    return Action.WAIT
-
-
-def sm1_policy(state: ChainState) -> Action:
-    """The classic one-block-withholding strategy.
-
-    Matches at (1,1) only when the fork is relevant; the race is impossible
-    otherwise, and under the standard protocol (1,1) is never entered with a
-    different label, so waiting there is a harmless total extension.
-    """
-    if state.h > state.a:
-        return Action.ADOPT
-    if state.a == state.h == 1:
-        return Action.MATCH if state.fork is Fork.RELEVANT else Action.WAIT
-    if state.h == state.a - 1 and state.h >= 1:
-        return Action.OVERRIDE
-    return Action.WAIT
-
-
 def upper_bound_revenue(alpha: float) -> float:
     """Closed-form ceiling alpha/(1-alpha) on the attacker's relative revenue:
     each attacker block can orphan at most one honest block."""
@@ -227,19 +159,11 @@ def upper_bound_revenue(alpha: float) -> float:
     return alpha / (1.0 - alpha)
 
 
-_ACTION_NAMES = {action: action.name.lower() for action in Action}
-_ACTIONS_BY_NAME = {name: action for action, name in _ACTION_NAMES.items()}
+# object dtype: indexing hands out these four str objects, not new strings
+ACTION_NAMES = np.array([action.name.lower() for action in Action], dtype=object)
 
-
-def action_name(action: Action) -> str:
-    return _ACTION_NAMES[Action(action)]
-
-
-def action_from_name(name: str) -> Action:
-    try:
-        return _ACTIONS_BY_NAME[name]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown action {name!r}") from None
+# a policy stated on the whole grid: (a, h, fork) arrays -> action ordinals
+GridRule = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,20 +194,17 @@ class Policy:
     @classmethod
     def tabulate(
         cls,
-        rule: Callable[[ChainState], Action],
+        rule: GridRule,
         T: int,
         params: MiningParams | None = None,
         label: str | None = None,
     ) -> "Policy":
-        """Materialize a per-state rule onto the grid.  Truncation-boundary
+        """Materialize a grid rule, ``rule(a, h, fork) -> action ordinals``
+        evaluated once on :func:`grid_coordinates`.  Truncation-boundary
         states (max(a,h) = T) are forced to adopt, mirroring the truncated
         process where adopting is the only action left there."""
-        actions = np.empty(num_states(T), dtype=np.int8)
-        for idx, state in enumerate(enumerate_states(T)):
-            if max(state.a, state.h) == T:
-                actions[idx] = Action.ADOPT
-            else:
-                actions[idx] = rule(state)
+        a, h, fork = grid_coordinates(T)
+        actions = np.where(np.maximum(a, h) == T, Action.ADOPT, rule(a, h, fork))
         return cls(
             T=T,
             actions=actions,
@@ -299,7 +220,7 @@ class Policy:
     def to_json_dict(self) -> dict:
         data: dict = {
             "T": self.T,
-            "actions": [action_name(Action(o)) for o in self.actions],
+            "actions": ACTION_NAMES[self.actions].tolist(),
         }
         if self.alpha is not None:
             data["alpha"] = self.alpha
@@ -322,7 +243,13 @@ class Policy:
             raise ValueError(f"policy field 'T' must be an integer (got {T!r})")
         if not isinstance(names, list):
             raise ValueError(f"policy field 'actions' must be a list (got {names!r})")
-        actions = np.array([action_from_name(name) for name in names], dtype=np.int8)
+        given = np.fromiter(names, dtype=object, count=len(names))
+        actions = np.full(len(names), -1, dtype=np.int8)
+        for ordinal, name in enumerate(ACTION_NAMES):
+            actions[given == name] = ordinal
+        unknown = np.flatnonzero(actions < 0)
+        if len(unknown):
+            raise ValueError(f"unknown action {given[unknown[0]]!r}")
         for field in ("alpha", "gamma"):
             value = data.get(field)
             if value is not None and (
@@ -349,9 +276,29 @@ class Policy:
         )
 
 
-BUILTIN_POLICIES: dict[str, Callable[[ChainState], Action]] = {
-    "honest": honest_policy,
-    "sm1": sm1_policy,
+def honest_rule(a: np.ndarray, h: np.ndarray, fork: np.ndarray) -> np.ndarray:
+    """The protocol-following policy: publish a longer chain immediately,
+    abandon a shorter one, wait on ties."""
+    return np.select([h > a, a > h], [Action.ADOPT, Action.OVERRIDE], Action.WAIT)
+
+
+def sm1_rule(a: np.ndarray, h: np.ndarray, fork: np.ndarray) -> np.ndarray:
+    """The classic one-block-withholding strategy.
+
+    Matches at (1,1) only when the fork is relevant; the race is impossible
+    otherwise, and under the standard protocol (1,1) is never entered with a
+    different label, so waiting there is a harmless total extension.
+    """
+    return np.select(
+        [h > a, (a == 1) & (h == 1) & (fork == Fork.RELEVANT), (h == a - 1) & (h >= 1)],
+        [Action.ADOPT, Action.MATCH, Action.OVERRIDE],
+        Action.WAIT,
+    )
+
+
+BUILTIN_POLICIES: dict[str, GridRule] = {
+    "honest": honest_rule,
+    "sm1": sm1_rule,
 }
 
 

@@ -50,13 +50,17 @@ class OptimizeConfig:
     def __post_init__(self) -> None:
         if self.T < 2:
             raise ValueError(f"truncation must be >= 2 (got {self.T})")
-        if not 0.0 < self.eps < 8.0 * self.params.alpha:
-            raise ValueError(
-                f"eps must satisfy 0 < eps < 8*alpha ="
-                f" {8 * self.params.alpha} (got {self.eps})"
-            )
-        if not 0.0 < self.eps_prime < 1.0:
-            raise ValueError(f"eps_prime must be in (0, 1) (got {self.eps_prime})")
+        _check_tolerances(self.eps, self.eps_prime, self.params.alpha)
+
+
+def _check_tolerances(eps: float, eps_prime: float, alpha: float = 0.5) -> None:
+    """``0 < eps < 8*alpha`` and ``0 < eps_prime < 1``.  At the default
+    alpha, the supremum of the model's alphas, these are the rules every
+    point of a sweep shares."""
+    if not 0.0 < eps < 8.0 * alpha:
+        raise ValueError(f"eps must satisfy 0 < eps < 8*alpha = {8 * alpha} (got {eps})")
+    if not 0.0 < eps_prime < 1.0:
+        raise ValueError(f"eps_prime must be in (0, 1) (got {eps_prime})")
 
 
 @dataclass(frozen=True)
@@ -421,9 +425,16 @@ def sweep(
     jobs: int = 1,
 ) -> list[SweepRow]:
     """One row per (alpha, gamma), alphas outer, deterministic order.
-    Honest revenue equals alpha identically, so it is emitted directly."""
+    Honest revenue equals alpha identically, so it is emitted directly.
+
+    ``jobs`` below 1, or a tolerance no alpha admits, raises ``ValueError``
+    before any solve; eps at or above 8*alpha fails only the rows of that
+    alpha."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1 (got {jobs})")
+    _check_tolerances(eps, eps_prime)
     points = [(a, g) for a in alphas for g in gammas]
-    if jobs <= 1:
+    if jobs == 1:
         return [_sweep_point(a, g, variant, T, eps, eps_prime) for a, g in points]
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         tasks = [

@@ -9,16 +9,13 @@ states under the policy itself).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .chain import MiningModel, build_base_model
 from .mdp import reachable_mask
-from .model import Action, ChainState, Fork, MiningParams, Policy, state_index
+from .model import MiningParams, Policy
 
-ACTION_CHARS = {
-    Action.ADOPT: "a",
-    Action.OVERRIDE: "o",
-    Action.MATCH: "m",
-    Action.WAIT: "w",
-}
+ACTION_CHARS = np.array(["a", "o", "m", "w"])  # indexed by action ordinal
 UNREACHABLE_CHAR = "*"
 
 
@@ -42,23 +39,14 @@ def render_policy_grid(
 ) -> list[list[str]]:
     """Grid of three-character cells, ``grid[a][h]``, for a,h <= t_view."""
     model = _model_for(policy, model)
-    if t_view > policy.T:
-        raise ValueError(f"t_view {t_view} exceeds the policy truncation {policy.T}")
-    reachable = reachable_mask(model, policy)
-    grid = []
-    for a in range(t_view + 1):
-        row = []
-        for h in range(t_view + 1):
-            cell = ""
-            for fork in Fork:
-                idx = state_index(ChainState(a, h, fork), policy.T)
-                if reachable[idx]:
-                    cell += ACTION_CHARS[Action(policy.actions[idx])]
-                else:
-                    cell += UNREACHABLE_CHAR
-            row.append(cell)
-        grid.append(row)
-    return grid
+    if not 0 <= t_view <= policy.T:
+        raise ValueError(f"t_view must be in [0, {policy.T}] (got {t_view})")
+    chars = np.where(
+        reachable_mask(model, policy), ACTION_CHARS[policy.actions], UNREACHABLE_CHAR
+    )
+    side = policy.T + 1
+    cells = chars.reshape(side, side, 3)[: t_view + 1, : t_view + 1]
+    return np.char.add(np.char.add(cells[..., 0], cells[..., 1]), cells[..., 2]).tolist()
 
 
 def render_policy_text(

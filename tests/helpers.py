@@ -15,9 +15,7 @@ from selfish_mining.chain import (
     MiningModel,
     ThresholdVariant,
     build_truncated,
-    grid_coordinates,
     transition_table,
-    transitions,
 )
 from selfish_mining.mdp import solve_average_reward
 from selfish_mining.model import (
@@ -26,8 +24,8 @@ from selfish_mining.model import (
     Fork,
     MiningParams,
     Policy,
-    enumerate_states,
-    feasible_actions,
+    Variant,
+    grid_coordinates,
     initial_states,
     num_states,
     state_index,
@@ -118,6 +116,169 @@ def sm1_truncated_revenue(alpha: float | Fraction, T: int) -> Fraction:
     return attacker / (attacker + honest)
 
 
+# The block-race rules and the built-in policies stated one state at a time:
+# the references the grid-wide table and the grid rules are checked against.
+
+
+class RewardPair(NamedTuple):
+    """Blocks permanently accepted on a transition, attacker and honest."""
+
+    attacker: int
+    honest: int
+
+
+class TransitionEntry(NamedTuple):
+    probability: float
+    next_state: ChainState
+    reward: RewardPair
+
+
+def grid_states(T: int) -> list[ChainState]:
+    """All grid states in index order; the first is (0,0,irrelevant)."""
+    num_states(T)  # rejects a truncation outside [1, MAX_TRUNCATION]
+    return [
+        ChainState(a, h, fork)
+        for a in range(T + 1)
+        for h in range(T + 1)
+        for fork in Fork
+    ]
+
+
+def feasible_actions(state: ChainState, params: MiningParams) -> frozenset[Action]:
+    """Actions available at an interior state (max(a,h) below the truncation;
+    truncation-boundary states keep adopt alone).
+
+    Adopt and wait are always available.  Override needs a strictly longer
+    secret branch.  Match needs a >= h and a live race opportunity: a relevant
+    fork, or any non-active fork under uniform tie breaking.
+    """
+    actions = {Action.ADOPT, Action.WAIT}
+    if state.a > state.h:
+        actions.add(Action.OVERRIDE)
+    if state.a >= state.h:
+        if state.fork is Fork.RELEVANT:
+            actions.add(Action.MATCH)
+        elif (
+            state.fork is Fork.IRRELEVANT
+            and params.variant is Variant.UNIFORM_TIE_BREAK
+        ):
+            actions.add(Action.MATCH)
+    return frozenset(actions)
+
+
+def transitions(
+    state: ChainState, action: Action, params: MiningParams
+) -> tuple[TransitionEntry, ...]:
+    """Raw transition entries for one state-action pair.
+
+    Entries come in a fixed branch order -- attacker block first, then the
+    honest-block branches (race-won before race-lost where a race applies) --
+    and zero-probability race branches are kept, so positional semantics stay
+    stable for the simulator.  Matrix builders drop zero entries.
+    """
+    alpha = params.alpha
+    a, h = state.a, state.h
+
+    if action is Action.ADOPT:
+        reward = RewardPair(0, h)
+        return (
+            TransitionEntry(alpha, ChainState(1, 0, Fork.IRRELEVANT), reward),
+            TransitionEntry(1 - alpha, ChainState(0, 1, Fork.IRRELEVANT), reward),
+        )
+
+    if action is Action.OVERRIDE:
+        if a <= h:
+            raise ValueError(f"override infeasible at {state}")
+        reward = RewardPair(h + 1, 0)
+        return (
+            TransitionEntry(alpha, ChainState(a - h, 0, Fork.IRRELEVANT), reward),
+            TransitionEntry(
+                1 - alpha, ChainState(a - h - 1, 1, Fork.RELEVANT), reward
+            ),
+        )
+
+    race = action is Action.MATCH or (
+        action is Action.WAIT and state.fork is Fork.ACTIVE and a >= h
+    )
+    if race:
+        if action is Action.MATCH and a < h:
+            raise ValueError(f"match infeasible at {state}")
+        win = params.race_win_prob
+        return (
+            TransitionEntry(
+                alpha, ChainState(a + 1, h, Fork.ACTIVE), RewardPair(0, 0)
+            ),
+            TransitionEntry(
+                win * (1 - alpha),
+                ChainState(a - h, 1, Fork.RELEVANT),
+                RewardPair(h, 0),
+            ),
+            TransitionEntry(
+                (1 - win) * (1 - alpha),
+                ChainState(a, h + 1, Fork.RELEVANT),
+                RewardPair(0, 0),
+            ),
+        )
+
+    if action is Action.WAIT:
+        # Plain private mining.  Also used for the inconsistent (and
+        # unreachable) active-fork states with a < h, where no published
+        # attacker chain exists to race.
+        return (
+            TransitionEntry(
+                alpha, ChainState(a + 1, h, Fork.IRRELEVANT), RewardPair(0, 0)
+            ),
+            TransitionEntry(
+                1 - alpha, ChainState(a, h + 1, Fork.RELEVANT), RewardPair(0, 0)
+            ),
+        )
+
+    raise ValueError(f"unknown action {action!r}")
+
+
+def honest_policy(state: ChainState) -> Action:
+    """The protocol-following policy: publish a longer chain immediately,
+    abandon a shorter one, wait on ties."""
+    if state.h > state.a:
+        return Action.ADOPT
+    if state.a > state.h:
+        return Action.OVERRIDE
+    return Action.WAIT
+
+
+def sm1_policy(state: ChainState) -> Action:
+    """The classic one-block-withholding strategy: match at (1,1) only when
+    the fork is relevant, override when the lead falls to one."""
+    if state.h > state.a:
+        return Action.ADOPT
+    if state.a == state.h == 1:
+        return Action.MATCH if state.fork is Fork.RELEVANT else Action.WAIT
+    if state.h == state.a - 1 and state.h >= 1:
+        return Action.OVERRIDE
+    return Action.WAIT
+
+
+REFERENCE_POLICIES = {"honest": honest_policy, "sm1": sm1_policy}
+
+
+def reference_policy(name: str, T: int, params: MiningParams) -> Policy:
+    """A built-in policy tabulated state by state from its per-state rule;
+    boundary states adopt."""
+    rule = REFERENCE_POLICIES[name]
+    actions = [
+        Action.ADOPT if max(state.a, state.h) == T else rule(state)
+        for state in grid_states(T)
+    ]
+    return Policy(
+        T=T,
+        actions=np.array(actions, dtype=np.int8),
+        alpha=params.alpha,
+        gamma=params.gamma,
+        variant=params.variant,
+        label=name,
+    )
+
+
 def forward_closure(rule, params: MiningParams, T: int) -> set[ChainState]:
     """Brute-force reachable set of a per-state action rule, walking the raw
     transition generator from the two start states.  Boundary states adopt."""
@@ -155,10 +316,6 @@ def forward_closure_all_actions(
     return seen
 
 
-def grid_states(T: int) -> list[ChainState]:
-    return enumerate_states(T)
-
-
 def action_rows(model: MiningModel, action: Action) -> sparse.csr_matrix:
     """The (n, n) block of the stacked operator that holds ``action``'s rows."""
     start = int(action) * model.n
@@ -173,7 +330,7 @@ def reference_layers(
     by state: the loop the vectorized builder replaced, kept as its
     reference."""
     n = num_states(T)
-    states = enumerate_states(T)
+    states = grid_states(T)
     n_actions = len(Action)
 
     feasible = np.zeros((n_actions, n), dtype=bool)
@@ -216,7 +373,7 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
     into the (actions * n, n) operator."""
     feasible, exp_attacker, exp_honest, matrices = reference_layers(params, T)
     n = num_states(T)
-    states = enumerate_states(T)
+    states = grid_states(T)
 
     initial = np.zeros(n)
     first, second = initial_states(T)
@@ -300,7 +457,7 @@ def reference_dump(model: MiningModel) -> str:
     """The text of ``dump_model``, written line by line from
     :func:`transitions`."""
     lines = []
-    for idx, state in enumerate(enumerate_states(model.T)):
+    for idx, state in enumerate(grid_states(model.T)):
         for action in model.feasible_at(idx):
             entries = [
                 f"{prob:.12g}:({nxt.a},{nxt.h},{nxt.fork.name.lower()})"
@@ -330,7 +487,7 @@ def reference_step_tables(policy: Policy, params: MiningParams) -> dict:
         "race_win_prob": np.zeros(n),
         "adopt": np.zeros(n, dtype=bool),
     }
-    for idx, state in enumerate(enumerate_states(T)):
+    for idx, state in enumerate(grid_states(T)):
         action = Action.ADOPT if max(state.a, state.h) == T else policy.action_at(state)
         entries = transitions(state, action, params)
         branches = (entries[0], entries[1], entries[-1])

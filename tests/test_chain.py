@@ -12,7 +12,6 @@ from selfish_mining.chain import (
     build_truncated,
     dump_model,
     overpaying_terminal_reward,
-    transitions,
 )
 from selfish_mining.model import (
     Action,
@@ -23,7 +22,7 @@ from selfish_mining.model import (
     state_index,
 )
 
-from helpers import action_rows, overpaying_reward_exact
+from helpers import action_rows, overpaying_reward_exact, transitions
 
 
 def entries_as_dict(entries):

@@ -49,6 +49,12 @@ class TestOptimizeCommand:
         assert rc == 2
         assert "8*alpha" in capsys.readouterr().err
 
+    def test_nan_alpha_blames_alpha(self, workdir, capsys):
+        rc = main(["optimize", "--alpha", "nan", "--gamma", "0", "--T", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "alpha must be < 0.5 (got nan)" in err and "eps" not in err
+
     def test_json_errors(self, workdir, capsys):
         rc = main(["--json-errors", "optimize", "--alpha", "0.6", "--gamma", "0"])
         assert rc == 2
@@ -65,6 +71,12 @@ class TestEvaluateCommand:
         assert rc == 0
         rev = read_json("ev.evaluate.json")["rev"]
         assert rev == pytest.approx(sm1_reference_revenue(0.3, 0.0), abs=1e-5)
+
+    def test_nan_alpha_exits_2(self, workdir, capsys):
+        rc = main(["evaluate", "--policy", "sm1", "--alpha", "nan", "--gamma", "0",
+                   "--T", "5"])
+        assert rc == 2
+        assert "alpha must be" in capsys.readouterr().err
 
     def test_round_trip_with_optimize(self, workdir, capsys):
         eps = 1e-3
@@ -119,6 +131,17 @@ class TestRenderCommand:
         rc = main(["render", "--policy", "nope.json"])
         assert rc == 2
 
+    @pytest.mark.parametrize("t_view", ["-1", "9"])
+    def test_t_view_outside_grid_exits_2(self, workdir, capsys, t_view):
+        main(
+            ["optimize", "--alpha", "0.3", "--gamma", "0", "--T", "8",
+             "--eps", "1e-3", "--eps-prime", "1e-3", "--out", "opt"]
+        )
+        capsys.readouterr()
+        rc = main(["render", "--policy", "opt.policy.json", "--t-view", t_view])
+        assert rc == 2
+        assert "t_view must be in [0, 8]" in capsys.readouterr().err
+
 
 class TestPolicyFileValidation:
     @pytest.mark.parametrize(
@@ -170,6 +193,15 @@ class TestSimulateCommand:
         )
         assert rc == 2
         assert "replicas must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists("s.sim.json")
+
+    def test_nan_alpha_exits_2(self, workdir, capsys):
+        rc = main(
+            ["simulate", "--policy", "sm1", "--alpha", "nan", "--gamma", "0",
+             "--T", "5", "--rounds", "100", "--out", "s"]
+        )
+        assert rc == 2
+        assert "alpha must be" in capsys.readouterr().err
         assert not os.path.exists("s.sim.json")
 
     @pytest.mark.parametrize(
@@ -298,6 +330,20 @@ class TestSweepCommand:
         assert row.endswith("nan,nan,nan")
         assert "8*alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--eps", "nan"], "eps must satisfy"),
+            (["--eps-prime", "nan"], "eps_prime must be in (0, 1)"),
+            (["--jobs", "0"], "jobs must be >= 1"),
+        ],
+    )
+    def test_input_checked_before_solving(self, workdir, capsys, flags, message):
+        rc = main(["sweep", "--alphas", "0.3", "--gammas", "0", "--T", "5", *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists("sweep.csv")
+
 
 class TestDelayCommand:
     def test_json_payload(self, workdir, capsys):
@@ -312,3 +358,16 @@ class TestDelayCommand:
     def test_rho_validation(self, workdir, capsys):
         rc = main(["delay", "--alpha", "0.3", "--lambda", "1", "--rho", "1.5"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--lambda", "nan"], "lambda must be > 0"),
+            (["--lambda", "inf", "--d-ah", "1"], "lambda must be > 0"),
+            (["--lambda", "1", "--d-ha", "nan"], "delays must be >= 0"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, workdir, capsys, flags, message):
+        rc = main(["delay", "--alpha", "0.3", "--rho", "0.3", *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err

@@ -1,8 +1,9 @@
 """The grid-wide transition table against the per-state walks of
-:func:`selfish_mining.chain.transitions` kept in ``helpers``: built models,
-simulator step tables and model dumps must agree bit for bit, and so must
-the stacked-operator value iteration and a per-action one; solves that the
-policy-iteration stage finishes must reach the per-action loop's gain.  The
+``helpers.transitions``: built models, simulator step tables and model
+dumps must agree bit for bit, and so must the stacked-operator value
+iteration and a per-action one; solves that the policy-iteration stage
+finishes must reach the per-action loop's gain.  The built-in grid-rule
+policies must equal their per-state rules tabulated state by state.  The
 ratio iteration's bounds are checked against the bisection it replaced."""
 
 import numpy as np
@@ -24,7 +25,7 @@ from selfish_mining.mdp import (
     relative_value_iteration,
     solve_average_reward,
 )
-from selfish_mining.model import MiningParams, Policy, Variant
+from selfish_mining.model import MiningParams, Policy, Variant, builtin_policy
 from selfish_mining.optimize import OptimizeConfig, find_optimal
 from selfish_mining.simulate import compile_step_tables
 
@@ -35,6 +36,7 @@ from helpers import (
     reference_honest_disabled,
     reference_layers,
     reference_model,
+    reference_policy,
     reference_rvi,
     reference_step_tables,
 )
@@ -73,6 +75,17 @@ def test_fixed_grids_match_reference(T, variant):
     base, reference = build_base_model(params, T), reference_model(params, T)
     assert_models_identical(base, reference)
     assert_disabled_identical(base, reference)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(params=params_st, T=st.integers(1, 40), name=st.sampled_from(["honest", "sm1"]))
+def test_builtin_policies_match_reference(params, T, name):
+    got, want = builtin_policy(name, T, params), reference_policy(name, T, params)
+    assert got.actions.dtype == want.actions.dtype
+    assert got.actions.tobytes() == want.actions.tobytes()
+    assert (got.alpha, got.gamma, got.variant, got.label) == (
+        want.alpha, want.gamma, want.variant, want.label
+    )
 
 
 @examples

@@ -31,8 +31,12 @@ from selfish_mining.model import (
     state_index,
 )
 
-from helpers import action_rows, forward_closure_all_actions, sm1_reference_revenue
-from selfish_mining.model import feasible_actions
+from helpers import (
+    action_rows,
+    feasible_actions,
+    forward_closure_all_actions,
+    sm1_reference_revenue,
+)
 
 
 def toy_mdp(rewards_by_action, transition_rows):

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from selfish_mining.model import (
@@ -11,17 +12,19 @@ from selfish_mining.model import (
     Policy,
     Variant,
     builtin_policy,
-    enumerate_states,
-    feasible_actions,
-    honest_policy,
     num_states,
-    sm1_policy,
     state_at,
     state_index,
     upper_bound_revenue,
 )
 
-from helpers import forward_closure
+from helpers import (
+    feasible_actions,
+    forward_closure,
+    grid_states,
+    honest_policy,
+    sm1_policy,
+)
 
 STANDARD = MiningParams(0.35, 0.5)
 UNIFORM = MiningParams(0.35, 0.5, Variant.UNIFORM_TIE_BREAK)
@@ -47,17 +50,17 @@ class TestParams:
 
 class TestEnumeration:
     def test_grid_sizes(self):
-        assert len(enumerate_states(2)) == 27
+        assert len(grid_states(2)) == 27
         assert num_states(75) == 17_328
 
     def test_first_state(self):
-        assert enumerate_states(2)[0] == ChainState(0, 0, Fork.IRRELEVANT)
+        assert grid_states(2)[0] == ChainState(0, 0, Fork.IRRELEVANT)
 
     def test_zero_truncation_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_states(0)
+            grid_states(0)
         with pytest.raises(ValueError):
-            enumerate_states(10_001)
+            grid_states(10_001)
 
     def test_index_round_trip(self):
         rng = random.Random(7)
@@ -69,7 +72,7 @@ class TestEnumeration:
             assert state_at(state_index(state, T), T) == state
 
     def test_enumeration_matches_indexing(self):
-        states = enumerate_states(3)
+        states = grid_states(3)
         for idx, state in enumerate(states):
             assert state_index(state, 3) == idx
 
@@ -142,12 +145,6 @@ class TestRevenueCeiling:
 
 
 class TestJsonEncodings:
-    def test_chain_state_round_trip(self):
-        state = ChainState(3, 2, Fork.ACTIVE)
-        encoded = state.to_json_dict()
-        assert encoded == {"a": 3, "h": 2, "fork": "active"}
-        assert ChainState.from_json_dict(encoded) == state
-
     def test_policy_round_trip(self):
         policy = builtin_policy("sm1", 6, STANDARD)
         data = json.loads(json.dumps(policy.to_json_dict()))
@@ -157,6 +154,20 @@ class TestJsonEncodings:
         assert loaded.variant == policy.variant
         assert (loaded.actions == policy.actions).all()
         assert set(data["actions"]) <= {"adopt", "override", "match", "wait"}
+
+    def test_policy_round_trip_all_action_names(self):
+        names = ["adopt", "override", "match", "wait"]
+        policy = Policy(T=1, actions=np.arange(12) % 4, label="cycle")
+        data = json.loads(json.dumps(policy.to_json_dict()))
+        assert data["actions"] == names * 3
+        loaded = Policy.from_json_dict(data)
+        assert loaded.actions.tobytes() == policy.actions.tobytes()
+        assert loaded.label == "cycle"
+
+    def test_unknown_action_name_is_named(self):
+        data = {"T": 1, "actions": ["adopt"] * 11 + ["defect"]}
+        with pytest.raises(ValueError, match="unknown action 'defect'"):
+            Policy.from_json_dict(data)
 
     def test_tabulate_forces_adopt_at_boundary(self):
         policy = builtin_policy("sm1", 5, STANDARD)

@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACED_LAYERS = (
     "mdp.solve_calls", "mdp.solve_s", "mdp.rvi_sweeps",
     "simulate.loop_s", "simulate.loop_rounds_per_s", "cli.sim_batch_rounds_per_s",
+    "model.tabulate_s", "model.policy_load_s",
 )
 
 
