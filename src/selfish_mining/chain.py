@@ -87,9 +87,6 @@ class MiningModel:
         """Anchor state for relative value iteration: (1,0,irrelevant)."""
         return initial_states(self.T)[0]
 
-    def feasible_at(self, index: int) -> list[Action]:
-        return [action for action in Action if self.feasible[action, index]]
-
 
 class TransitionTable(NamedTuple):
     """The block-race rules for every (action, state) pair of a grid,

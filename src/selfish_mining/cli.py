@@ -66,8 +66,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _json_safe(value):
-    """``value`` with every non-finite float replaced by None: JSON has no
-    NaN or infinity, and strict parsers reject the bare tokens."""
+    """``value`` with every non-finite float replaced by None."""
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
@@ -78,7 +77,15 @@ def _json_safe(value):
 
 
 def _write_json(path: str, data: dict) -> None:
-    text = json.dumps(_json_safe(data), indent=2, sort_keys=True, allow_nan=False)
+    """``data`` as strict JSON.  JSON has no NaN or infinity, and strict
+    parsers reject the bare tokens, so only when ``json.dumps`` meets a
+    non-finite float is ``data`` walked and written with None in its place;
+    a policy's action names are not walked otherwise."""
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        safe = _json_safe(data)
+        text = json.dumps(safe, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write(path, text + "\n")
 
 

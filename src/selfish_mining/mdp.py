@@ -15,7 +15,9 @@ sparse LU factorization, applies the Bellman operator once, and improves the
 policy greedily, keeping the current action unless another is strictly
 better.  Either way the gain is bracketed by the extremes of the Bellman
 residual ``Bellman(V) - V``, which hold for any value vector, so the reported
-span is a certified bound on the gain error.  Identical inputs produce
+span is a certified bound on the gain error.  The same bracket lets
+:func:`gain_below` settle whether a gain lies below a bound in a few warm
+sweeps, without solving for it.  Identical inputs produce
 bit-identical results: iteration order is fixed, value iteration breaks
 argmax ties toward the lowest action ordinal, and policy iteration keeps the
 current action on ties.
@@ -23,6 +25,7 @@ current action on ties.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +93,23 @@ def _bellman(masked_rewards: np.ndarray, transition: sparse.csr_matrix, values):
     return q, bellman, residual.min(), residual.max()
 
 
+def _damped_sweeps(
+    masked_rewards: np.ndarray,
+    transition: sparse.csr_matrix,
+    reference: int,
+    values: np.ndarray,
+):
+    """Damped relative value iteration from ``values``, without end: yields
+    each sweep's action values ``q``, residual bracket ``(low, high)`` and
+    the values it started from, then steps to
+    ``(1-DAMPING)*Bellman(V) + DAMPING*V`` pinned at ``reference``."""
+    while True:
+        q, bellman, low, high = _bellman(masked_rewards, transition, values)
+        yield q, low, high, values
+        values = (1.0 - DAMPING) * bellman + DAMPING * values
+        values -= values[reference]
+
+
 def relative_value_iteration(
     feasible: np.ndarray,
     transition: sparse.csr_matrix,
@@ -121,8 +141,8 @@ def relative_value_iteration(
     # Infeasible (action, state) pairs carry -inf reward so they never win
     # the max; every state keeps at least one feasible action.
     masked_rewards = np.where(feasible, rewards, -np.inf)
-    for iteration in range(1, max_iters + 1):
-        q, bellman, low, high = _bellman(masked_rewards, transition, values)
+    sweeps = _damped_sweeps(masked_rewards, transition, reference, values)
+    for iteration, (q, low, high, values) in enumerate(sweeps, start=1):
         if high - low <= eps or iteration == max_iters:
             return RviResult(
                 actions=np.argmax(q, axis=0).astype(np.int8),
@@ -131,8 +151,6 @@ def relative_value_iteration(
                 span=float(high - low),
                 values=values,
             )
-        values = (1.0 - DAMPING) * bellman + DAMPING * values
-        values -= values[reference]
 
 
 def _grounded_system(
@@ -317,6 +335,33 @@ def solve_average_reward(
         values=raw.values,
         evaluations=raw.evaluations,
     )
+
+
+def gain_below(
+    scalar: ScalarModel, bound: float, eps: float, initial_values: np.ndarray
+) -> bool:
+    """Whether damped relative value iteration from ``initial_values``
+    proves the optimal gain of a scalarized model below ``bound``.
+
+    The gain lies in the residual bracket of every value vector (Odoni
+    1969; Puterman 1994, sec. 8.5), so the answer is True at the first
+    sweep whose residual max is below ``bound``.  The pass gives up,
+    answering False with nothing proved, once the residual min reaches
+    ``bound`` (the gain is not below it), the span is at most ``eps`` (the
+    gain is too close to tell cheaply) or ``RVI_SWEEP_BUDGET`` sweeps have
+    passed.
+    """
+    model = scalar.model
+    masked_rewards = np.where(model.feasible, scalar.rewards, -np.inf)
+    sweeps = _damped_sweeps(
+        masked_rewards, model.transition, model.reference_index, initial_values
+    )
+    for _q, low, high, _values in itertools.islice(sweeps, RVI_SWEEP_BUDGET):
+        if high < bound:
+            return True
+        if low >= bound or high - low <= eps:
+            return False
+    return False
 
 
 def _selected_rows(model: MiningModel, policy: Policy | None) -> sparse.csr_matrix:

@@ -214,9 +214,6 @@ class Policy:
             label=label,
         )
 
-    def action_at(self, state: ChainState) -> Action:
-        return Action(self.actions[state_index(state, self.T)])
-
     def to_json_dict(self) -> dict:
         data: dict = {
             "T": self.T,

@@ -4,17 +4,26 @@ The attacker's relative revenue is a ratio objective, so it is not solvable
 directly as an average-reward MDP.  Scalarizing the two-part rewards at a
 trial revenue ``rho`` yields a family of ordinary MDPs whose optimal gain is
 monotone decreasing in ``rho`` and crosses zero exactly at the optimal
-revenue.  :func:`find_optimal` finds that root on the under-paying
+revenue.  :func:`ratio_iteration` finds that root on the under-paying
 truncation by Dinkelbach's ratio iteration (Dinkelbach 1967): solve the
 model at ``rho``, then move ``rho`` to the exact revenue of the solve's
-greedy policy.  The best revenue met is the lower bound, and one over-paying
-solve certifies an upper bound.
+greedy policy.  The best revenue met is the lower bound;
+:func:`find_optimal` adds one over-paying solve that certifies an upper
+bound.
 
 :func:`profit_threshold` searches for the largest hashrate at which honest
-mining is certifiably optimal: at probe ``alpha`` it solves the over-paying
-model with honest mining disabled (override removed at (1,0), and separately
-adopt removed at (0,1)) at ``rho = alpha``; a value at or below ``-eps`` for
-both variants certifies that no deviation beats honest mining there.
+mining is certifiably optimal.  At probe ``alpha`` it scalarizes the
+over-paying model with honest mining disabled (override removed at (1,0),
+and separately adopt removed at (0,1)) at ``rho = alpha``; a gain at or
+below ``-eps`` for both variants certifies that no deviation beats honest
+mining there, and the larger of the two gains is the probe's evidence.  The
+first model is solved cold to a span of ``eps``.  The second is then
+settled by its residual bracket, warm-started from the first solve's
+values: once a sweep's residual max ``high`` has ``high + eps < worst``,
+the first gain, the second model cannot change the evidence, because a cold
+solve would report the midpoint of a bracket of width at most ``eps``
+holding its gain, which is at most ``high + eps/2 < worst``.  When the
+bracket does not settle it, the second model is solved cold as well.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .chain import (
     build_honest_disabled,
     build_truncated,
 )
-from .mdp import evaluate_policy_exact, solve_average_reward
+from .mdp import evaluate_policy_exact, gain_below, solve_average_reward
 from .model import MiningParams, Policy, Variant, builtin_policy, upper_bound_revenue
 
 DEFAULT_T = 75
@@ -132,11 +141,20 @@ class BoundsReport:
         }
 
 
-def find_optimal(
-    config: OptimizeConfig, model: MiningModel | None = None
-) -> BoundsReport:
-    """Dinkelbach's ratio iteration for the revenue root, then certify an
-    upper bound.
+@dataclass(frozen=True, eq=False)
+class RatioIteration:
+    """Output of :func:`ratio_iteration`: the lower bound and its policy,
+    the last step's ``rho`` and value vector, and one record per step."""
+
+    lower_bound: float
+    policy: Policy
+    rho_final: float
+    values: np.ndarray
+    probes: tuple[ProbeRecord, ...]
+
+
+def ratio_iteration(model: MiningModel, eps: float) -> RatioIteration:
+    """Dinkelbach's ratio iteration for the revenue root of a base model.
 
     Each step solves the under-paying model scalarized at ``rho`` to
     ``eps/8`` and scores that solve's greedy policy exactly.  The first
@@ -147,16 +165,11 @@ def find_optimal(
     solve is warm-started from the previous step's value vector (the result
     is a pure function of the inputs either way).
     """
-    if model is None:
-        model = build_base_model(config.params, config.T)
-    elif model.T != config.T or model.params != config.params:
-        raise ValueError("provided model does not match the configuration")
-
-    solver_eps = config.eps / 8.0
+    solver_eps = eps / 8.0
     probes: list[ProbeRecord] = []
     values = None
     lower_bound, policy = -np.inf, None
-    rho = config.params.alpha
+    rho = model.params.alpha
     while True:
         scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho)
         result = solve_average_reward(scalar, solver_eps, initial_values=values)
@@ -168,10 +181,26 @@ def find_optimal(
         if result.gain <= solver_eps or rev <= rho:
             break
         rho = rev
+    return RatioIteration(lower_bound, policy, rho, values, tuple(probes))
 
-    rho_prime = max(lower_bound - config.eps / 4.0, 0.0)
+
+def find_optimal(
+    config: OptimizeConfig, model: MiningModel | None = None
+) -> BoundsReport:
+    """:func:`ratio_iteration` for the lower bound, then the over-paying
+    model scalarized at ``rho_prime``, solved to ``eps_prime`` warm from the
+    last ratio step, for the upper bound."""
+    if model is None:
+        model = build_base_model(config.params, config.T)
+    elif model.T != config.T or model.params != config.params:
+        raise ValueError("provided model does not match the configuration")
+
+    ratio = ratio_iteration(model, config.eps)
+    rho_prime = max(ratio.lower_bound - config.eps / 4.0, 0.0)
     over = build_truncated(model, BoundaryMode.OVER_PAYING, rho_prime)
-    over_result = solve_average_reward(over, config.eps_prime, initial_values=values)
+    over_result = solve_average_reward(
+        over, config.eps_prime, initial_values=ratio.values
+    )
     u = over_result.gain
     overpaying_bound = rho_prime + 2.0 * (u + config.eps_prime)
     ceiling = upper_bound_revenue(config.params.alpha)
@@ -182,15 +211,15 @@ def find_optimal(
         T=config.T,
         eps=config.eps,
         eps_prime=config.eps_prime,
-        lower_bound=lower_bound,
+        lower_bound=ratio.lower_bound,
         upper_bound=upper_bound,
-        policy=policy,
-        rho_final=rho,
+        policy=ratio.policy,
+        rho_final=ratio.rho_final,
         rho_prime=rho_prime,
         overpaying_gain=u,
         overpaying_bound=overpaying_bound,
         ceiling=ceiling,
-        probes=tuple(probes),
+        probes=ratio.probes,
     )
 
 
@@ -260,17 +289,26 @@ def _certify_honest(
 ) -> tuple[bool, float]:
     """Certification test at one hashrate: honest mining is optimal if both
     honest-disabled over-paying models, scalarized at rho = alpha, have gain
-    at or below -eps.  Returns (certified, worst gain)."""
+    at or below -eps.  Returns (certified, worst gain), both what cold
+    solves of the two models to ``eps`` give; the second model is not solved
+    once its warm residual max is below ``worst - eps`` (see the module
+    docstring)."""
     model = build_base_model(MiningParams(alpha, gamma, variant), T)
-    worst = -np.inf
-    for tv in ThresholdVariant:
-        disabled = build_honest_disabled(model, tv)
-        scalar = build_truncated(disabled, BoundaryMode.OVER_PAYING, rho=alpha)
-        result = solve_average_reward(scalar, eps)
-        worst = max(worst, result.gain)
-        if worst > -eps:
-            return False, worst
-    return True, worst
+    scalars = (
+        build_truncated(
+            build_honest_disabled(model, tv), BoundaryMode.OVER_PAYING, rho=alpha
+        )
+        for tv in ThresholdVariant
+    )
+    first = solve_average_reward(next(scalars), eps)
+    worst = first.gain
+    if worst > -eps:
+        return False, worst
+    second = next(scalars)
+    if gain_below(second, worst - eps, eps, first.values):
+        return True, worst
+    worst = max(worst, solve_average_reward(second, eps).gain)
+    return worst <= -eps, worst
 
 
 def profit_threshold(
@@ -284,10 +322,19 @@ def profit_threshold(
     becomes profitable.
 
     Bisection on (0, 0.5) driven by the certification test; the certified
-    side is exact (never moves on inconclusive evidence).  Afterwards a short
-    outward sweep of full bound computations exhibits a concrete profitable
-    deviation to pin ``alpha_upper``.
+    side is exact (never moves on inconclusive evidence).  A probe solves
+    its first honest-disabled model cold, with gain ``worst``, and skips its
+    second once value iteration warm from the first's values reaches a
+    residual max ``high`` with ``high + eps < worst``: a cold solve would
+    report at most ``high + eps/2``, so the evidence is unchanged.  Otherwise
+    the second is solved cold too.  Afterwards a short outward sweep of
+    ratio iterations exhibits a concrete profitable deviation to pin
+    ``alpha_upper``; only their lower bounds are read, so no upper bound is
+    certified.  ``eps`` must be positive and finite, checked before any
+    solve.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be > 0 and finite (got {eps})")
     if not 1e-5 <= alpha_tol < 0.5:
         raise ValueError(f"alpha_tol must be in [1e-5, 0.5) (got {alpha_tol})")
 
@@ -328,15 +375,13 @@ def profit_threshold(
             step *= 2.0
             continue
         params = MiningParams(candidate, gamma, variant)
-        report = find_optimal(OptimizeConfig(params, T, eps, eps))
-        if report.lower_bound > candidate + eps:
-            probes.append(
-                ThresholdProbe(candidate, "profitable", report.lower_bound)
-            )
+        lower_bound = ratio_iteration(build_base_model(params, T), eps).lower_bound
+        if lower_bound > candidate + eps:
+            probes.append(ThresholdProbe(candidate, "profitable", lower_bound))
             alpha_upper = candidate
             exhibited = True
             break
-        probes.append(ThresholdProbe(candidate, "not-profitable", report.lower_bound))
+        probes.append(ThresholdProbe(candidate, "not-profitable", lower_bound))
         candidate = min(candidate + step, 0.499)
         step *= 2.0
 

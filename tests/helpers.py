@@ -14,6 +14,8 @@ from selfish_mining.chain import (
     BoundaryMode,
     MiningModel,
     ThresholdVariant,
+    build_base_model,
+    build_honest_disabled,
     build_truncated,
     transition_table,
 )
@@ -142,6 +144,17 @@ def grid_states(T: int) -> list[ChainState]:
         for h in range(T + 1)
         for fork in Fork
     ]
+
+
+def action_at(policy: Policy, state: ChainState) -> Action:
+    """The action a policy takes at one state."""
+    return Action(policy.actions[state_index(state, policy.T)])
+
+
+def feasible_at(model: MiningModel, index: int) -> list[Action]:
+    """The feasible actions of a built model at one state index, in ordinal
+    order."""
+    return [action for action in Action if model.feasible[action, index]]
 
 
 def feasible_actions(state: ChainState, params: MiningParams) -> frozenset[Action]:
@@ -458,7 +471,7 @@ def reference_dump(model: MiningModel) -> str:
     :func:`transitions`."""
     lines = []
     for idx, state in enumerate(grid_states(model.T)):
-        for action in model.feasible_at(idx):
+        for action in feasible_at(model, idx):
             entries = [
                 f"{prob:.12g}:({nxt.a},{nxt.h},{nxt.fork.name.lower()})"
                 f":{reward.attacker},{reward.honest}"
@@ -488,7 +501,7 @@ def reference_step_tables(policy: Policy, params: MiningParams) -> dict:
         "adopt": np.zeros(n, dtype=bool),
     }
     for idx, state in enumerate(grid_states(T)):
-        action = Action.ADOPT if max(state.a, state.h) == T else policy.action_at(state)
+        action = Action.ADOPT if max(state.a, state.h) == T else action_at(policy, state)
         entries = transitions(state, action, params)
         branches = (entries[0], entries[1], entries[-1])
         for branch, (_prob, nxt, reward) in enumerate(branches):
@@ -569,3 +582,20 @@ def reference_bisection(config: OptimizeConfig, model: MiningModel) -> Bisection
         upper_bound_revenue(config.params.alpha),
     )
     return BisectionBounds(rho, upper_bound)
+
+
+def reference_certify(
+    alpha: float, gamma: float, variant: Variant, T: int, eps: float
+) -> tuple[bool, float]:
+    """The certification test solving both honest-disabled over-paying
+    models cold to ``eps``, the loop whose results the threshold search's
+    decision pass must reproduce.  Returns (certified, worst gain)."""
+    model = build_base_model(MiningParams(alpha, gamma, variant), T)
+    worst = -np.inf
+    for tv in ThresholdVariant:
+        disabled = build_honest_disabled(model, tv)
+        scalar = build_truncated(disabled, BoundaryMode.OVER_PAYING, rho=alpha)
+        worst = max(worst, solve_average_reward(scalar, eps).gain)
+        if worst > -eps:
+            return False, worst
+    return True, worst

@@ -48,7 +48,12 @@ from selfish_mining.model import (
 from selfish_mining.optimize import OptimizeConfig, find_optimal, profit_threshold
 from selfish_mining.simulate import SimConfig, simulate_batch
 
-from helpers import record_criterion, sm1_reference_revenue, sm1_truncated_revenue
+from helpers import (
+    action_at,
+    record_criterion,
+    sm1_reference_revenue,
+    sm1_truncated_revenue,
+)
 
 GAMMA0_ALPHAS = (1 / 3, 0.35, 0.375, 0.4, 0.425, 0.45, 0.475)
 REFERENCE_LOWER = (0.33705, 0.37077, 0.42600, 0.48866, 0.56808, 0.66891, 0.80172)
@@ -324,19 +329,19 @@ def test_criterion_7_policy_tables(report_40_05, report_35_00):
 
     anchors = {
         "first(3,3,relevant)=m": ACTION_CHARS[
-            report_40_05.policy.action_at(ChainState(3, 3, Fork.RELEVANT))
+            action_at(report_40_05.policy, ChainState(3, 3, Fork.RELEVANT))
         ]
         == "m",
         "first(4,3,irrelevant)=o": ACTION_CHARS[
-            report_40_05.policy.action_at(ChainState(4, 3, Fork.IRRELEVANT))
+            action_at(report_40_05.policy, ChainState(4, 3, Fork.IRRELEVANT))
         ]
         == "o",
         "second(2,1)=o": ACTION_CHARS[
-            report_35_00.policy.action_at(ChainState(2, 1, Fork.IRRELEVANT))
+            action_at(report_35_00.policy, ChainState(2, 1, Fork.IRRELEVANT))
         ]
         == "o",
         "second(1,3)=a": ACTION_CHARS[
-            report_35_00.policy.action_at(ChainState(1, 3, Fork.IRRELEVANT))
+            action_at(report_35_00.policy, ChainState(1, 3, Fork.IRRELEVANT))
         ]
         == "a",
     }

@@ -22,7 +22,7 @@ from selfish_mining.model import (
     state_index,
 )
 
-from helpers import action_rows, overpaying_reward_exact, transitions
+from helpers import action_rows, feasible_at, overpaying_reward_exact, transitions
 
 
 def entries_as_dict(entries):
@@ -103,7 +103,7 @@ class TestModelBuild:
     def test_boundary_states_are_adopt_only(self):
         model = build_base_model(MiningParams(0.35, 0.5), 6)
         idx = state_index(ChainState(6, 3, Fork.IRRELEVANT), 6)
-        assert model.feasible_at(idx) == [Action.ADOPT]
+        assert feasible_at(model, idx) == [Action.ADOPT]
 
     def test_initial_distribution(self):
         model = build_base_model(MiningParams(0.4, 0.0), 6)
@@ -232,7 +232,7 @@ class TestHonestDisabled:
             ThresholdVariant.OVERRIDE_DISABLED_AT_1_0,
         )
         idx = state_index(ChainState(1, 0, Fork.IRRELEVANT), 8)
-        assert model.feasible_at(idx) == [Action.ADOPT, Action.WAIT]
+        assert feasible_at(model, idx) == [Action.ADOPT, Action.WAIT]
 
     def test_adopt_removed_at_deficit_one(self):
         model = build_honest_disabled(
@@ -240,7 +240,7 @@ class TestHonestDisabled:
             ThresholdVariant.ADOPT_DISABLED_AT_0_1,
         )
         idx = state_index(ChainState(0, 1, Fork.IRRELEVANT), 8)
-        assert model.feasible_at(idx) == [Action.WAIT]
+        assert feasible_at(model, idx) == [Action.WAIT]
 
     def test_all_other_states_unchanged(self):
         params = MiningParams(0.3, 0.0)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from selfish_mining import optimize
 from selfish_mining.cli import main
 
 from helpers import sm1_reference_revenue
@@ -277,6 +278,20 @@ class TestThresholdCommand:
         )
         assert rc == 2
         assert "alpha_tol" in capsys.readouterr().err
+        assert not os.path.exists("thr.threshold.json")
+
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1"])
+    def test_eps_checked_before_solving(self, workdir, capsys, monkeypatch, eps):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a model was built before eps was checked")
+
+        monkeypatch.setattr(optimize, "build_base_model", no_build)
+        rc = main(
+            ["threshold", "--gamma", "0.5", "--T", "20", "--eps", eps, "--out", "thr"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "eps" in err and "alpha" not in err
         assert not os.path.exists("thr.threshold.json")
 
 

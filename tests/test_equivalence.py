@@ -4,7 +4,10 @@ dumps must agree bit for bit, and so must the stacked-operator value
 iteration and a per-action one; solves that the policy-iteration stage
 finishes must reach the per-action loop's gain.  The built-in grid-rule
 policies must equal their per-state rules tabulated state by state.  The
-ratio iteration's bounds are checked against the bisection it replaced."""
+ratio iteration's bounds are checked against the bisection it replaced.  The
+threshold search's certification, which settles a second honest-disabled
+model by its warm residual bracket where it can, must give what two cold
+solves give, and its reports what they were with them."""
 
 import numpy as np
 import pytest
@@ -25,13 +28,20 @@ from selfish_mining.mdp import (
     relative_value_iteration,
     solve_average_reward,
 )
+from selfish_mining import optimize
 from selfish_mining.model import MiningParams, Policy, Variant, builtin_policy
-from selfish_mining.optimize import OptimizeConfig, find_optimal
+from selfish_mining.optimize import (
+    DEFAULT_EPS,
+    OptimizeConfig,
+    find_optimal,
+    profit_threshold,
+)
 from selfish_mining.simulate import compile_step_tables
 
 from helpers import (
     assert_models_identical,
     reference_bisection,
+    reference_certify,
     reference_dump,
     reference_honest_disabled,
     reference_layers,
@@ -165,3 +175,60 @@ def test_ratio_iteration_matches_bisection(T, alpha, gamma, variant):
     assert reference.rho - eps <= report.lower_bound <= reference.rho + eps
     assert report.lower_bound == evaluate_policy_exact(model, report.policy).rev
     assert abs(report.upper_bound - reference.upper_bound) <= 2 * eps
+
+
+# (alpha, variant, T) at gamma = 0.5, by the path the certification takes:
+# the second model's bracket settles it, the second model is solved cold, or
+# the first solve already rejects the probe.
+SETTLED = [
+    (alpha, Variant.STANDARD, T) for alpha in (0.1, 0.2) for T in (8, 16)
+]
+SOLVED_COLD = [
+    (alpha, Variant.UNIFORM_TIE_BREAK, T)
+    for alpha in (0.05, 0.125)
+    for T in (8, 12, 16)
+]
+REJECTED = [(0.4, Variant.STANDARD, 8)]
+
+
+@pytest.mark.parametrize(
+    "alpha,variant,T,decisions",
+    [(*case, [True]) for case in SETTLED]
+    + [(*case, [False]) for case in SOLVED_COLD]
+    + [(*case, []) for case in REJECTED],
+)
+def test_certification_matches_two_cold_solves(monkeypatch, alpha, variant, T, decisions):
+    want = reference_certify(alpha, 0.5, variant, T, DEFAULT_EPS)
+    decided = []
+    gain_below = optimize.gain_below
+
+    def spy(*args, **kwargs):
+        decided.append(gain_below(*args, **kwargs))
+        return decided[-1]
+
+    monkeypatch.setattr(optimize, "gain_below", spy)
+    certified, worst = optimize._certify_honest(alpha, 0.5, variant, T, DEFAULT_EPS)
+    assert decided == decisions
+    assert certified == want[0]
+    assert np.float64(worst).tobytes() == np.float64(want[1]).tobytes()
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("T", [16, 24])
+def test_threshold_report_matches_cold_certification(monkeypatch, T, gamma, variant):
+    """The report equals the one built with two cold solves per probe and
+    with the exhibit step's full bound computation, whose own ratio
+    iteration is the real one."""
+    got = profit_threshold(gamma, variant, T).to_json_dict()
+    ratio_iteration = optimize.ratio_iteration
+
+    def find_optimal_exhibit(model, eps):
+        config = OptimizeConfig(model.params, model.T, eps, eps)
+        with monkeypatch.context() as inner:
+            inner.setattr(optimize, "ratio_iteration", ratio_iteration)
+            return find_optimal(config, model=model)
+
+    monkeypatch.setattr(optimize, "_certify_honest", reference_certify)
+    monkeypatch.setattr(optimize, "ratio_iteration", find_optimal_exhibit)
+    assert got == profit_threshold(gamma, variant, T).to_json_dict()

@@ -34,6 +34,7 @@ from selfish_mining.model import (
 from helpers import (
     action_rows,
     feasible_actions,
+    feasible_at,
     forward_closure_all_actions,
     sm1_reference_revenue,
 )
@@ -290,7 +291,7 @@ class TestValidation:
         rng = random.Random(1)
         for _ in range(50):
             idx = rng.randrange(model.n)
-            for action in model.feasible_at(idx):
+            for action in feasible_at(model, idx):
                 row = action_rows(model, action)
                 total = row.data[row.indptr[idx] : row.indptr[idx + 1]].sum()
                 assert total == pytest.approx(1.0, abs=1e-12)

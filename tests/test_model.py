@@ -19,6 +19,7 @@ from selfish_mining.model import (
 )
 
 from helpers import (
+    action_at,
     feasible_actions,
     forward_closure,
     grid_states,
@@ -171,8 +172,8 @@ class TestJsonEncodings:
 
     def test_tabulate_forces_adopt_at_boundary(self):
         policy = builtin_policy("sm1", 5, STANDARD)
-        assert policy.action_at(ChainState(5, 4, Fork.IRRELEVANT)) is Action.ADOPT
-        assert policy.action_at(ChainState(2, 5, Fork.RELEVANT)) is Action.ADOPT
+        assert action_at(policy, ChainState(5, 4, Fork.IRRELEVANT)) is Action.ADOPT
+        assert action_at(policy, ChainState(2, 5, Fork.RELEVANT)) is Action.ADOPT
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="unknown policy"):
