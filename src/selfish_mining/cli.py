@@ -25,7 +25,6 @@ from .delay import DelayParams, catchup_probability, deviation_gain, min_profita
 from .mdp import SolverError, evaluate_policy_exact
 from .model import (
     BUILTIN_POLICIES,
-    MAX_TRUNCATION,
     MiningParams,
     Policy,
     Variant,
@@ -314,12 +313,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"bad sweep list: {exc}") from exc
     if not alphas or not gammas:
         raise CliError("sweep needs at least one alpha and one gamma")
-    if any(not 0.0 < a < 0.5 for a in alphas):
-        raise CliError("alpha must be > 0 and alpha must be < 0.5 for every point")
-    if any(not 0.0 <= g <= 1.0 for g in gammas):
-        raise CliError("gamma must be in [0, 1] for every point")
-    if not 2 <= args.T <= MAX_TRUNCATION:
-        raise CliError(f"truncation must be in [2, {MAX_TRUNCATION}] (got {args.T})")
     rows = sweep(
         alphas,
         gammas,

@@ -1,6 +1,9 @@
 """Average-reward MDP machinery: a relative value iteration that hands long
 solves to Howard policy iteration, and exact policy evaluation through the
-stationary distribution of the induced chain.
+stationary distribution of the induced chain.  One grounded sparse LU,
+``I - P`` with the reference column replaced by ones, serves both: a solve
+gives a policy's gain and bias, a transposed solve its stationary
+distribution.
 
 :func:`solve_average_reward` first runs a plain synchronous relative value
 iteration with a damping step ``V <- (1-tau)*Bellman(V) + tau*V`` (tau =
@@ -153,14 +156,13 @@ def relative_value_iteration(
             )
 
 
-def _grounded_system(
-    transition: sparse.csr_matrix, rows: np.ndarray, reference: int
-) -> sparse.csc_matrix:
-    """``I - P`` for the operator rows ``rows``, with the reference state's
-    column replaced by ones; built in its own frame so that the
-    intermediate arrays are freed before the factorization."""
-    n = len(rows)
-    chosen = transition[rows].tocoo()
+def _grounded_system(P: sparse.csr_matrix, reference: int) -> sparse.csc_matrix:
+    """``I - P`` for a square chain matrix ``P``, with the reference state's
+    column replaced by ones.  For a chain with one recurrent class this
+    system is nonsingular: it gives gain and bias as ``A x = r`` and the
+    stationary distribution as ``pi A = e_reference``."""
+    n = P.shape[0]
+    chosen = P.tocoo()
     keep = chosen.col != reference
     others = np.flatnonzero(np.arange(n) != reference)
     return sparse.csc_matrix(
@@ -175,6 +177,18 @@ def _grounded_system(
     )
 
 
+def _factorized(system: sparse.csc_matrix, solve: str, question: str):
+    """Sparse LU of a grounded system; the lean ``relax=1, panel_size=1``
+    options factor these grids faster and in less memory than the defaults.
+    A singular system raises :class:`SolverError` naming ``solve``."""
+    try:
+        return sparse_linalg.splu(system, relax=1, panel_size=1)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(
+            f"{solve} failed ({exc}); {question}", span=np.nan, iterations=0
+        ) from exc
+
+
 def evaluate_gain(
     feasible: np.ndarray,
     transition: sparse.csr_matrix,
@@ -186,13 +200,12 @@ def evaluate_gain(
 
     Solves ``(I - P) h + g = r`` with ``h[reference] = 0`` by one sparse LU
     factorization, the reference state's column of ``I - P`` replaced by the
-    gain's column of ones; the lean ``relax=1, panel_size=1`` options factor
-    these grids faster and in less memory than the defaults.  Returns the
-    gain and the bias.  Raises ``ValueError`` if the policy takes an
-    infeasible action, and :class:`SolverError` when the system is singular
-    (as for a policy with more than one recurrent class), the solution is
-    not finite, or its residual exceeds ``EVALUATION_RESIDUAL_TOL`` relative
-    to the sizes of ``r`` and ``h``.
+    gain's column of ones.  Returns the gain and the bias.  Raises
+    ``ValueError`` if the policy takes an infeasible action, and
+    :class:`SolverError` when the system is singular (as for a policy with
+    more than one recurrent class), the solution is not finite, or its
+    residual exceeds ``EVALUATION_RESIDUAL_TOL`` relative to the sizes of
+    ``r`` and ``h``.
     """
     n = rewards.shape[1]
     states = np.arange(n)
@@ -202,17 +215,13 @@ def evaluate_gain(
     bad = np.flatnonzero(~feasible[actions, states])
     if len(bad):
         raise ValueError(f"policy assigns an infeasible action at state index {bad[0]}")
-    system = _grounded_system(transition, actions * n + states, reference)
+    system = _grounded_system(transition[actions * n + states], reference)
     r = rewards[actions, states]
-    try:
-        x = sparse_linalg.splu(system, relax=1, panel_size=1).solve(r)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverError(
-            f"policy evaluation failed ({exc}); does the policy have more than"
-            " one recurrent class?",
-            span=np.nan,
-            iterations=0,
-        ) from exc
+    x = _factorized(
+        system,
+        "policy evaluation",
+        "does the policy have more than one recurrent class?",
+    ).solve(r)
     residual = np.abs(system.dot(x) - r).max()
     scale = 1.0 + np.abs(r).max() + np.abs(x).max()
     # NaN fails the comparison: a non-finite solution is rejected too
@@ -364,26 +373,19 @@ def gain_below(
     return False
 
 
-def _selected_rows(model: MiningModel, policy: Policy | None) -> sparse.csr_matrix:
-    """(n, n) sum, per state, of the operator rows the policy takes there, or
-    of every feasible row when ``policy`` is None: an (n, num_actions * n)
-    0/1 selector times the stacked operator."""
-    if policy is None:
-        flat = np.flatnonzero(model.feasible)
-    else:
-        flat = policy.actions.astype(np.int64) * model.n + np.arange(model.n)
-    selector = sparse.csr_matrix(
-        (np.ones(len(flat)), (flat % model.n, flat)),
-        shape=(model.n, model.transition.shape[0]),
-    )
-    return selector @ model.transition
-
-
 def reachable_mask(model: MiningModel, policy: Policy | None = None) -> np.ndarray:
     """Forward closure from the initial states, following either the policy's
     actions or every feasible action."""
-    graph = _selected_rows(model, policy)
-    seen = np.zeros(model.n, dtype=bool)
+    n = model.n
+    if policy is None:
+        # per state, the sum of its feasible rows: a 0/1 selector product
+        flat = np.flatnonzero(model.feasible)
+        shape = (n, model.transition.shape[0])
+        selector = sparse.csr_matrix((np.ones(len(flat)), (flat % n, flat)), shape=shape)
+        graph = selector @ model.transition
+    else:
+        graph = model.transition[policy.actions.astype(np.int64) * n + np.arange(n)]
+    seen = np.zeros(n, dtype=bool)
     for start in np.flatnonzero(model.initial > 0.0):
         seen[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
     return seen
@@ -408,30 +410,25 @@ def reachable_feasible(model: MiningModel, policy: Policy) -> np.ndarray:
 
 
 def stationary_distribution(P: sparse.csr_matrix) -> np.ndarray:
-    """Stationary distribution of an irreducible chain.
+    """Stationary distribution of a chain with one recurrent class.
 
-    One direct sparse solve, with one state's probability grounded to remove
-    the rank deficiency, keeping the system fully sparse.  Raises
-    :class:`SolverError` when the solution has a non-finite entry, an entry
-    below ``-STATIONARY_NEGATIVE_TOL`` or a residual ``max|pi P - pi|`` above
-    ``STATIONARY_RESIDUAL_TOL``, as a reducible chain gives; what is left
-    below zero is round-off, and is clipped.
+    The grounded LU that :func:`evaluate_gain` factors for gain and bias
+    also yields the distribution: with ``A`` the matrix ``I - P`` whose
+    first column is replaced by ones, ``pi A = e_0`` (Puterman 1994, ch. 8),
+    one transposed solve.  Transient states get probability zero.  Raises
+    :class:`SolverError` when the system is singular, or when the solution
+    has a non-finite entry, an entry below ``-STATIONARY_NEGATIVE_TOL`` or a
+    residual ``max|pi P - pi|`` above ``STATIONARY_RESIDUAL_TOL``, as a
+    reducible chain gives; what is left below zero is round-off, and is
+    clipped.
     """
-    n = P.shape[0]
-    if n == 1:
-        return np.ones(1)
-    Q = (P.T - sparse.identity(n, format="csr")).tocsc()
-    keep = np.arange(1, n)
-    rhs = -np.asarray(Q[keep, 0].todense()).ravel()
-    reduced = Q[keep][:, keep].tocsr()
-    tail = sparse_linalg.spsolve(reduced, rhs)
-    pi = np.empty(n)
-    pi[0] = 1.0
-    pi[1:] = tail
-    normalized = pi / pi.sum()
-    lowest = normalized.min()
-    residual = np.abs(P.T.dot(normalized) - normalized).max()
-    # NaN fails both comparisons: a singular system comes back as NaN
+    lu = _factorized(
+        _grounded_system(P, 0), "stationary solve", "is the chain irreducible?"
+    )
+    pi = lu.solve(np.eye(1, P.shape[0])[0], trans="T")  # pi A = e_0
+    lowest = pi.min()
+    residual = np.abs(P.T.dot(pi) - pi).max()
+    # NaN fails both comparisons: a non-finite solution is rejected too
     if not (lowest >= -STATIONARY_NEGATIVE_TOL and residual <= STATIONARY_RESIDUAL_TOL):
         raise SolverError(
             f"stationary solve gave no distribution (smallest entry {lowest:.3e},"
@@ -455,7 +452,8 @@ class PolicyValue:
 
 def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     """Exact relative revenue of a policy via the stationary distribution of
-    the chain it induces.
+    the chain it induces, its operator rows at the reachable states, from the
+    grounded LU that also gives gain and bias (:func:`stationary_distribution`).
 
     Only defined on models whose rewards are block pairs (base and
     under-paying truncations); over-paying compensation has no block
@@ -464,8 +462,8 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     """
     idxs = reachable_feasible(model, policy)
     chosen = policy.actions[idxs]
-    P = _selected_rows(model, policy)[idxs][:, idxs].sorted_indices()
-    pi = stationary_distribution(P)
+    rows = chosen.astype(np.int64) * model.n + idxs
+    pi = stationary_distribution(model.transition[rows][:, idxs])
 
     attacker = float(np.dot(pi, model.exp_attacker[chosen, idxs]))
     honest = float(np.dot(pi, model.exp_honest[chosen, idxs]))

@@ -28,6 +28,7 @@ bracket does not settle it, the second model is solved cold as well.
 
 from __future__ import annotations
 
+import os
 from concurrent import futures
 from dataclasses import dataclass, field
 
@@ -42,7 +43,14 @@ from .chain import (
     build_truncated,
 )
 from .mdp import evaluate_policy_exact, gain_below, solve_average_reward
-from .model import MiningParams, Policy, Variant, builtin_policy, upper_bound_revenue
+from .model import (
+    MAX_TRUNCATION,
+    MiningParams,
+    Policy,
+    Variant,
+    builtin_policy,
+    upper_bound_revenue,
+)
 
 DEFAULT_T = 75
 DEFAULT_EPS = 1e-5
@@ -425,37 +433,32 @@ SWEEP_HEADER = (
 
 
 def _sweep_point(
-    alpha: float, gamma: float, variant: Variant, T: int, eps: float, eps_prime: float
+    params: MiningParams, T: int, eps: float, eps_prime: float
 ) -> SweepRow:
+    point = dict(
+        alpha=params.alpha, gamma=params.gamma, variant=params.variant, T=T, eps=eps
+    )
     try:
-        params = MiningParams(alpha, gamma, variant)
         model = build_base_model(params, T)
         sm1 = evaluate_policy_exact(model, builtin_policy("sm1", T, params))
         report = find_optimal(OptimizeConfig(params, T, eps, eps_prime), model=model)
         return SweepRow(
-            alpha=alpha,
-            gamma=gamma,
-            variant=variant,
-            T=T,
-            eps=eps,
-            honest_rev=alpha,
+            **point,
+            honest_rev=params.alpha,
             sm1_rev=sm1.rev,
             lower_bound=report.lower_bound,
             upper_bound=report.upper_bound,
             ceiling=report.ceiling,
         )
     except Exception as exc:  # per-point failures stay in-row
+        nan = float("nan")
         return SweepRow(
-            alpha=alpha,
-            gamma=gamma,
-            variant=variant,
-            T=T,
-            eps=eps,
-            honest_rev=float("nan"),
-            sm1_rev=float("nan"),
-            lower_bound=float("nan"),
-            upper_bound=float("nan"),
-            ceiling=float("nan"),
+            **point,
+            honest_rev=nan,
+            sm1_rev=nan,
+            lower_bound=nan,
+            upper_bound=nan,
+            ceiling=nan,
             error=str(exc),
         )
 
@@ -472,19 +475,23 @@ def sweep(
     """One row per (alpha, gamma), alphas outer, deterministic order.
     Honest revenue equals alpha identically, so it is emitted directly.
 
-    ``jobs`` below 1, or a tolerance no alpha admits, raises ``ValueError``
-    before any solve; eps at or above 8*alpha fails only the rows of that
-    alpha."""
+    ``jobs`` below 1, T outside ``[2, MAX_TRUNCATION]``, a point whose
+    parameters :class:`MiningParams` rejects, or a tolerance no alpha
+    admits raises ``ValueError`` before any solve; eps at or above 8*alpha
+    fails only the rows of that alpha.  The points run in at most ``jobs``
+    worker processes, and never in more than there are points or CPUs."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (got {jobs})")
+    if not 2 <= T <= MAX_TRUNCATION:
+        raise ValueError(f"truncation must be in [2, {MAX_TRUNCATION}] (got {T})")
     _check_tolerances(eps, eps_prime)
-    points = [(a, g) for a in alphas for g in gammas]
-    if jobs == 1:
-        return [_sweep_point(a, g, variant, T, eps, eps_prime) for a, g in points]
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    points = [MiningParams(a, g, variant) for a in alphas for g in gammas]
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_sweep_point(params, T, eps, eps_prime) for params in points]
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         tasks = [
-            pool.submit(_sweep_point, a, g, variant, T, eps, eps_prime)
-            for a, g in points
+            pool.submit(_sweep_point, params, T, eps, eps_prime) for params in points
         ]
         return [task.result() for task in tasks]
 

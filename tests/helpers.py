@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
 from selfish_mining.chain import (
     BoundaryMode,
@@ -599,3 +600,21 @@ def reference_certify(
         if worst > -eps:
             return False, worst
     return True, worst
+
+
+def reference_stationary(P: sparse.csr_matrix) -> np.ndarray:
+    """Stationary distribution by a second direct solver: ``spsolve`` with
+    its default options on ``P^T - I`` with the first state's probability
+    fixed at one and its equation dropped, normalized afterwards.  Needs the
+    first state recurrent; round-off below zero is clipped."""
+    n = P.shape[0]
+    if n == 1:
+        return np.ones(1)
+    Q = (P.T - sparse.identity(n, format="csr")).tocsc()
+    keep = np.arange(1, n)
+    rhs = -np.asarray(Q[keep, 0].todense()).ravel()
+    pi = np.empty(n)
+    pi[0] = 1.0
+    pi[1:] = sparse_linalg.spsolve(Q[keep][:, keep].tocsr(), rhs)
+    pi = np.maximum(pi / pi.sum(), 0.0)
+    return pi / pi.sum()

@@ -56,6 +56,22 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert "alpha must be < 0.5 (got nan)" in err and "eps" not in err
 
+    def test_eps_below_round_off_is_numeric_failure(self, workdir, capsys):
+        """A tolerance below float64 round-off passes the input checks but
+        no solve can reach it: exit 3, one error line, no data file."""
+        rc = main(
+            [
+                "optimize", "--alpha", "0.3", "--gamma", "0.5", "--T", "8",
+                "--eps", "1e-300", "--out", "run",
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not os.path.exists("run.bounds.json")
+        assert not os.path.exists("run.policy.json")
+
     def test_json_errors(self, workdir, capsys):
         rc = main(["--json-errors", "optimize", "--alpha", "0.6", "--gamma", "0"])
         assert rc == 2
@@ -344,6 +360,48 @@ class TestSweepCommand:
             row = handle.read().strip().split("\n")[1]
         assert row.endswith("nan,nan,nan")
         assert "8*alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "alphas,gammas,cpus,expected",
+        [
+            ("0.3", "0", 8, None),  # one point runs in process
+            ("0.3,0.35", "0", 8, 2),
+            ("0.3,0.35", "0,0.5,1", 3, 3),
+        ],
+    )
+    def test_workers_capped(
+        self, workdir, capsys, monkeypatch, alphas, gammas, cpus, expected
+    ):
+        """``--jobs`` is a cap, not a count: the pool gets no more workers
+        than there are points or CPUs.  The recorder stands in for the pool
+        and runs each task inline, so no process is started."""
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                task = optimize.futures.Future()
+                task.set_result(fn(*args))
+                return task
+
+        monkeypatch.setattr(optimize.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        args = ["sweep", "--alphas", alphas, "--gammas", gammas, "--T", "5",
+                "--eps", "1e-3", "--eps-prime", "1e-3"]
+        assert main([*args, "--out", "serial.csv"]) == 0
+        assert not started
+        assert main([*args, "--jobs", "100000"]) == 0
+        assert started == ([] if expected is None else [expected])
+        with open("serial.csv") as serial, open("sweep.csv") as pooled:
+            assert pooled.read() == serial.read()
 
     @pytest.mark.parametrize(
         "flags,message",

@@ -7,12 +7,15 @@ policies must equal their per-state rules tabulated state by state.  The
 ratio iteration's bounds are checked against the bisection it replaced.  The
 threshold search's certification, which settles a second honest-disabled
 model by its warm residual bracket where it can, must give what two cold
-solves give, and its reports what they were with them."""
+solves give, and its reports what they were with them.  The stationary
+distribution, a transposed solve of the grounded gain-and-bias system, must
+match a second direct solver."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from selfish_mining.chain import (
     BoundaryMode,
@@ -25,8 +28,10 @@ from selfish_mining.chain import (
 from selfish_mining.mdp import (
     RVI_SWEEP_BUDGET,
     evaluate_policy_exact,
+    reachable_feasible,
     relative_value_iteration,
     solve_average_reward,
+    stationary_distribution,
 )
 from selfish_mining import optimize
 from selfish_mining.model import MiningParams, Policy, Variant, builtin_policy
@@ -48,6 +53,7 @@ from helpers import (
     reference_model,
     reference_policy,
     reference_rvi,
+    reference_stationary,
     reference_step_tables,
 )
 
@@ -232,3 +238,60 @@ def test_threshold_report_matches_cold_certification(monkeypatch, T, gamma, vari
     monkeypatch.setattr(optimize, "_certify_honest", reference_certify)
     monkeypatch.setattr(optimize, "ratio_iteration", find_optimal_exhibit)
     assert got == profit_threshold(gamma, variant, T).to_json_dict()
+
+
+def random_chain(n, seed, transient=0):
+    """A random sparse chain on ``n`` states whose first ``n - transient``
+    form one recurrent class (a cycle through them keeps it irreducible) and
+    whose last ``transient`` states leak into it."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    recurrent = n - transient
+    P[:recurrent, recurrent:] = 0.0
+    P[np.arange(recurrent), (np.arange(recurrent) + 1) % recurrent] += 0.5
+    P[recurrent:, 0] += 0.5
+    return sparse.csr_matrix(P / P.sum(axis=1, keepdims=True))
+
+
+def assert_stationary_matches_reference(P):
+    pi, want = stationary_distribution(P), reference_stationary(P)
+    assert np.abs(pi - want).max() <= 1e-12
+    return pi
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_stationary_matches_reference_on_random_chains(n, seed):
+    assert_stationary_matches_reference(random_chain(n, seed))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    n=st.integers(2, 30), share=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1)
+)
+def test_stationary_is_zero_on_transient_states(n, share, seed):
+    transient = max(1, min(n - 1, round(share * n)))
+    pi = assert_stationary_matches_reference(random_chain(n, seed, transient))
+    assert np.abs(pi[n - transient :]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("emitted", [False, True], ids=["sm1", "emitted"])
+@pytest.mark.parametrize("T", [8, 24])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(
+    params=st.builds(
+        MiningParams,
+        alpha=st.floats(0.05, 0.49),
+        gamma=st.floats(0.0, 1.0),
+        variant=st.sampled_from(list(Variant)),
+    )
+)
+def test_stationary_matches_reference_on_policy_chains(T, emitted, params):
+    model = build_base_model(params, T)
+    if emitted:
+        policy = find_optimal(OptimizeConfig(params, T, 1e-4, 1e-4), model=model).policy
+    else:
+        policy = builtin_policy("sm1", T, params)
+    idxs = reachable_feasible(model, policy)
+    rows = policy.actions[idxs].astype(np.int64) * model.n + idxs
+    assert_stationary_matches_reference(model.transition[rows][:, idxs])

@@ -178,8 +178,12 @@ class TestStationary:
 
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_reducible_chain_rejected(self):
-        with pytest.raises(SolverError, match="irreducible"):
-            stationary_distribution(sparse.identity(3, format="csr"))
+        two_classes = sparse.block_diag(
+            [[[0.5, 0.5], [0.5, 0.5]], [[0.3, 0.7], [0.6, 0.4]]], format="csr"
+        )
+        for P in (sparse.identity(3, format="csr"), two_classes):
+            with pytest.raises(SolverError, match="irreducible"):
+                stationary_distribution(P)
 
 
 class TestExactEvaluation:

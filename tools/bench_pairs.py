@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACED_LAYERS = (
     "chain.build_calls", "optimize.find_optimal_calls",
     "mdp.solve_calls", "mdp.solve_s", "mdp.rvi_sweeps",
+    "mdp.evaluate_calls", "mdp.evaluate_s", "mdp.stationary_s",
     "simulate.loop_s", "simulate.loop_rounds_per_s", "cli.sim_batch_rounds_per_s",
     "model.tabulate_s", "model.policy_load_s",
 )
