@@ -16,7 +16,6 @@ from .delay import (
     DelayParams,
     DeviationGain,
     catchup_probability,
-    catchup_probability_quadrature,
     deviation_gain,
     min_profitable_k,
 )

@@ -9,16 +9,17 @@ The expected advantage of gambling at deficit one with honest length k is
 lower-bounded by ``(k+1)*q - rho``, which is positive for large enough k
 whenever q > 0 -- with delays, some deviation always pays, no matter how
 small the attacker.
+
+The closed form is all the package evaluates, so this module needs only the
+standard library; the adaptive quadrature of the double integral behind q,
+the cross-check of the closed form, lives with the test oracles in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
-
-QUADRATURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,41 +49,11 @@ def catchup_probability(params: DelayParams) -> float:
 
     The round-trip delay only enters through the chance that honest mining
     stays silent while blocks propagate; the attacker's own two block times
-    integrate out.  :func:`catchup_probability_quadrature` recomputes the
-    underlying double integral numerically for cross-validation.
+    integrate out.  The test suite recomputes the underlying double
+    integral by adaptive quadrature to cross-check it.
     """
     alpha, lam = params.alpha, params.lam
     return alpha * alpha * math.exp(-(1.0 - alpha) * lam * (params.d_ah + params.d_ha))
-
-
-def catchup_probability_quadrature(params: DelayParams) -> float:
-    """Adaptive two-dimensional quadrature of the race integral: density of
-    the attacker's next two block times t, s, damped by the probability that
-    no honest block lands during t + s plus the round-trip delay."""
-    alpha, lam = params.alpha, params.lam
-    if alpha == 0.0:
-        return 0.0
-    delay = params.d_ah + params.d_ha
-
-    def integrand(s: float, t: float) -> float:
-        rate = alpha * lam
-        return (
-            rate
-            * rate
-            * math.exp(-rate * (t + s))
-            * math.exp(-(1.0 - alpha) * lam * (t + s + delay))
-        )
-
-    value, _ = integrate.dblquad(
-        integrand,
-        0.0,
-        math.inf,
-        0.0,
-        math.inf,
-        epsabs=QUADRATURE_TOL,
-        epsrel=QUADRATURE_TOL,
-    )
-    return value
 
 
 @dataclass(frozen=True)

@@ -409,6 +409,18 @@ def reachable_feasible(model: MiningModel, policy: Policy) -> np.ndarray:
     return idxs
 
 
+def _closed_classes(P: sparse.csr_matrix) -> int:
+    """Number of closed classes of a chain: strongly connected components of
+    its positive transitions that no positive transition leaves."""
+    rows, cols = P.nonzero()
+    graph = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=P.shape)
+    count, labels = csgraph.connected_components(
+        graph, directed=True, connection="strong"
+    )
+    leaving = labels[rows] != labels[cols]
+    return count - len(np.unique(labels[rows[leaving]]))
+
+
 def stationary_distribution(P: sparse.csr_matrix) -> np.ndarray:
     """Stationary distribution of a chain with one recurrent class.
 
@@ -416,12 +428,22 @@ def stationary_distribution(P: sparse.csr_matrix) -> np.ndarray:
     also yields the distribution: with ``A`` the matrix ``I - P`` whose
     first column is replaced by ones, ``pi A = e_0`` (Puterman 1994, ch. 8),
     one transposed solve.  Transient states get probability zero.  Raises
-    :class:`SolverError` when the system is singular, or when the solution
-    has a non-finite entry, an entry below ``-STATIONARY_NEGATIVE_TOL`` or a
-    residual ``max|pi P - pi|`` above ``STATIONARY_RESIDUAL_TOL``, as a
-    reducible chain gives; what is left below zero is round-off, and is
-    clipped.
+    :class:`SolverError` when the chain has more than one closed class
+    (round-off can keep such a system from being exactly singular, and the
+    solve then returns one class's distribution), when the system is
+    singular, or when the solution has a non-finite entry, an entry below
+    ``-STATIONARY_NEGATIVE_TOL`` or a residual ``max|pi P - pi|`` above
+    ``STATIONARY_RESIDUAL_TOL``; what is left below zero is round-off, and
+    is clipped.
     """
+    closed = _closed_classes(P)
+    if closed != 1:
+        raise SolverError(
+            f"stationary solve refused: the chain has {closed} closed classes;"
+            " is the chain irreducible?",
+            span=np.nan,
+            iterations=0,
+        )
     lu = _factorized(
         _grounded_system(P, 0), "stationary solve", "is the chain irreducible?"
     )

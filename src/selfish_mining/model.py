@@ -14,13 +14,21 @@ Everything here is immutable and safe to share across workers.
 
 from __future__ import annotations
 
+import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable
 
 import numpy as np
 
-MAX_TRUNCATION = 10_000
+# Peak resident memory per grid state of an ``optimize`` run, which holds
+# the stacked operator, a sparse LU and the value-iteration arrays at once:
+# 239 MB over the 189,003 states of T=250, interpreter included.  Each added
+# state costs less (about 0.7 kB from T=150 to T=250), so at the large T this
+# rejects the figure errs on the side of caution.
+BYTES_PER_STATE = 1300
 
 
 class Fork(IntEnum):
@@ -104,14 +112,41 @@ class ChainState:
             raise ValueError(f"chain lengths must be nonnegative (got {self})")
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform gives no figure."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
+
+
+def max_truncation() -> int:
+    """Largest T whose 3(T+1)^2 grid states fit in physical memory at
+    ``BYTES_PER_STATE`` each; unbounded where the memory is unknown."""
+    memory = physical_memory()
+    if memory is None:
+        return sys.maxsize
+    return math.isqrt(memory // (3 * BYTES_PER_STATE)) - 1
+
+
 def _check_truncation(T: int) -> None:
+    """Reject a truncation off the grid's minimum or past what the machine's
+    memory can hold, before anything of that size is allocated."""
     if T < 1:
         raise ValueError(
             f"truncation must be >= 1 (got {T}); the initial states (1,0) and"
             " (0,1) need room on the grid"
         )
-    if T > MAX_TRUNCATION:
-        raise ValueError(f"truncation must be <= {MAX_TRUNCATION} (got {T})")
+    limit = max_truncation()
+    if T > limit:
+        need = 3 * (T + 1) ** 2 * BYTES_PER_STATE
+        raise ValueError(
+            f"truncation must be <= {limit} (got {T}): its {3 * (T + 1) ** 2}"
+            f" states need about {need / 2**30:.1f} GiB at {BYTES_PER_STATE}"
+            f" bytes each, more than the {physical_memory() / 2**30:.1f} GiB"
+            " of physical memory"
+        )
 
 
 def num_states(T: int) -> int:

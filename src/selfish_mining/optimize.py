@@ -44,11 +44,11 @@ from .chain import (
 )
 from .mdp import evaluate_policy_exact, gain_below, solve_average_reward
 from .model import (
-    MAX_TRUNCATION,
     MiningParams,
     Policy,
     Variant,
     builtin_policy,
+    max_truncation,
     upper_bound_revenue,
 )
 
@@ -475,15 +475,16 @@ def sweep(
     """One row per (alpha, gamma), alphas outer, deterministic order.
     Honest revenue equals alpha identically, so it is emitted directly.
 
-    ``jobs`` below 1, T outside ``[2, MAX_TRUNCATION]``, a point whose
+    ``jobs`` below 1, T outside ``[2, max_truncation()]``, a point whose
     parameters :class:`MiningParams` rejects, or a tolerance no alpha
     admits raises ``ValueError`` before any solve; eps at or above 8*alpha
     fails only the rows of that alpha.  The points run in at most ``jobs``
     worker processes, and never in more than there are points or CPUs."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (got {jobs})")
-    if not 2 <= T <= MAX_TRUNCATION:
-        raise ValueError(f"truncation must be in [2, {MAX_TRUNCATION}] (got {T})")
+    limit = max_truncation()
+    if not 2 <= T <= limit:
+        raise ValueError(f"truncation must be in [2, {limit}] (got {T})")
     _check_tolerances(eps, eps_prime)
     points = [MiningParams(a, g, variant) for a in alphas for g in gammas]
     workers = min(jobs, len(points), os.cpu_count() or 1)

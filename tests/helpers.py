@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
+from scipy import integrate, sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from selfish_mining.chain import (
@@ -20,6 +21,7 @@ from selfish_mining.chain import (
     build_truncated,
     transition_table,
 )
+from selfish_mining.delay import DelayParams
 from selfish_mining.mdp import solve_average_reward
 from selfish_mining.model import (
     Action,
@@ -37,6 +39,7 @@ from selfish_mining.model import (
 from selfish_mining.optimize import OptimizeConfig
 
 ACCEPTANCE_LINES: list[str] = []
+QUADRATURE_TOL = 1e-10
 
 
 def record_criterion(line: str) -> None:
@@ -138,7 +141,7 @@ class TransitionEntry(NamedTuple):
 
 def grid_states(T: int) -> list[ChainState]:
     """All grid states in index order; the first is (0,0,irrelevant)."""
-    num_states(T)  # rejects a truncation outside [1, MAX_TRUNCATION]
+    num_states(T)  # rejects a truncation off the grid or past memory
     return [
         ChainState(a, h, fork)
         for a in range(T + 1)
@@ -618,3 +621,34 @@ def reference_stationary(P: sparse.csr_matrix) -> np.ndarray:
     pi[1:] = sparse_linalg.spsolve(Q[keep][:, keep].tocsr(), rhs)
     pi = np.maximum(pi / pi.sum(), 0.0)
     return pi / pi.sum()
+
+
+def catchup_probability_quadrature(params: DelayParams) -> float:
+    """Adaptive two-dimensional quadrature of the race integral: density of
+    the attacker's next two block times t, s, damped by the probability that
+    no honest block lands during t + s plus the round-trip delay.  The oracle
+    for the closed form ``delay.catchup_probability``."""
+    alpha, lam = params.alpha, params.lam
+    if alpha == 0.0:
+        return 0.0
+    delay = params.d_ah + params.d_ha
+
+    def integrand(s: float, t: float) -> float:
+        rate = alpha * lam
+        return (
+            rate
+            * rate
+            * math.exp(-rate * (t + s))
+            * math.exp(-(1.0 - alpha) * lam * (t + s + delay))
+        )
+
+    value, _ = integrate.dblquad(
+        integrand,
+        0.0,
+        math.inf,
+        0.0,
+        math.inf,
+        epsabs=QUADRATURE_TOL,
+        epsrel=QUADRATURE_TOL,
+    )
+    return value

@@ -31,7 +31,6 @@ from selfish_mining.cli import main as cli_main
 from selfish_mining.delay import (
     DelayParams,
     catchup_probability,
-    catchup_probability_quadrature,
     deviation_gain,
     min_profitable_k,
 )
@@ -50,6 +49,7 @@ from selfish_mining.simulate import SimConfig, simulate_batch
 
 from helpers import (
     action_at,
+    catchup_probability_quadrature,
     record_criterion,
     sm1_reference_revenue,
     sm1_truncated_revenue,

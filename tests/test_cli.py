@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from selfish_mining import optimize
+import selfish_mining
+from selfish_mining import model, optimize
 from selfish_mining.cli import main
 
 from helpers import sm1_reference_revenue
@@ -13,6 +16,23 @@ from helpers import sm1_reference_revenue
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+def test_import_leaves_heavy_scipy_out():
+    """A fresh interpreter importing the CLI loads numpy and scipy.sparse
+    only: none of the scipy subpackages the package does not use."""
+    src = os.path.dirname(os.path.dirname(selfish_mining.__file__))
+    code = (
+        "import sys, selfish_mining.cli\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.fft')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def read_json(path):
@@ -418,7 +438,49 @@ class TestSweepCommand:
         assert not os.path.exists("sweep.csv")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--alpha", "0.3", "--gamma", "0", "--out", "run"],
+        ["evaluate", "--alpha", "0.3", "--gamma", "0", "--policy", "sm1",
+         "--out", "run"],
+        ["simulate", "--alpha", "0.3", "--gamma", "0", "--policy", "sm1",
+         "--rounds", "100", "--out", "run"],
+        ["threshold", "--gamma", "0", "--out", "run"],
+        ["sweep", "--alphas", "0.3", "--gammas", "0", "--out", "run.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_truncation_past_memory_exits_2(workdir, capsys, monkeypatch, argv):
+    """With physical memory patched down to room for T=4, a T=8 run is
+    refused by the memory estimate: one error line, exit 2, no file."""
+    room = 3 * 5**2 * model.BYTES_PER_STATE
+    monkeypatch.setattr(model, "physical_memory", lambda: room)
+    assert main([*argv, "--T", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "truncation must be" in err
+    assert "<= 4 (got 8)" in err or "[2, 4] (got 8)" in err
+    assert os.listdir(".") == []
+
+
 class TestDelayCommand:
+    def test_output_unchanged(self, workdir, capsys):
+        """stdout and data file of one fixed argument set, byte for byte."""
+        rc = main(
+            ["delay", "--alpha", "0.3", "--lambda", "2.5", "--d-ah", "0.4",
+             "--d-ha", "0.1", "--rho", "0.35", "--out", "d"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            '{"gain_at_min_k": 0.025175817710657578, "min_k": 9,'
+            ' "q": 0.037517581771065754}\n'
+        )
+        with open("d.delay.json", "rb") as handle:
+            assert handle.read() == (
+                b'{\n  "gain_at_min_k": 0.025175817710657578,\n  "min_k": 9,\n'
+                b'  "q": 0.037517581771065754\n}\n'
+            )
+
     def test_json_payload(self, workdir, capsys):
         rc = main(
             ["delay", "--alpha", "0.3", "--lambda", "1", "--d-ah", "0",

@@ -5,10 +5,11 @@ import pytest
 from selfish_mining.delay import (
     DelayParams,
     catchup_probability,
-    catchup_probability_quadrature,
     deviation_gain,
     min_profitable_k,
 )
+
+from helpers import catchup_probability_quadrature
 
 
 def scan_min_k(q: float, rho: float, k_cap: int = 10_000) -> int | None:

@@ -27,6 +27,7 @@ from selfish_mining.chain import (
 )
 from selfish_mining.mdp import (
     RVI_SWEEP_BUDGET,
+    SolverError,
     evaluate_policy_exact,
     reachable_feasible,
     relative_value_iteration,
@@ -273,6 +274,21 @@ def test_stationary_is_zero_on_transient_states(n, share, seed):
     transient = max(1, min(n - 1, round(share * n)))
     pi = assert_stationary_matches_reference(random_chain(n, seed, transient))
     assert np.abs(pi[n - transient :]).max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    sizes=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+def test_stationary_rejects_two_closed_classes(sizes, seeds):
+    """Two irreducible blocks side by side: a chain with two closed classes,
+    which must be refused however round-off treats its grounded system."""
+    P = sparse.block_diag(
+        [random_chain(n, seed) for n, seed in zip(sizes, seeds)], format="csr"
+    )
+    with pytest.raises(SolverError, match="irreducible"):
+        stationary_distribution(P)
 
 
 @pytest.mark.parametrize("emitted", [False, True], ids=["sm1", "emitted"])

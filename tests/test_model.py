@@ -4,15 +4,20 @@ import random
 import numpy as np
 import pytest
 
+from selfish_mining import model
 from selfish_mining.model import (
+    BYTES_PER_STATE,
     Action,
     ChainState,
     Fork,
     MiningParams,
     Policy,
     Variant,
+    _check_truncation,
     builtin_policy,
+    max_truncation,
     num_states,
+    physical_memory,
     state_at,
     state_index,
     upper_bound_revenue,
@@ -62,6 +67,24 @@ class TestEnumeration:
             grid_states(0)
         with pytest.raises(ValueError):
             grid_states(10_001)
+
+    def test_truncation_limited_by_memory(self, monkeypatch):
+        """The ceiling is the largest grid whose states fit in physical
+        memory at BYTES_PER_STATE each; T=10000 is refused by arithmetic,
+        without allocating anything."""
+        memory = physical_memory()
+        assert memory is None or memory > 0
+        monkeypatch.setattr(model, "physical_memory", lambda: 8 * 2**30)
+        limit = max_truncation()
+        assert 3 * (limit + 1) ** 2 * BYTES_PER_STATE <= 8 * 2**30
+        assert 3 * (limit + 2) ** 2 * BYTES_PER_STATE > 8 * 2**30
+        _check_truncation(limit)
+        with pytest.raises(ValueError, match=rf"<= {limit} \(got 10000\)"):
+            _check_truncation(10_000)
+        with pytest.raises(ValueError, match="GiB of physical memory"):
+            _check_truncation(limit + 1)
+        monkeypatch.setattr(model, "physical_memory", lambda: None)
+        _check_truncation(10_000)  # no memory figure, no ceiling
 
     def test_index_round_trip(self):
         rng = random.Random(7)

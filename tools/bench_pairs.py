@@ -12,7 +12,10 @@ the number of pairs in which the after side was better.  With ``--trace``,
 one traced run per side and workload adds the per-layer solver and
 simulator figures, and one ``tools/count_bellman.py`` run per side adds the
 direct counts of solves and Bellman applications, decision passes included,
-that the traced ``mdp.rvi_sweeps`` does not see.
+that the traced ``mdp.rvi_sweeps`` does not see.  Before the workloads,
+five fresh interpreters per side, alternating, each only import
+``selfish_mining.cli``; the file gets their wall time, peak RSS and number of
+loaded modules, the layer every CLI process pays before its first operation.
 
 The summary goes to ``BENCH_<name>.json`` at the root of the repository
 that holds this script.  A section is keyed by workload and seeds, so a later call with
@@ -29,6 +32,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +42,13 @@ TRACED_LAYERS = (
     "mdp.evaluate_calls", "mdp.evaluate_s", "mdp.stationary_s",
     "simulate.loop_s", "simulate.loop_rounds_per_s", "cli.sim_batch_rounds_per_s",
     "model.tabulate_s", "model.policy_load_s",
+)
+STARTUP_PROCESSES = 5
+STARTUP_PROBE = (
+    "import resource, sys\n"
+    "import selfish_mining.cli\n"
+    "print(selfish_mining.cli.__file__)\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, len(sys.modules))\n"
 )
 
 
@@ -74,6 +85,25 @@ def count(checkout: Path, workload: str, seed: int) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(command)} failed:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def startup(checkout: Path) -> dict:
+    """One fresh interpreter importing ``selfish_mining.cli`` from the
+    ``src/`` of ``checkout``: wall time of the whole process, its peak RSS
+    and the number of modules the import loaded."""
+    src = checkout / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-c", STARTUP_PROBE]
+    begin = time.perf_counter()
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - begin
+    if done.returncode != 0:
+        raise SystemExit(f"startup probe in {checkout} failed:\n{done.stderr}")
+    path, figures = done.stdout.strip().splitlines()
+    if not Path(path).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"startup probe in {checkout} imported {path}")
+    maxrss_kb, modules = map(int, figures.split())
+    return {"wall_s": wall, "maxrss_mb": maxrss_kb / 1024, "modules": modules}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -123,6 +153,26 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "system": f"{platform.system()} {platform.machine()}"},
     })
+
+    probes: dict[str, list[dict]] = {"before": [], "after": []}
+    for index in range(STARTUP_PROCESSES):
+        order = ("before", "after") if index % 2 == 0 else ("after", "before")
+        for side in order:
+            probes[side].append(startup(before if side == "before" else after))
+    bench["startup"] = {
+        "processes": STARTUP_PROCESSES,
+        "order": "before first on even indexes, after first on odd",
+        **{
+            name: {
+                side: {**quartiles([p[name] for p in runs]),
+                       "values": [p[name] for p in runs]}
+                for side, runs in probes.items()
+            }
+            for name in ("wall_s", "maxrss_mb", "modules")
+        },
+    }
+    out.write_text(json.dumps(bench, indent=2) + "\n")
+    print(f"wrote {out.name}: startup", file=sys.stderr, flush=True)
 
     for workload in args.workloads.split(","):
         runs: dict[str, list[dict]] = {"before": [], "after": []}
