@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .model import (
     ACTION_NAMES,
@@ -41,6 +42,7 @@ from .model import (
     grid_coordinates,
     initial_states,
     num_states,
+    state_at,
     state_index,
 )
 
@@ -74,13 +76,11 @@ class MiningModel:
     transition: sparse.csr_matrix  # (num actions * n, n), row action*n + state
     exp_attacker: np.ndarray  # (num actions, n) expected attacker blocks
     exp_honest: np.ndarray  # (num actions, n) expected honest blocks
-    initial: np.ndarray  # (n,) initial distribution
     boundary: np.ndarray  # (n,) bool, truncation-boundary states
-    disabled: ThresholdVariant | None = None
 
     @property
     def n(self) -> int:
-        return len(self.initial)
+        return len(self.boundary)
 
     @property
     def reference_index(self) -> int:
@@ -158,6 +158,41 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     return TransitionTable(next_state, probability, attacker, honest, feasible, race)
 
 
+def forward_closure(source: np.ndarray, target: np.ndarray, T: int) -> np.ndarray:
+    """Mask of the grid states reached from the two start states,
+    (1,0,irrelevant) and (0,1,irrelevant), along the edges
+    ``source[i] -> target[i]``, one per live branch."""
+    n = num_states(T)
+    graph = sparse.csr_matrix((np.ones(len(source)), (source, target)), shape=(n, n))
+    seen = np.zeros(n, dtype=bool)
+    for start in initial_states(T):
+        seen[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
+    return seen
+
+
+def policy_closure(table: TransitionTable, actions: np.ndarray, T: int) -> np.ndarray:
+    """The states a policy reaches: the forward closure over the live
+    branches (probability > 0) of its rows of the table.  An infeasible
+    pair has no live branch, so the trace stops there."""
+    rows = (actions, np.arange(len(actions)))
+    state, branch = np.nonzero(table.probability[rows] > 0.0)
+    return forward_closure(state, table.next_state[rows][state, branch], T)
+
+
+def check_feasible(
+    feasible: np.ndarray, actions: np.ndarray, reached: np.ndarray, T: int
+) -> None:
+    """Raise ``ValueError`` naming the first reached state at which the
+    policy's action is infeasible."""
+    idxs = np.flatnonzero(reached)
+    bad = idxs[~feasible[actions[idxs], idxs]]
+    if len(bad):
+        raise ValueError(
+            f"policy assigns infeasible action {ACTION_NAMES[actions[bad[0]]]}"
+            f" at reachable state {state_at(int(bad[0]), T)}"
+        )
+
+
 def build_base_model(params: MiningParams, T: int) -> MiningModel:
     """Realize the transition rules on the {0..T}^2 grid.
 
@@ -175,12 +210,6 @@ def build_base_model(params: MiningParams, T: int) -> MiningModel:
     p = table.probability
     exp_attacker = sum(p[..., b] * table.attacker[..., b] for b in range(3))
     exp_honest = sum(p[..., b] * table.honest[..., b] for b in range(3))
-
-    initial = np.zeros(n)
-    first, second = initial_states(T)
-    initial[first] = params.alpha
-    initial[second] = 1 - params.alpha
-
     a, h, _fork = grid_coordinates(T)
     return MiningModel(
         params=params,
@@ -189,7 +218,6 @@ def build_base_model(params: MiningParams, T: int) -> MiningModel:
         transition=transition,
         exp_attacker=exp_attacker,
         exp_honest=exp_honest,
-        initial=initial,
         boundary=np.maximum(a, h) == T,
     )
 
@@ -207,7 +235,7 @@ def build_honest_disabled(model: MiningModel, variant: ThresholdVariant) -> Mini
     first = state_index(ChainState(a, h, Fork.IRRELEVANT), model.T)
     feasible = model.feasible.copy()
     feasible[action, first : first + len(Fork)] = False
-    return replace(model, feasible=feasible, disabled=variant)
+    return replace(model, feasible=feasible)
 
 
 def overpaying_terminal_reward(a: int, h: int, rho: float, alpha: float) -> float:
@@ -245,13 +273,7 @@ class ScalarModel:
     """
 
     model: MiningModel
-    rho: float
-    mode: BoundaryMode
     rewards: np.ndarray  # (num actions, n)
-
-    @property
-    def n(self) -> int:
-        return self.model.n
 
 
 def build_truncated(model: MiningModel, mode: BoundaryMode, rho: float) -> ScalarModel:
@@ -266,7 +288,7 @@ def build_truncated(model: MiningModel, mode: BoundaryMode, rho: float) -> Scala
             rest = idx // 3
             a, h = rest // (T + 1), rest % (T + 1)
             rewards[Action.ADOPT, idx] = overpaying_terminal_reward(a, h, rho, alpha)
-    return ScalarModel(model=model, rho=rho, mode=mode, rewards=rewards)
+    return ScalarModel(model=model, rewards=rewards)
 
 
 def _cat(*parts) -> np.ndarray:

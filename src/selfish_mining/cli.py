@@ -31,6 +31,9 @@ from .model import (
     builtin_policy,
 )
 from .optimize import (
+    DEFAULT_EPS,
+    DEFAULT_EPS_PRIME,
+    DEFAULT_T,
     OptimizeConfig,
     find_optimal,
     format_sweep_csv,
@@ -43,12 +46,6 @@ from .simulate import SimConfig, simulate_batch
 EXIT_OK = 0
 EXIT_FLAG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_FLAG_ERROR):
-        super().__init__(message)
-        self.code = code
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -114,16 +111,13 @@ def _write_manifest(
 
 
 def _params_from(args: argparse.Namespace) -> MiningParams:
-    try:
-        return MiningParams(args.alpha, args.gamma, Variant(args.variant))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return MiningParams(args.alpha, args.gamma, Variant(args.variant))
 
 
 def _read_policy_file(path: str) -> Policy:
     """Load a policy JSON file; a missing file or a malformed one exits 2."""
     if not os.path.exists(path):
-        raise CliError(f"policy file not found: {path}")
+        raise ValueError(f"policy file not found: {path}")
     with open(path) as handle:
         return Policy.from_json_dict(json.load(handle))
 
@@ -142,7 +136,7 @@ def _load_policy(
         or (policy.variant is not None and policy.variant != params.variant)
     )
     if mismatched and not getattr(args, "force", False):
-        raise CliError(
+        raise ValueError(
             f"policy {spec} was produced for alpha={policy.alpha},"
             f" gamma={policy.gamma}, variant="
             f"{policy.variant.value if policy.variant else '?'};"
@@ -151,7 +145,7 @@ def _load_policy(
     return policy, label
 
 
-def _add_common_params(parser: argparse.ArgumentParser, default_T: int = 75) -> None:
+def _add_common_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, required=True, help="attacker hashrate")
     parser.add_argument(
         "--gamma", type=float, required=True, help="tie-race win fraction"
@@ -162,17 +156,13 @@ def _add_common_params(parser: argparse.ArgumentParser, default_T: int = 75) -> 
         default=Variant.STANDARD.value,
         help="protocol variant",
     )
-    parser.add_argument("--T", type=int, default=default_T, help="truncation")
+    parser.add_argument("--T", type=int, default=DEFAULT_T, help="truncation")
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    params = _params_from(args)
-    try:
-        config = OptimizeConfig(
-            params, T=args.T, eps=args.eps, eps_prime=args.eps_prime
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    config = OptimizeConfig(
+        _params_from(args), T=args.T, eps=args.eps, eps_prime=args.eps_prime
+    )
     report = find_optimal(config)
     prefix = args.out or f"optimize-a{args.alpha:g}-g{args.gamma:g}"
     bounds_path = f"{prefix}.bounds.json"
@@ -190,11 +180,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     params = _params_from(args)
     policy, label = _load_policy(args.policy, args, params)
-    model = build_base_model(params, policy.T)
-    try:
-        value = evaluate_policy_exact(model, policy)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    value = evaluate_policy_exact(build_base_model(params, policy.T), policy)
     result = {
         "alpha": params.alpha,
         "gamma": params.gamma,
@@ -213,11 +199,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    policy = _read_policy_file(args.policy)
-    try:
-        text = render_policy_text(policy, t_view=args.t_view)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    text = render_policy_text(_read_policy_file(args.policy), t_view=args.t_view)
     if args.out:
         _atomic_write(args.out, text)
         _write_manifest(args.out, "render", args, [args.out])
@@ -228,12 +210,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    if args.rounds < 1:
-        raise CliError(f"rounds must be >= 1 (got {args.rounds})")
     last = args.seed + (args.replicas - 1) * args.seed_stride
     if args.replicas >= 1 and min(args.seed, last) < 0:  # seeds are linear in k
         k = 0 if args.seed < 0 else args.replicas - 1
-        raise CliError(
+        raise ValueError(
             f"--seed {args.seed} with --seed-stride {args.seed_stride} gives replica"
             f" {k} the seed {args.seed + k * args.seed_stride}; every replica seed"
             " seed + k*stride must be >= 0"
@@ -284,16 +264,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    try:
-        report = profit_threshold(
-            gamma=args.gamma,
-            variant=Variant(args.variant),
-            T=args.T,
-            eps=args.eps,
-            alpha_tol=args.alpha_tol,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = profit_threshold(
+        gamma=args.gamma,
+        variant=Variant(args.variant),
+        T=args.T,
+        eps=args.eps,
+        alpha_tol=args.alpha_tol,
+    )
     print(
         f"threshold={report.threshold:.6f}"
         f" bracket=[{report.alpha_lower:.6f}, {report.alpha_upper:.6f}]"
@@ -310,9 +287,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         alphas = [float(x) for x in args.alphas.split(",") if x]
         gammas = [float(x) for x in args.gammas.split(",") if x]
     except ValueError as exc:
-        raise CliError(f"bad sweep list: {exc}") from exc
+        raise ValueError(f"bad sweep list: {exc}") from exc
     if not alphas or not gammas:
-        raise CliError("sweep needs at least one alpha and one gamma")
+        raise ValueError("sweep needs at least one alpha and one gamma")
     rows = sweep(
         alphas,
         gammas,
@@ -336,14 +313,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_delay(args: argparse.Namespace) -> int:
-    try:
-        params = DelayParams(args.alpha, args.lam, args.d_ah, args.d_ha)
-        if not 0.0 <= args.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1] (got {args.rho})")
-        q = catchup_probability(params)
-        k = min_profitable_k(params, args.rho, args.k_cap)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    params = DelayParams(args.alpha, args.lam, args.d_ah, args.d_ha)
+    if not 0.0 <= args.rho <= 1.0:
+        raise ValueError(f"rho must be in [0, 1] (got {args.rho})")
+    q = catchup_probability(params)
+    k = min_profitable_k(params, args.rho, args.k_cap)
     gain = deviation_gain(k, q, args.rho).lower_bound if k is not None else None
     result = {"q": q, "min_k": k, "gain_at_min_k": gain}
     print(json.dumps(result, sort_keys=True))
@@ -372,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="revenue bounds and eps-optimal policy")
     _add_common_params(p_opt)
-    p_opt.add_argument("--eps", type=float, default=1e-5)
-    p_opt.add_argument("--eps-prime", type=float, default=1e-5, dest="eps_prime")
+    p_opt.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p_opt.add_argument(
+        "--eps-prime", type=float, default=DEFAULT_EPS_PRIME, dest="eps_prime"
+    )
     p_opt.add_argument("--out", default=None, help="output file prefix")
     p_opt.set_defaults(func=_cmd_optimize)
 
@@ -408,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument(
         "--variant", choices=[v.value for v in Variant], default="standard"
     )
-    p_thr.add_argument("--T", type=int, default=75)
-    p_thr.add_argument("--eps", type=float, default=1e-5)
+    p_thr.add_argument("--T", type=int, default=DEFAULT_T)
+    p_thr.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p_thr.add_argument("--alpha-tol", type=float, default=1e-3, dest="alpha_tol")
     p_thr.add_argument("--out", default=None)
     p_thr.set_defaults(func=_cmd_threshold)
@@ -420,9 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--variant", choices=[v.value for v in Variant], default="standard"
     )
-    p_sweep.add_argument("--T", type=int, default=75)
-    p_sweep.add_argument("--eps", type=float, default=1e-5)
-    p_sweep.add_argument("--eps-prime", type=float, default=1e-5, dest="eps_prime")
+    p_sweep.add_argument("--T", type=int, default=DEFAULT_T)
+    p_sweep.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p_sweep.add_argument(
+        "--eps-prime", type=float, default=DEFAULT_EPS_PRIME, dest="eps_prime"
+    )
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -453,8 +431,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        return _emit_error(str(exc), exc.code, args.json_errors)
     except SolverError as exc:
         return _emit_error(str(exc), EXIT_NUMERIC_ERROR, args.json_errors)
     except ValueError as exc:

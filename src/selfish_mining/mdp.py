@@ -36,7 +36,13 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
-from .chain import MiningModel, ScalarModel, transition_table
+from .chain import (
+    MiningModel,
+    ScalarModel,
+    check_feasible,
+    forward_closure,
+    transition_table,
+)
 from .model import Action, Policy, grid_coordinates, state_at
 
 DAMPING = 0.01
@@ -77,14 +83,6 @@ class SolveResult:
     span: float
     values: np.ndarray
     evaluations: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gain": self.gain,
-            "iterations": self.iterations,
-            "span": self.span,
-            "policy": self.policy.to_json_dict(),
-        }
 
 
 def _bellman(masked_rewards: np.ndarray, transition: sparse.csr_matrix, values):
@@ -373,40 +371,11 @@ def gain_below(
     return False
 
 
-def reachable_mask(model: MiningModel, policy: Policy | None = None) -> np.ndarray:
-    """Forward closure from the initial states, following either the policy's
-    actions or every feasible action."""
-    n = model.n
-    if policy is None:
-        # per state, the sum of its feasible rows: a 0/1 selector product
-        flat = np.flatnonzero(model.feasible)
-        shape = (n, model.transition.shape[0])
-        selector = sparse.csr_matrix((np.ones(len(flat)), (flat % n, flat)), shape=shape)
-        graph = selector @ model.transition
-    else:
-        graph = model.transition[policy.actions.astype(np.int64) * n + np.arange(n)]
-    seen = np.zeros(n, dtype=bool)
-    for start in np.flatnonzero(model.initial > 0.0):
-        seen[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
-    return seen
-
-
-def reachable_feasible(model: MiningModel, policy: Policy) -> np.ndarray:
-    """Indices of the states the policy reaches, in order; raises
-    ``ValueError`` if it assigns an infeasible action at one of them."""
-    if policy.T != model.T:
-        raise ValueError(
-            f"policy truncation {policy.T} does not match model truncation {model.T}"
-        )
-    idxs = np.flatnonzero(reachable_mask(model, policy))
-    bad = idxs[~model.feasible[policy.actions[idxs], idxs]]
-    if len(bad):
-        raise ValueError(
-            f"policy assigns infeasible action"
-            f" {Action(policy.actions[bad[0]]).name.lower()}"
-            f" at reachable state {state_at(int(bad[0]), model.T)}"
-        )
-    return idxs
+def reachable_mask(model: MiningModel, policy: Policy) -> np.ndarray:
+    """The states a policy reaches on a built model: the forward closure
+    over its rows of the stacked operator."""
+    rows = policy.actions.astype(np.int64) * model.n + np.arange(model.n)
+    return forward_closure(*model.transition[rows].nonzero(), model.T)
 
 
 def _closed_classes(P: sparse.csr_matrix) -> int:
@@ -482,7 +451,13 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     decomposition and cannot be evaluated this way.  The policy must assign a
     feasible action to every reachable state.
     """
-    idxs = reachable_feasible(model, policy)
+    if policy.T != model.T:
+        raise ValueError(
+            f"policy truncation {policy.T} does not match model truncation {model.T}"
+        )
+    reached = reachable_mask(model, policy)
+    check_feasible(model.feasible, policy.actions, reached, model.T)
+    idxs = np.flatnonzero(reached)
     chosen = policy.actions[idxs]
     rows = chosen.astype(np.int64) * model.n + idxs
     pi = stationary_distribution(model.transition[rows][:, idxs])
@@ -584,8 +559,9 @@ def validate_model(model: MiningModel) -> ModelDiagnostics:
         )
     )
 
-    reachable = reachable_mask(model)
-    count = int(reachable.sum())
+    act, state, branch = np.nonzero(live)
+    reached = forward_closure(state, table.next_state[act, state, branch], model.T)
+    count = int(reached.sum())
     checks.append(
         ModelCheck(
             "reachability",

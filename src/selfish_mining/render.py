@@ -11,49 +11,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import MiningModel, build_base_model
-from .mdp import reachable_mask
+from .chain import policy_closure, transition_table
 from .model import MiningParams, Policy
 
 ACTION_CHARS = np.array(["a", "o", "m", "w"])  # indexed by action ordinal
 UNREACHABLE_CHAR = "*"
 
 
-def _model_for(policy: Policy, model: MiningModel | None) -> MiningModel:
-    if model is not None:
-        if model.T != policy.T:
-            raise ValueError("model truncation does not match the policy")
-        return model
+def render_policy_grid(policy: Policy, t_view: int = 8) -> list[list[str]]:
+    """Grid of three-character cells, ``grid[a][h]``, for a,h <= t_view.
+    Reachability is traced on the transition table of the parameters the
+    policy carries."""
     if policy.alpha is None or policy.gamma is None:
-        raise ValueError(
-            "policy carries no parameters; pass the model it was solved on"
-        )
-    params = MiningParams(
-        policy.alpha, policy.gamma, policy.variant or "standard"
-    )
-    return build_base_model(params, policy.T)
-
-
-def render_policy_grid(
-    policy: Policy, model: MiningModel | None = None, t_view: int = 8
-) -> list[list[str]]:
-    """Grid of three-character cells, ``grid[a][h]``, for a,h <= t_view."""
-    model = _model_for(policy, model)
+        raise ValueError("policy carries no parameters")
+    params = MiningParams(policy.alpha, policy.gamma, policy.variant or "standard")
     if not 0 <= t_view <= policy.T:
         raise ValueError(f"t_view must be in [0, {policy.T}] (got {t_view})")
+    table = transition_table(params, policy.T)
     chars = np.where(
-        reachable_mask(model, policy), ACTION_CHARS[policy.actions], UNREACHABLE_CHAR
+        policy_closure(table, policy.actions, policy.T),
+        ACTION_CHARS[policy.actions],
+        UNREACHABLE_CHAR,
     )
     side = policy.T + 1
     cells = chars.reshape(side, side, 3)[: t_view + 1, : t_view + 1]
     return np.char.add(np.char.add(cells[..., 0], cells[..., 1]), cells[..., 2]).tolist()
 
 
-def render_policy_text(
-    policy: Policy, model: MiningModel | None = None, t_view: int = 8
-) -> str:
+def render_policy_text(policy: Policy, t_view: int = 8) -> str:
     """Fixed-width table of :func:`render_policy_grid` with a/h axis labels."""
-    grid = render_policy_grid(policy, model, t_view)
+    grid = render_policy_grid(policy, t_view)
     width = 3
     header = "a\\h | " + " ".join(f"{h:>{width}}" for h in range(t_view + 1))
     rule = "-" * len(header)

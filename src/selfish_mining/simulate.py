@@ -4,15 +4,18 @@ run as independent adopt-to-adopt cycles.
 Every ``adopt`` restarts the block race: whatever came before, the next
 state is (1,0,irrelevant) with probability alpha and (0,1,irrelevant)
 otherwise.  A run is therefore a chain of i.i.d. cycles, each ending with the
-round in which the policy adopts, including the adopt forced at states on
-the truncation boundary (max(a, h) = T), which mirrors the pessimistic
-truncation the policies were solved on.  ``override`` does not regenerate: it
-leads to (lead,0,irrelevant) or (lead-1,1,relevant).
+round in which the policy adopts.  On the truncation boundary
+(max(a, h) = T) that adopt is the policy's own: it is the only feasible
+action there, as in the pessimistic truncation the policies were solved on.
+``override`` does not regenerate: it leads to (lead,0,irrelevant) or
+(lead-1,1,relevant).
 
 The step tables are read from the transition table the model builder uses
-(:func:`selfish_mining.chain.transition_table`): per state, the policy's
-three branches -- 0: attacker block, 1: honest block winning a race for the
-attacker, 2: honest block otherwise -- and whether the state's row adopts.
+(:func:`selfish_mining.chain.transition_table`), and no model is built:
+per state, the policy's three branches -- 0: attacker block, 1: honest block
+winning a race for the attacker, 2: honest block otherwise -- and whether
+the state's row adopts.  The policy must assign a feasible action at every
+state it reaches on those branches.
 One uniform u per round picks the branch: the attacker's block if
 u < alpha, a won race if u < alpha + (1-alpha)*w(state), an honest block
 otherwise, where w is the race win probability (zero where no race is live).
@@ -51,8 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MiningModel, build_base_model, transition_table
-from .mdp import reachable_feasible
+from .chain import check_feasible, policy_closure, transition_table
 from .model import Action, MiningParams, Policy
 
 PILOT = 256  # cycles in a replica's first block
@@ -121,27 +123,18 @@ class StepTables:
     adopt: np.ndarray  # (n,) bool
 
 
-def compile_step_tables(policy: Policy, model: MiningModel) -> StepTables:
-    """Read the policy's branches out of the model's transition table.
-
-    Boundary states are forced to adopt first; the policy is then rejected
-    if it assigns an infeasible action anywhere reachable.
-    """
-    if policy.T != model.T:
-        raise ValueError(
-            f"policy truncation {policy.T} does not match model truncation {model.T}"
-        )
-    actions = np.where(model.boundary, Action.ADOPT, policy.actions).astype(np.int8)
-    reachable_feasible(model, Policy(T=model.T, actions=actions))
-    states = np.arange(model.n)
-    table = transition_table(model.params, model.T)
+def compile_step_tables(policy: Policy, params: MiningParams) -> StepTables:
+    """Read the policy's branches out of the transition table; the policy
+    is rejected if it assigns an infeasible action anywhere it reaches."""
+    T, actions = policy.T, policy.actions
+    table = transition_table(params, T)
+    check_feasible(table.feasible, actions, policy_closure(table, actions, T), T)
+    states = np.arange(len(actions))
     return StepTables(
         next_state=table.next_state[actions, states].astype(np.int64),
         attacker=table.attacker[actions, states].astype(np.int64),
         honest=table.honest[actions, states, 0].astype(np.int64),
-        race_win_prob=np.where(
-            table.race[actions, states], model.params.race_win_prob, 0.0
-        ),
+        race_win_prob=np.where(table.race[actions, states], params.race_win_prob, 0.0),
         adopt=actions == Action.ADOPT,
     )
 
@@ -513,8 +506,7 @@ def simulate_batch(
     deterministic for a fixed seed.  ``std_rev`` is NaN for one replica."""
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1 (got {replicas})")
-    model = build_base_model(config.params, config.policy.T)
-    tables = compile_step_tables(config.policy, model)
+    tables = compile_step_tables(config.policy, config.params)
     seeds = [config.seed + k * seed_stride for k in range(replicas)]
     runs = _run_blocks(tables, config.params.alpha, config.rounds, seeds)
     results = tuple(run.result() for run in runs)

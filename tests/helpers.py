@@ -392,11 +392,6 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
     n = num_states(T)
     states = grid_states(T)
 
-    initial = np.zeros(n)
-    first, second = initial_states(T)
-    initial[first] = params.alpha
-    initial[second] = 1 - params.alpha
-
     boundary = np.zeros(n, dtype=bool)
     for idx, state in enumerate(states):
         boundary[idx] = max(state.a, state.h) == T
@@ -408,7 +403,6 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
         transition=sparse.vstack(matrices, format="csr"),
         exp_attacker=exp_attacker,
         exp_honest=exp_honest,
-        initial=initial,
         boundary=boundary,
     )
 
@@ -425,13 +419,13 @@ def reference_honest_disabled(
     feasible = model.feasible.copy()
     for fork in Fork:
         feasible[action, state_index(ChainState(a, h, fork), model.T)] = False
-    return replace(model, feasible=feasible, disabled=variant)
+    return replace(model, feasible=feasible)
 
 
 def assert_models_identical(got: MiningModel, want: MiningModel) -> None:
     """Every field equal bit for bit, dtypes and sparse layouts included."""
-    assert (got.params, got.T, got.disabled) == (want.params, want.T, want.disabled)
-    for name in ("feasible", "exp_attacker", "exp_honest", "initial", "boundary"):
+    assert (got.params, got.T) == (want.params, want.T)
+    for name in ("feasible", "exp_attacker", "exp_honest", "boundary"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), name

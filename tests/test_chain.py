@@ -105,11 +105,6 @@ class TestModelBuild:
         idx = state_index(ChainState(6, 3, Fork.IRRELEVANT), 6)
         assert feasible_at(model, idx) == [Action.ADOPT]
 
-    def test_initial_distribution(self):
-        model = build_base_model(MiningParams(0.4, 0.0), 6)
-        assert model.initial.sum() == pytest.approx(1.0)
-        assert model.initial[state_index(ChainState(1, 0, Fork.IRRELEVANT), 6)] == 0.4
-
     def test_expected_rewards(self):
         params = MiningParams(0.4, 0.5)
         model = build_base_model(params, 8)

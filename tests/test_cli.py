@@ -1,9 +1,16 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selfish_mining
 from selfish_mining import model, optimize
@@ -294,6 +301,31 @@ class TestSimulateCommand:
             int(replica), int(seed)
 
 
+def test_infeasible_reachable_action_is_refused_alike(workdir, capsys):
+    """SM1 with ``wait`` at the reachable boundary state (5,0,irrelevant),
+    where adopt is the only feasible action: evaluate and simulate refuse it
+    with the same message and write nothing; render draws it."""
+    params = model.MiningParams(0.45, 0.0)
+    actions = model.builtin_policy("sm1", 5, params).actions.copy()
+    boundary = model.ChainState(5, 0, model.Fork.IRRELEVANT)
+    actions[model.state_index(boundary, 5)] = model.Action.WAIT
+    policy = model.Policy(T=5, actions=actions, alpha=0.45, gamma=0.0)
+    with open("bad.json", "w") as handle:
+        json.dump(policy.to_json_dict(), handle)
+    point = ["--policy", "bad.json", "--alpha", "0.45", "--gamma", "0", "--out", "run"]
+    errors = []
+    for argv in (["evaluate", *point], ["simulate", *point, "--rounds", "1000"]):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+        assert sorted(os.listdir(".")) == ["bad.json"]
+    assert errors[0] == errors[1] == (
+        f"error: policy assigns infeasible action wait at reachable state {boundary}\n"
+    )
+    assert main(["render", "--policy", "bad.json", "--t-view", "5"]) == 0
+    row5 = capsys.readouterr().out.strip().split("\n")[-1].split("|")[1].split()
+    assert row5[0][0] == "w"
+
+
 class TestThresholdCommand:
     def test_fully_connected(self, workdir, capsys):
         rc = main(
@@ -360,7 +392,9 @@ class TestSweepCommand:
         assert not os.path.exists("sweep.csv")
 
     @pytest.mark.parametrize("T", ["1", "20000"])
-    def test_truncation_checked(self, workdir, capsys, T):
+    def test_truncation_checked(self, workdir, capsys, monkeypatch, T):
+        # T=20000 is past the memory estimate of the 8 GiB patched in
+        monkeypatch.setattr(model, "physical_memory", lambda: 8 * 2**30)
         rc = main(["sweep", "--alphas", "0.3", "--gammas", "0", "--T", T])
         assert rc == 2
         assert "truncation" in capsys.readouterr().err
@@ -506,3 +540,127 @@ class TestDelayCommand:
         rc = main(["delay", "--alpha", "0.3", "--rho", "0.3", *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+
+# Values a flag is tried with besides its valid ones: non-finite, zero,
+# negative, below round-off, non-numeric and empty, and some of its own.
+ODD_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "x", ""]
+OWN_ODD_VALUES = {
+    "--T": ["1", "100000"],  # 100000 is past the patched memory
+    "--policy": ["missing.json"],
+    "--t-view": ["9"],
+    "--alphas": ["0.3,nan", ",", "0.6"],
+    "--gammas": ["2", "0,-1"],
+}
+ALPHAS, GAMMAS = ["0.3", "0.45"], ["0", "0.5", "1"]
+VARIANTS = ["standard", "uniform"]
+TRUNCATIONS = ["2", "5", "8"]
+POLICIES = ["sm1", "honest", "POLICY"]
+# Per subcommand, each flag's valid values.  Required flags and the flags
+# that size resources (--T, --rounds, --k-cap) are always given, so that no
+# default beyond T = 8 or 10**4 rounds is used; --replicas and --jobs
+# default to 1, and --jobs is never above 1.
+CONTRACT_FLAGS = {
+    "optimize": {
+        "--alpha": ALPHAS, "--gamma": GAMMAS, "--variant": VARIANTS,
+        "--T": TRUNCATIONS, "--eps": ["1e-3", "1e-5"], "--eps-prime": ["1e-3"],
+    },
+    "evaluate": {
+        "--alpha": ALPHAS, "--gamma": GAMMAS, "--variant": VARIANTS,
+        "--T": TRUNCATIONS, "--policy": POLICIES,
+    },
+    "simulate": {
+        "--alpha": ALPHAS, "--gamma": GAMMAS, "--variant": VARIANTS,
+        "--T": TRUNCATIONS, "--policy": POLICIES, "--rounds": ["1", "100", "10000"],
+        "--seed": ["0", "7"], "--replicas": ["1", "4"], "--seed-stride": ["1", "3"],
+    },
+    "render": {"--policy": ["POLICY"], "--t-view": ["0", "4", "8"]},
+    "threshold": {
+        "--gamma": GAMMAS, "--variant": VARIANTS, "--T": TRUNCATIONS,
+        "--eps": ["1e-3"], "--alpha-tol": ["1e-2", "0.1"],
+    },
+    "sweep": {
+        "--alphas": ["0.3", "0.3,0.45"], "--gammas": ["0", "0,1"],
+        "--variant": VARIANTS, "--T": TRUNCATIONS, "--eps": ["1e-3"],
+        "--eps-prime": ["1e-3"], "--jobs": ["1"],
+    },
+    "delay": {
+        "--alpha": ["0.3"], "--lambda": ["1", "2.5"], "--d-ah": ["0", "0.4"],
+        "--d-ha": ["0", "0.1"], "--rho": ["0", "0.35", "1"],
+        "--k-cap": ["1", "100"],
+    },
+}
+ALWAYS_GIVEN = {
+    "--alpha", "--gamma", "--policy", "--alphas", "--gammas", "--lambda", "--rho",
+    "--T", "--rounds", "--k-cap",
+}
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token} in {path}")
+
+    with open(path) as handle:
+        return json.loads(handle.read(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONTRACT_FLAGS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_exit_contract(subcommand, data):
+    """Any argument vector, up to two of its flags given odd values: exit
+    0, 2 or 3 without a traceback, no data file after a failure, strict JSON
+    and well-formed CSV after a success.
+    Run in process with physical memory patched to room for T = 8, so that
+    a larger T is refused before anything is allocated; no process is
+    started (--jobs is 1)."""
+    with tempfile.TemporaryDirectory() as root:
+        policy_path = os.path.join(root, "policy.json")
+        params = model.MiningParams(0.3, 0.0)
+        with open(policy_path, "w") as handle:
+            json.dump(model.builtin_policy("sm1", 8, params).to_json_dict(), handle)
+        work = os.path.join(root, "work")
+        os.mkdir(work)
+        argv = ["--json-errors"] if data.draw(st.booleans(), "json errors") else []
+        argv.append(subcommand)
+        flags = CONTRACT_FLAGS[subcommand]
+        odd = data.draw(st.sets(st.sampled_from(sorted(flags)), max_size=2), "odd")
+        for flag, valid in flags.items():
+            if flag in odd:
+                valid = ODD_VALUES + OWN_ODD_VALUES.get(flag, [])
+            values = st.sampled_from(valid)
+            if flag not in ALWAYS_GIVEN:
+                values = st.none() | values
+            value = data.draw(values, flag)
+            if value is not None:
+                argv.append(f"{flag}={value.replace('POLICY', policy_path)}")
+        if subcommand in ("evaluate", "simulate") and data.draw(st.booleans(), "force"):
+            argv.append("--force")
+        out = "run.csv" if subcommand == "sweep" else "run"
+        argv.append(f"--out={os.path.join(work, out)}")
+
+        room = 3 * 9**2 * model.BYTES_PER_STATE
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(model, "physical_memory", lambda: room):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refuses the vector
+                    code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        written = sorted(os.listdir(work))
+        if code != 0:
+            assert written == [], (argv, written)
+            if "--json-errors" in argv and "error:" not in err:
+                assert json.loads(err)["code"] == code
+            return
+        for name in written:
+            path = os.path.join(work, name)
+            if name.endswith(".json"):
+                _strict_json(path)
+            elif name.endswith(".csv"):
+                with open(path, newline="") as handle:
+                    rows = list(csv.reader(handle))
+                assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}

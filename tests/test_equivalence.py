@@ -2,7 +2,9 @@
 ``helpers.transitions``: built models, simulator step tables and model
 dumps must agree bit for bit, and so must the stacked-operator value
 iteration and a per-action one; solves that the policy-iteration stage
-finishes must reach the per-action loop's gain.  The built-in grid-rule
+finishes must reach the per-action loop's gain.  A policy's reachable
+states traced on the table must be those traced on the built operator, and
+the closure over every feasible action the per-state walk's.  The built-in grid-rule
 policies must equal their per-state rules tabulated state by state.  The
 ratio iteration's bounds are checked against the bisection it replaced.  The
 threshold search's certification, which settles a second honest-disabled
@@ -24,18 +26,27 @@ from selfish_mining.chain import (
     build_honest_disabled,
     build_truncated,
     dump_model,
+    forward_closure,
+    policy_closure,
+    transition_table,
 )
 from selfish_mining.mdp import (
     RVI_SWEEP_BUDGET,
     SolverError,
     evaluate_policy_exact,
-    reachable_feasible,
+    reachable_mask,
     relative_value_iteration,
     solve_average_reward,
     stationary_distribution,
 )
 from selfish_mining import optimize
-from selfish_mining.model import MiningParams, Policy, Variant, builtin_policy
+from selfish_mining.model import (
+    MiningParams,
+    Policy,
+    Variant,
+    builtin_policy,
+    state_at,
+)
 from selfish_mining.optimize import (
     DEFAULT_EPS,
     OptimizeConfig,
@@ -46,6 +57,8 @@ from selfish_mining.simulate import compile_step_tables
 
 from helpers import (
     assert_models_identical,
+    feasible_actions,
+    forward_closure_all_actions,
     reference_bisection,
     reference_certify,
     reference_dump,
@@ -113,10 +126,39 @@ def test_step_tables_match_reference(params, T, seed):
     actions = np.argmax(model.feasible * draws, axis=0).astype(np.int8)
     assert model.feasible[actions, np.arange(model.n)].all()
     policy = Policy(T=T, actions=actions)
-    tables = compile_step_tables(policy, model)
+    tables = compile_step_tables(policy, params)
     for name, want in reference_step_tables(policy, params).items():
         got = getattr(tables, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@examples
+@given(
+    params=params_st,
+    T=grids,
+    seed=st.integers(0, 2**32 - 1),
+    feasible_only=st.booleans(),
+)
+def test_table_closure_matches_operator_closure(params, T, seed, feasible_only):
+    """A policy's reachable states traced on the transition table are those
+    traced on the built model's operator rows, also where the policy takes
+    an infeasible action (the trace stops there on both); and the closure
+    over every feasible action is the per-state walk's."""
+    model = build_base_model(params, T)
+    table = transition_table(params, T)
+    draws = np.random.default_rng(seed).random(model.feasible.shape)
+    weights = model.feasible * draws if feasible_only else draws
+    actions = np.argmax(weights, axis=0).astype(np.int8)
+    got = policy_closure(table, actions, T)
+    want = reachable_mask(model, Policy(T=T, actions=actions))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    act, state, branch = np.nonzero(model.feasible[:, :, None] & (table.probability > 0))
+    every = forward_closure(state, table.next_state[act, state, branch], T)
+    oracle = forward_closure_all_actions(
+        params, T, lambda s, p: sorted(feasible_actions(s, p))
+    )
+    assert {state_at(int(i), T) for i in np.flatnonzero(every)} == oracle
 
 
 @examples
@@ -308,6 +350,6 @@ def test_stationary_matches_reference_on_policy_chains(T, emitted, params):
         policy = find_optimal(OptimizeConfig(params, T, 1e-4, 1e-4), model=model).policy
     else:
         policy = builtin_policy("sm1", T, params)
-    idxs = reachable_feasible(model, policy)
+    idxs = np.flatnonzero(policy_closure(transition_table(params, T), policy.actions, T))
     rows = policy.actions[idxs].astype(np.int64) * model.n + idxs
     assert_stationary_matches_reference(model.transition[rows][:, idxs])

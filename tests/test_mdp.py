@@ -8,6 +8,8 @@ from selfish_mining.chain import (
     BoundaryMode,
     build_base_model,
     build_truncated,
+    forward_closure,
+    transition_table,
 )
 from selfish_mining.mdp import (
     SolverError,
@@ -282,8 +284,9 @@ class TestReachability:
 
     def test_all_actions_closure_matches_oracle(self):
         params = MiningParams(0.3, 0.5)
-        model = build_base_model(params, 6)
-        mask = reachable_mask(model)
+        table = transition_table(params, 6)
+        act, state, branch = np.nonzero(table.probability > 0)
+        mask = forward_closure(state, table.next_state[act, state, branch], 6)
         got = {state_at(int(i), 6) for i in np.flatnonzero(mask)}
         want = forward_closure_all_actions(
             params, 6, lambda s, p: sorted(feasible_actions(s, p))

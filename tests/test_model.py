@@ -62,7 +62,10 @@ class TestEnumeration:
     def test_first_state(self):
         assert grid_states(2)[0] == ChainState(0, 0, Fork.IRRELEVANT)
 
-    def test_zero_truncation_rejected(self):
+    def test_zero_truncation_rejected(self, monkeypatch):
+        """T=10001 is refused by the memory estimate of an 8 GiB machine,
+        patched in so that no machine tries to build the grid."""
+        monkeypatch.setattr(model, "physical_memory", lambda: 8 * 2**30)
         with pytest.raises(ValueError):
             grid_states(0)
         with pytest.raises(ValueError):

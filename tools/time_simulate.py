@@ -3,7 +3,8 @@
     python3 tools/time_simulate.py --before ../parent --after . --seeds 1-10
 
 Times one ``simulate_batch`` call -- SM1 at alpha=0.45, gamma=0, T=75 and
-200,000 rounds, one replica, model build and table compilation included --
+200,000 rounds, one replica, table compilation (and, in checkouts that
+still build one, the model) included --
 in a fresh process per checkout and seed, after a short warm-up call.  The
 two runs of a pair go back to back, their order alternating from seed to
 seed.  Rounds per second, with medians and quartiles per side, go to the
