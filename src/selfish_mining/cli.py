@@ -1,12 +1,12 @@
 """Command-line surface: optimize, threshold, sweep, simulate, evaluate,
 render, delay.
 
-Every subcommand that writes files also writes a ``<prefix>.manifest.json``
-beside them echoing the full parameter set, tool version, timestamp, seeds
-and output paths; data files themselves carry no timestamps, so re-running
-with fixed flags and seeds reproduces them byte for byte.  Exit codes: 0 on
-success, 2 for flag or validation errors, 3 for numeric failures.
-"""
+Each subcommand returns what it produced and ``main`` writes it: the data
+files, then a ``<prefix>.manifest.json`` echoing the full parameter set, tool
+version, timestamp, seeds and output paths.  Data files carry no timestamps,
+so re-running with fixed flags and seeds reproduces them byte for byte.  Exit
+codes: 0 on success, 2 for flag or validation errors, an unreadable
+``--policy`` or an unwritable ``--out``, 3 for numeric failures."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -48,17 +49,17 @@ EXIT_FLAG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+@dataclass(frozen=True)
+class Outcome:
+    """What a subcommand produced.  ``files`` maps each data path, in write
+    order, to its text, or to data written as strict JSON; ``prefix`` names
+    the manifest written with them."""
+
+    stdout: list[str]
+    prefix: str | None = None
+    files: dict[str, object] = field(default_factory=dict)
+    seeds: list[int] = field(default_factory=list)
+    stderr: list[str] = field(default_factory=list)
 
 
 def _json_safe(value):
@@ -72,42 +73,60 @@ def _json_safe(value):
     return value
 
 
-def _write_json(path: str, data: dict) -> None:
+def _json_text(data) -> str:
     """``data`` as strict JSON.  JSON has no NaN or infinity, and strict
     parsers reject the bare tokens, so only when ``json.dumps`` meets a
-    non-finite float is ``data`` walked and written with None in its place;
+    non-finite float is ``data`` walked and dumped with None in its place;
     a policy's action names are not walked otherwise."""
     try:
         text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
-        safe = _json_safe(data)
-        text = json.dumps(safe, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(path, text + "\n")
+        text = json.dumps(_json_safe(data), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
-def _write_manifest(
-    prefix: str,
-    subcommand: str,
-    args: argparse.Namespace,
-    outputs: list[str],
-    seeds: list[int] | None = None,
-) -> str:
-    path = f"{prefix}.manifest.json"
+def _manifest(args: argparse.Namespace, outcome: Outcome) -> dict:
     echo = {
         key: (value.value if isinstance(value, Variant) else value)
         for key, value in sorted(vars(args).items())
         if key != "func"
     }
-    manifest = {
-        "subcommand": subcommand,
+    return {
+        "subcommand": args.subcommand,
         "parameters": echo,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": sorted(outputs),
-        "seeds": seeds or [],
+        "outputs": sorted(outcome.files),
+        "seeds": outcome.seeds,
     }
-    _write_json(path, manifest)
-    return path
+
+
+def _write_files(files: dict[str, object]) -> None:
+    """Write each file, text as given and anything else as strict JSON, to
+    a temporary beside its path, then rename them into place in order.  On
+    an OSError, the files already renamed are removed and a ValueError names
+    the path; no temporary outlives the call."""
+    staged: dict[str, str] = {}  # temporary -> target
+    placed: list[str] = []
+    try:
+        for path, data in files.items():
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part"
+            )
+            staged[tmp] = path
+            with os.fdopen(fd, "w") as handle:
+                handle.write(data if isinstance(data, str) else _json_text(data))
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+            placed.append(path)
+    except OSError as exc:
+        for done in placed:
+            os.unlink(done)
+        raise ValueError(f"cannot write {path!r}: {exc.strerror}") from exc
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _params_from(args: argparse.Namespace) -> MiningParams:
@@ -115,11 +134,13 @@ def _params_from(args: argparse.Namespace) -> MiningParams:
 
 
 def _read_policy_file(path: str) -> Policy:
-    """Load a policy JSON file; a missing file or a malformed one exits 2."""
-    if not os.path.exists(path):
-        raise ValueError(f"policy file not found: {path}")
-    with open(path) as handle:
-        return Policy.from_json_dict(json.load(handle))
+    """Load a policy JSON file; an unreadable file or a malformed one exits 2."""
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read policy file {path!r}: {exc.strerror}") from exc
+    return Policy.from_json_dict(document)
 
 
 def _load_policy(
@@ -145,11 +166,7 @@ def _load_policy(
     return policy, label
 
 
-def _add_common_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, required=True, help="attacker hashrate")
-    parser.add_argument(
-        "--gamma", type=float, required=True, help="tie-race win fraction"
-    )
+def _add_variant_and_truncation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--variant",
         choices=[v.value for v in Variant],
@@ -159,25 +176,37 @@ def _add_common_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--T", type=int, default=DEFAULT_T, help="truncation")
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _add_common_params(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=float, required=True, help="attacker hashrate")
+    parser.add_argument(
+        "--gamma", type=float, required=True, help="tie-race win fraction"
+    )
+    _add_variant_and_truncation(parser)
+
+
+def _add_tolerances(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    parser.add_argument(
+        "--eps-prime", type=float, default=DEFAULT_EPS_PRIME, dest="eps_prime"
+    )
+
+
+def _cmd_optimize(args: argparse.Namespace) -> Outcome:
     config = OptimizeConfig(
         _params_from(args), T=args.T, eps=args.eps, eps_prime=args.eps_prime
     )
     report = find_optimal(config)
     prefix = args.out or f"optimize-a{args.alpha:g}-g{args.gamma:g}"
-    bounds_path = f"{prefix}.bounds.json"
-    policy_path = f"{prefix}.policy.json"
-    _write_json(bounds_path, report.to_json_dict())
-    _write_json(policy_path, report.policy.to_json_dict())
-    _write_manifest(prefix, "optimize", args, [bounds_path, policy_path])
-    print(
-        f"lower_bound={report.lower_bound:.6f} upper_bound={report.upper_bound:.6f}"
-    )
-    print(f"wrote {bounds_path} and {policy_path}")
-    return EXIT_OK
+    bounds_path, policy_path = f"{prefix}.bounds.json", f"{prefix}.policy.json"
+    line = f"lower_bound={report.lower_bound:.6f} upper_bound={report.upper_bound:.6f}"
+    files = {
+        bounds_path: report.to_json_dict(),
+        policy_path: report.policy.to_json_dict(),
+    }
+    return Outcome([line, f"wrote {bounds_path} and {policy_path}"], prefix, files)
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> Outcome:
     params = _params_from(args)
     policy, label = _load_policy(args.policy, args, params)
     value = evaluate_policy_exact(build_base_model(params, policy.T), policy)
@@ -191,24 +220,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "honest_rate": value.honest_rate,
         "rev": value.rev,
     }
-    print(f"rev={value.rev:.6f}")
-    if args.out:
-        _write_json(f"{args.out}.evaluate.json", result)
-        _write_manifest(args.out, "evaluate", args, [f"{args.out}.evaluate.json"])
-    return EXIT_OK
+    files = {f"{args.out}.evaluate.json": result} if args.out else {}
+    return Outcome([f"rev={value.rev:.6f}"], args.out, files)
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> Outcome:
     text = render_policy_text(_read_policy_file(args.policy), t_view=args.t_view)
     if args.out:
-        _atomic_write(args.out, text)
-        _write_manifest(args.out, "render", args, [args.out])
-    else:
-        print(text, end="")
-    return EXIT_OK
+        return Outcome([], args.out, {args.out: text})
+    return Outcome(text.splitlines())
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> Outcome:
     params = _params_from(args)
     last = args.seed + (args.replicas - 1) * args.seed_stride
     if args.replicas >= 1 and min(args.seed, last) < 0:  # seeds are linear in k
@@ -220,50 +243,34 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     policy, label = _load_policy(args.policy, args, params)
     config = SimConfig(params=params, policy=policy, rounds=args.rounds, seed=args.seed)
-    outputs: list[str] = []
     batch = simulate_batch(config, args.replicas, args.seed_stride)
     if args.replicas == 1:
         result = batch.results[0]
-        payload = result.to_json_dict()
-        payload["policy"] = label
-        print(f"rev={result.rev:.6f} stderr={result.stderr:.2e}")
-        if args.out:
-            path = f"{args.out}.sim.json"
-            _write_json(path, payload)
-            outputs.append(path)
+        line = f"rev={result.rev:.6f} stderr={result.stderr:.2e}"
+        files = {f"{args.out}.sim.json": {**result.to_json_dict(), "policy": label}}
     else:
-        print(
+        line = (
             f"mean_rev={batch.mean_rev:.6f} std_rev={batch.std_rev:.2e}"
             f" replicas={args.replicas}"
         )
-        if args.out:
-            csv_path = f"{args.out}.replicas.csv"
-            lines = ["replica,seed,rev"]
-            lines.extend(
-                f"{k},{r.seed},{r.rev:.6f}" for k, r in enumerate(batch.results)
-            )
-            _atomic_write(csv_path, "\n".join(lines) + "\n")
-            json_path = f"{args.out}.sim.json"
-            _write_json(
-                json_path,
-                {
-                    "policy": label,
-                    "mean_rev": batch.mean_rev,
-                    "std_rev": batch.std_rev,
-                    "replicas": args.replicas,
-                    "rounds": args.rounds,
-                    "seed": args.seed,
-                    "seed_stride": args.seed_stride,
-                },
-            )
-            outputs.extend([csv_path, json_path])
-    if args.out:
-        seeds = [args.seed + k * args.seed_stride for k in range(args.replicas)]
-        _write_manifest(args.out, "simulate", args, outputs, seeds=seeds)
-    return EXIT_OK
+        rows = [f"{k},{r.seed},{r.rev:.6f}" for k, r in enumerate(batch.results)]
+        files = {
+            f"{args.out}.replicas.csv": "\n".join(["replica,seed,rev", *rows]) + "\n",
+            f"{args.out}.sim.json": {
+                "policy": label,
+                "mean_rev": batch.mean_rev,
+                "std_rev": batch.std_rev,
+                "replicas": args.replicas,
+                "rounds": args.rounds,
+                "seed": args.seed,
+                "seed_stride": args.seed_stride,
+            },
+        }
+    seeds = [args.seed + k * args.seed_stride for k in range(args.replicas)]
+    return Outcome([line], args.out, files if args.out else {}, seeds)
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
+def _cmd_threshold(args: argparse.Namespace) -> Outcome:
     report = profit_threshold(
         gamma=args.gamma,
         variant=Variant(args.variant),
@@ -271,18 +278,15 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         eps=args.eps,
         alpha_tol=args.alpha_tol,
     )
-    print(
+    line = (
         f"threshold={report.threshold:.6f}"
         f" bracket=[{report.alpha_lower:.6f}, {report.alpha_upper:.6f}]"
     )
-    if args.out:
-        path = f"{args.out}.threshold.json"
-        _write_json(path, report.to_json_dict())
-        _write_manifest(args.out, "threshold", args, [path])
-    return EXIT_OK
+    files = {f"{args.out}.threshold.json": report.to_json_dict()} if args.out else {}
+    return Outcome([line], args.out, files)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     try:
         alphas = [float(x) for x in args.alphas.split(",") if x]
         gammas = [float(x) for x in args.gammas.split(",") if x]
@@ -299,33 +303,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         eps_prime=args.eps_prime,
         jobs=args.jobs,
     )
-    csv_text = format_sweep_csv(rows)
-    _atomic_write(args.out, csv_text)
-    _write_manifest(args.out, "sweep", args, [args.out])
-    failures = [row for row in rows if row.error]
-    for row in failures:
-        print(
-            f"point alpha={row.alpha} gamma={row.gamma} failed: {row.error}",
-            file=sys.stderr,
-        )
-    print(f"wrote {args.out} ({len(rows)} rows, {len(failures)} failed)")
-    return EXIT_OK
+    failures = [
+        f"point alpha={row.alpha} gamma={row.gamma} failed: {row.error}"
+        for row in rows
+        if row.error
+    ]
+    return Outcome(
+        [f"wrote {args.out} ({len(rows)} rows, {len(failures)} failed)"],
+        args.out,
+        {args.out: format_sweep_csv(rows)},
+        stderr=failures,
+    )
 
 
-def _cmd_delay(args: argparse.Namespace) -> int:
+def _cmd_delay(args: argparse.Namespace) -> Outcome:
     params = DelayParams(args.alpha, args.lam, args.d_ah, args.d_ha)
-    if not 0.0 <= args.rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1] (got {args.rho})")
     q = catchup_probability(params)
     k = min_profitable_k(params, args.rho, args.k_cap)
     gain = deviation_gain(k, q, args.rho).lower_bound if k is not None else None
     result = {"q": q, "min_k": k, "gain_at_min_k": gain}
-    print(json.dumps(result, sort_keys=True))
-    if args.out:
-        path = f"{args.out}.delay.json"
-        _write_json(path, result)
-        _write_manifest(args.out, "delay", args, [path])
-    return EXIT_OK
+    files = {f"{args.out}.delay.json": result} if args.out else {}
+    return Outcome([json.dumps(result, sort_keys=True)], args.out, files)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,10 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="revenue bounds and eps-optimal policy")
     _add_common_params(p_opt)
-    p_opt.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p_opt.add_argument(
-        "--eps-prime", type=float, default=DEFAULT_EPS_PRIME, dest="eps_prime"
-    )
+    _add_tolerances(p_opt)
     p_opt.add_argument("--out", default=None, help="output file prefix")
     p_opt.set_defaults(func=_cmd_optimize)
 
@@ -381,10 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thr = sub.add_parser("threshold", help="profit-threshold bracket")
     p_thr.add_argument("--gamma", type=float, required=True)
-    p_thr.add_argument(
-        "--variant", choices=[v.value for v in Variant], default="standard"
-    )
-    p_thr.add_argument("--T", type=int, default=DEFAULT_T)
+    _add_variant_and_truncation(p_thr)
     p_thr.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p_thr.add_argument("--alpha-tol", type=float, default=1e-3, dest="alpha_tol")
     p_thr.add_argument("--out", default=None)
@@ -393,14 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="bounds over a parameter grid, CSV out")
     p_sweep.add_argument("--alphas", required=True, help="comma-separated")
     p_sweep.add_argument("--gammas", required=True, help="comma-separated")
-    p_sweep.add_argument(
-        "--variant", choices=[v.value for v in Variant], default="standard"
-    )
-    p_sweep.add_argument("--T", type=int, default=DEFAULT_T)
-    p_sweep.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p_sweep.add_argument(
-        "--eps-prime", type=float, default=DEFAULT_EPS_PRIME, dest="eps_prime"
-    )
+    _add_variant_and_truncation(p_sweep)
+    _add_tolerances(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -418,23 +404,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(message: str, code: int, json_errors: bool) -> int:
-    if json_errors:
-        print(json.dumps({"error": message, "code": code}), file=sys.stderr)
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; write its files, all or none, then print."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SolverError as exc:
-        return _emit_error(str(exc), EXIT_NUMERIC_ERROR, args.json_errors)
-    except ValueError as exc:
-        return _emit_error(str(exc), EXIT_FLAG_ERROR, args.json_errors)
+        outcome = args.func(args)
+        if outcome.files:
+            manifest = {f"{outcome.prefix}.manifest.json": _manifest(args, outcome)}
+            _write_files({**outcome.files, **manifest})
+    except (SolverError, ValueError) as exc:
+        code = EXIT_NUMERIC_ERROR if isinstance(exc, SolverError) else EXIT_FLAG_ERROR
+        if args.json_errors:
+            print(json.dumps({"error": str(exc), "code": code}), file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
+    for line in outcome.stderr:
+        print(line, file=sys.stderr)
+    for line in outcome.stdout:
+        print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -86,6 +86,8 @@ def min_profitable_k(
 ) -> int | None:
     """Smallest k with (k+1)*q - rho > 0, or None when no k up to k_cap
     qualifies (possible only as q approaches 0)."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be in [0, 1] (got {rho})")
     if k_cap < 1:
         raise ValueError(f"k_cap must be >= 1 (got {k_cap})")
     q = catchup_probability(params)

@@ -250,12 +250,14 @@ def policy_iteration(
     Each step is one :func:`evaluate_gain` and one Bellman application; the
     improved policy keeps the current action unless another is strictly
     better, and is the policy returned at the end.  Raises
-    :class:`SolverError` when a step improves nothing while the span is
-    still above ``eps``, or after ``max_iters`` steps.
+    :class:`SolverError` when the improved policy was already evaluated
+    (nothing improved, or actions tied up to round-off alternate) while the
+    span is still above ``eps``, or after ``max_iters`` steps.
     """
     masked_rewards = np.where(feasible, rewards, -np.inf)
     states = np.arange(rewards.shape[1])
     span = np.inf
+    evaluated: set[bytes] = set()
     for step in range(1, max_iters + 1):
         _, values = evaluate_gain(feasible, transition, rewards, reference, actions)
         q, _, low, high = _bellman(masked_rewards, transition, values)
@@ -272,10 +274,11 @@ def policy_iteration(
                 values=values,
                 evaluations=step,
             )
-        if not better.any():
+        evaluated.add(actions.astype(np.int8).tobytes())
+        if improved.tobytes() in evaluated:
             raise SolverError(
                 f"policy iteration stalled at span {span:.3e} > {eps:.3e}:"
-                " no action is strictly better",
+                " no action is strictly better beyond round-off",
                 span=float(span),
                 iterations=step,
             )

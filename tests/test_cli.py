@@ -174,6 +174,9 @@ class TestRenderCommand:
     def test_missing_file(self, workdir, capsys):
         rc = main(["render", "--policy", "nope.json"])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nope.json" in err
 
     @pytest.mark.parametrize("t_view", ["-1", "9"])
     def test_t_view_outside_grid_exits_2(self, workdir, capsys, t_view):
@@ -337,6 +340,18 @@ class TestThresholdCommand:
         assert report["alpha_lower"] <= 0.05
         assert report["threshold"] == report["alpha_lower"]
 
+    def test_eps_below_round_off_is_numeric_failure(self, workdir, capsys):
+        """At gamma = 1 two actions tie up to round-off, and policy iteration
+        toward a tolerance below it would alternate between two policies
+        without end: it stops at the first repeat, exit 3."""
+        rc = main(
+            ["threshold", "--gamma", "1", "--T", "8", "--eps", "1e-300",
+             "--alpha-tol", "0.1", "--out", "thr"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: policy iteration stalled") and err.count("\n") == 1
+        assert os.listdir(workdir) == []
 
     @pytest.mark.parametrize("tol", ["0.5", "0.7"])
     def test_alpha_tol_checked(self, workdir, capsys, tol):
@@ -497,6 +512,44 @@ def test_truncation_past_memory_exits_2(workdir, capsys, monkeypatch, argv):
     assert os.listdir(".") == []
 
 
+SMALL_SOLVE = ["--T", "5", "--eps", "1e-3", "--eps-prime", "1e-3"]
+
+
+@pytest.mark.parametrize(
+    "argv,directory,named",
+    [
+        (["evaluate", "--alpha", "0.3", "--gamma", "0", "--T", "5",
+          "--policy", "adir", "--out", "run"], "adir", "'adir'"),
+        (["render", "--policy", "adir", "--out", "run"], "adir", "'adir'"),
+        (["sweep", "--alphas", "0.3", "--gammas", "0", *SMALL_SOLVE, "--out", ""],
+         "adir", "''"),
+        (["sweep", "--alphas", "0.3", "--gammas", "0", *SMALL_SOLVE, "--out", "adir"],
+         "adir", "'adir'"),
+        (["optimize", "--alpha", "0.3", "--gamma", "0", *SMALL_SOLVE,
+          "--out", "missing/x"], "adir", "'missing/x.bounds.json'"),
+        (["optimize", "--alpha", "0.3", "--gamma", "0", *SMALL_SOLVE,
+          "--out", "run"], "run.manifest.json", "'run.manifest.json'"),
+    ],
+    ids=["evaluate-dir", "render-dir", "sweep-empty", "sweep-dir", "optimize-missing",
+         "optimize-manifest-dir"],
+)
+def test_refused_path_exits_2(tmp_path, monkeypatch, capsys, argv, directory, named):
+    """An unreadable --policy or an unwritable --out exits 2 with one error
+    line naming the path.  No data file, manifest or temporary file is left
+    in the working directory or its parent, even when only the manifest,
+    written last, is refused."""
+    work = tmp_path / "work"
+    (work / directory).mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert os.listdir(tmp_path) == ["work"]
+    assert os.listdir(work) == [directory] and os.listdir(work / directory) == []
+
+
 class TestDelayCommand:
     def test_output_unchanged(self, workdir, capsys):
         """stdout and data file of one fixed argument set, byte for byte."""
@@ -547,7 +600,7 @@ class TestDelayCommand:
 ODD_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "x", ""]
 OWN_ODD_VALUES = {
     "--T": ["1", "100000"],  # 100000 is past the patched memory
-    "--policy": ["missing.json"],
+    "--policy": ["missing.json", "DIR"],
     "--t-view": ["9"],
     "--alphas": ["0.3,nan", ",", "0.6"],
     "--gammas": ["2", "0,-1"],
@@ -608,19 +661,21 @@ def _strict_json(path):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(data=st.data())
 def test_exit_contract(subcommand, data):
-    """Any argument vector, up to two of its flags given odd values: exit
-    0, 2 or 3 without a traceback, no data file after a failure, strict JSON
-    and well-formed CSV after a success.
-    Run in process with physical memory patched to room for T = 8, so that
-    a larger T is refused before anything is allocated; no process is
-    started (--jobs is 1)."""
+    """Any argument vector, up to two of its flags given odd values and
+    --out a regular prefix, empty, a directory or under a missing directory:
+    exit 0, 2 or 3 without a traceback, no data file after a failure, no
+    temporary file left, strict JSON and well-formed CSV after a success.
+    Run in process, in an empty working directory, with physical memory
+    patched to room for T = 8, so that a larger T is refused before anything
+    is allocated; no process is started (--jobs is 1)."""
     with tempfile.TemporaryDirectory() as root:
         policy_path = os.path.join(root, "policy.json")
         params = model.MiningParams(0.3, 0.0)
         with open(policy_path, "w") as handle:
             json.dump(model.builtin_policy("sm1", 8, params).to_json_dict(), handle)
         work = os.path.join(root, "work")
-        os.mkdir(work)
+        directory = os.path.join(work, "adir")
+        os.makedirs(directory)
         argv = ["--json-errors"] if data.draw(st.booleans(), "json errors") else []
         argv.append(subcommand)
         flags = CONTRACT_FLAGS[subcommand]
@@ -633,24 +688,34 @@ def test_exit_contract(subcommand, data):
                 values = st.none() | values
             value = data.draw(values, flag)
             if value is not None:
-                argv.append(f"{flag}={value.replace('POLICY', policy_path)}")
+                value = value.replace("POLICY", policy_path)
+                argv.append(f"{flag}={value.replace('DIR', directory)}")
         if subcommand in ("evaluate", "simulate") and data.draw(st.booleans(), "force"):
             argv.append("--force")
-        out = "run.csv" if subcommand == "sweep" else "run"
-        argv.append(f"--out={os.path.join(work, out)}")
+        regular = os.path.join(work, "run.csv" if subcommand == "sweep" else "run")
+        odd_outs = ["", directory, os.path.join(work, "missing", "x")]
+        out = data.draw(st.just(regular) | st.sampled_from(odd_outs), "--out")
+        argv.append(f"--out={out}")
 
         room = 3 * 9**2 * model.BYTES_PER_STATE
         stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(work)
         with mock.patch.object(model, "physical_memory", lambda: room):
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
                     code = main(argv)
                 except SystemExit as exc:  # argparse refuses the vector
                     code = exc.code
+                finally:
+                    os.chdir(cwd)
         err = stderr.getvalue()
         assert code in (0, 2, 3), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
-        written = sorted(os.listdir(work))
+        assert os.listdir(directory) == [], argv
+        assert sorted(os.listdir(root)) == ["policy.json", "work"], argv
+        written = sorted(set(os.listdir(work)) - {"adir"})
+        assert not any(name.startswith(".tmp-") for name in written), (argv, written)
         if code != 0:
             assert written == [], (argv, written)
             if "--json-errors" in argv and "error:" not in err:

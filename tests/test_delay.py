@@ -109,6 +109,12 @@ class TestMinProfitableK:
     def test_no_hashrate_never_profits(self):
         assert min_profitable_k(DelayParams(0.0, 1.0, 0.0, 0.0), rho=0.3) is None
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.0])  # q > 0 and q = 0
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, -0.1, 1.5])
+    def test_rho_outside_unit_interval_refused(self, alpha, rho):
+        with pytest.raises(ValueError, match=r"rho must be in \[0, 1\]"):
+            min_profitable_k(DelayParams(alpha, 1.0, 0.0, 0.0), rho)
+
     def test_cap_respected(self):
         params = DelayParams(0.01, 1.0, 40.0, 40.0)  # q astronomically small
         assert min_profitable_k(params, rho=0.9, k_cap=100) is None

@@ -1,0 +1,97 @@
+"""Byte-for-byte comparison of the CLI's outputs between two checkouts.
+
+    python3 tools/byte_identity.py --before ../parent --after .
+
+Runs a fixed command set with each checkout's ``src/``, in a fresh temporary
+directory per checkout, one fresh interpreter per command, the commands in
+order (``evaluate`` and ``render`` read the policy ``optimize`` wrote).  For
+every command it compares the exit status, standard output and every data
+file the command created, byte for byte; manifests carry a timestamp and
+are left out.  Prints one verdict line per command and exits 1 if any
+command differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = [
+    ["optimize", "--alpha", "0.4", "--gamma", "0", "--T", "40", "--out", "opt"],
+    ["optimize", "--alpha", "0.3", "--gamma", "0.5", "--T", "8"],
+    ["evaluate", "--policy", "opt.policy.json", "--alpha", "0.4", "--gamma", "0",
+     "--out", "ev"],
+    ["evaluate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "75",
+     "--out", "sm1"],
+    ["simulate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "75",
+     "--rounds", "200000", "--seed", "12345", "--out", "single"],
+    ["simulate", "--policy", "sm1", "--alpha", "0.35", "--gamma", "0.5", "--T", "75",
+     "--rounds", "20000", "--replicas", "100", "--seed", "777", "--out", "batch"],
+    ["simulate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "10",
+     "--rounds", "1", "--seed", "3", "--out", "null"],
+    ["threshold", "--gamma", "0.5", "--T", "16", "--out", "thr"],
+    ["sweep", "--alphas", "0.3,0.4", "--gammas", "0,0.5", "--T", "12",
+     "--out", "sweep.csv"],
+    ["render", "--policy", "opt.policy.json"],
+    ["render", "--policy", "opt.policy.json", "--out", "grid.txt"],
+    ["delay", "--alpha", "0.3", "--lambda", "2.5", "--d-ah", "0.4", "--d-ha", "0.1",
+     "--rho", "0.35", "--out", "delay"],
+]
+
+
+def run_all(checkout: Path, work: Path) -> list[tuple[int, bytes, dict[str, bytes]]]:
+    """Each command's exit status, standard output and new data files."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    results = []
+    for argv in COMMANDS:
+        before = set(os.listdir(work))
+        done = subprocess.run(
+            [sys.executable, "-m", "selfish_mining.cli", *argv],
+            cwd=work, env=env, capture_output=True,
+        )
+        created = sorted(set(os.listdir(work)) - before)
+        files = {
+            name: (work / name).read_bytes()
+            for name in created
+            if not name.endswith(".manifest.json")
+        }
+        results.append((done.returncode, done.stdout, files))
+    return results
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--after", type=Path, required=True, help="changed checkout")
+    args = parser.parse_args(argv)
+
+    sides = []
+    for checkout in (args.before, args.after):
+        with tempfile.TemporaryDirectory() as work:
+            sides.append(run_all(checkout.resolve(), Path(work)))
+    differing = 0
+    for argv, old, new in zip(COMMANDS, *sides):
+        (old_code, old_out, old_files), (new_code, new_out, new_files) = old, new
+        problems = []
+        if old_code != new_code:
+            problems.append(f"exit {old_code} -> {new_code}")
+        if old_out != new_out:
+            problems.append("stdout")
+        problems.extend(
+            name
+            for name in sorted(old_files.keys() | new_files.keys())
+            if old_files.get(name) != new_files.get(name)
+        )
+        files = ", ".join(sorted(new_files)) or "stdout only"
+        verdict = f"DIFFERS in {', '.join(problems)}" if problems else "identical"
+        print(f"{verdict}: {' '.join(argv)} -> {files}")
+        differing += bool(problems)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
