@@ -1,12 +1,21 @@
 """Builders that turn the block-race rules into solvable models.
 
 The rules are computed once, over the whole grid, by :func:`transition_table`:
-for every (action, state) pair it gives each branch's next state,
+for every (action, state) pair it gives each branch's next state, kind,
 probability and block rewards, with the feasibility of the pair.  The model's
 transition operator and expected rewards, the simulator's step tables, the
 model validation and the text dump are all read from that table.  Every
 per-(action, state) quantity of a built model shares one row layout: row
 ``action*n + state``, the (actions, n) arrays flattened in C order.
+
+A branch's probability is one of five weights of its kind (the attacker's
+block, a race won or lost by the honest block, a plain honest block, or no
+branch), so at a fixed T, gamma and variant everything but those weights,
+the live branches included, is the same for every alpha in (0, 0.5).
+:func:`model_structure` builds that part once, with the sparse pattern of
+the operator; :meth:`ModelStructure.weigh` turns it into the model at any
+such alpha, and :func:`build_base_model` is the structure weighed at its
+own alpha.
 
 The built model keeps two-component block rewards untransformed.  The scalar
 reward used by the average-reward solver, ``(1-rho)*attacker - rho*honest``,
@@ -88,18 +97,32 @@ class MiningModel:
         return initial_states(self.T)[0]
 
 
+# Branch kinds, each weighed by one entry of :func:`branch_weights`.
+ATTACKER_BLOCK, RACE_WON, RACE_LOST, HONEST_BLOCK, NO_BRANCH = range(5)
+
+
+def branch_weights(params: MiningParams) -> np.ndarray:
+    """The probability of each branch kind: ``alpha``, ``win*(1-alpha)``,
+    ``(1-win)*(1-alpha)``, ``1-alpha`` and 0, where ``win`` is the chance
+    that the honest block of a race extends the attacker's branch."""
+    alpha, win, lost = params.alpha, params.race_win_prob, 1 - params.alpha
+    return np.array([alpha, win * lost, (1 - win) * lost, lost, 0.0])
+
+
 class TransitionTable(NamedTuple):
     """The block-race rules for every (action, state) pair of a grid,
     indexed ``[action, state, branch]``.
 
     Branches come in a fixed order: the attacker block, then the honest
     block (race won, then race lost, where ``race`` is set).  A pair
-    without a race has two branches; its third repeats the second with
-    probability zero.  Infeasible pairs, including every action but adopt at
-    the truncation boundary, hold zeros.
+    without a race has two branches; its third repeats the second as kind
+    ``NO_BRANCH``, at probability zero.  Infeasible pairs, including every
+    action but adopt at the truncation boundary, hold zeros and
+    ``NO_BRANCH``.  ``probability`` is ``branch_weights(params)[kind]``.
     """
 
     next_state: np.ndarray  # (actions, n, 3) grid index
+    kind: np.ndarray  # (actions, n, 3) branch kind
     probability: np.ndarray  # (actions, n, 3)
     attacker: np.ndarray  # (actions, n, 3) attacker blocks accepted
     honest: np.ndarray  # (actions, n, 3) honest blocks accepted
@@ -120,7 +143,6 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     Truncation-boundary states keep adopt alone.
     """
     a, h, fork = grid_coordinates(T)
-    alpha, win, lost = params.alpha, params.race_win_prob, 1 - params.alpha
     interior = np.maximum(a, h) < T
     late_match = params.variant is Variant.UNIFORM_TIE_BREAK
     can_match = (fork == Fork.RELEVANT) | ((fork == Fork.IRRELEVANT) & late_match)
@@ -129,33 +151,43 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     never = np.zeros_like(interior)
     race = np.stack([never, never, match_ok, interior & (fork == Fork.ACTIVE) & (a >= h)])
 
-    # (next a, next h, next fork, attacker blocks, honest blocks, probability)
+    # (next a, next h, next fork, attacker blocks, honest blocks, kind)
     irr, rel, act = Fork.IRRELEVANT, Fork.RELEVANT, Fork.ACTIVE
     lead = a - h
     racing = [
-        (a + 1, h, act, 0, 0, alpha),
-        (lead, 1, rel, h, 0, win * lost),
-        (a, h + 1, rel, 0, 0, (1 - win) * lost),
+        (a + 1, h, act, 0, 0, ATTACKER_BLOCK),
+        (lead, 1, rel, h, 0, RACE_WON),
+        (a, h + 1, rel, 0, 0, RACE_LOST),
     ]
     two_branch = [
-        ((1, 0, irr, 0, h, alpha), (0, 1, irr, 0, h, lost)),  # adopt
-        ((lead, 0, irr, h + 1, 0, alpha), (lead - 1, 1, rel, h + 1, 0, lost)),
+        ((1, 0, irr, 0, h, ATTACKER_BLOCK), (0, 1, irr, 0, h, HONEST_BLOCK)),  # adopt
+        (  # override
+            (lead, 0, irr, h + 1, 0, ATTACKER_BLOCK),
+            (lead - 1, 1, rel, h + 1, 0, HONEST_BLOCK),
+        ),
         racing[:2],  # match always races
-        ((a + 1, h, irr, 0, 0, alpha), (a, h + 1, rel, 0, 0, lost)),  # wait
+        (  # wait
+            (a + 1, h, irr, 0, 0, ATTACKER_BLOCK),
+            (a, h + 1, rel, 0, 0, HONEST_BLOCK),
+        ),
     ]
-    # without a race the third branch repeats the second at probability 0
-    plain = [[first, second, second[:5] + (0.0,)] for first, second in two_branch]
+    # without a race the third branch repeats the second as no branch
+    plain = [[first, second, second[:5] + (NO_BRANCH,)] for first, second in two_branch]
     shape = (len(Action), len(a), 3)
-    columns = [np.zeros(shape, np.int32) for _ in range(5)] + [np.zeros(shape)]
+    columns = [np.zeros(shape, np.int32) for _ in range(5)] + [np.zeros(shape, np.int8)]
     for action in Action:
         for branch in range(3):
             for column, r, p in zip(columns, racing[branch], plain[action][branch]):
                 column[action, :, branch] = np.where(race[action], r, p)
-    na, nh, nf, attacker, honest, probability = columns
+    na, nh, nf, attacker, honest, kind = columns
     next_state = nf + 3 * (nh + (T + 1) * na)
-    for column in (next_state, probability, attacker, honest):
+    for column in (next_state, attacker, honest):
         column[~feasible] = 0
-    return TransitionTable(next_state, probability, attacker, honest, feasible, race)
+    kind[~feasible] = NO_BRANCH
+    probability = branch_weights(params)[kind]
+    return TransitionTable(
+        next_state, kind, probability, attacker, honest, feasible, race
+    )
 
 
 def forward_closure(source: np.ndarray, target: np.ndarray, T: int) -> np.ndarray:
@@ -193,33 +225,100 @@ def check_feasible(
         )
 
 
-def build_base_model(params: MiningParams, T: int) -> MiningModel:
-    """Realize the transition rules on the {0..T}^2 grid.
+@dataclass(frozen=True, eq=False)
+class ModelStructure:
+    """A built model without its branch probabilities: the parts of the
+    transition table of ``params`` that :meth:`weigh` reads, in the smallest
+    dtypes that hold them, and the CSR pattern of the stacked operator.  Its
+    live branches (probability > 0) are the same for every alpha in
+    (0, 0.5) at its T, gamma and variant.  ``live_kind`` holds the kind of
+    each live branch, in C order over ``[action, state, branch]``, and
+    ``slot`` its position in the operator's data; the two branches of a
+    race that land on one state share a slot."""
+
+    params: MiningParams
+    T: int
+    feasible: np.ndarray  # (actions, n) bool
+    kind: np.ndarray  # (actions, n, 3) branch kind
+    attacker: np.ndarray  # (actions, n, 3) attacker blocks accepted
+    honest: np.ndarray  # (actions, n, 3) honest blocks accepted
+    live_kind: np.ndarray  # (live branches,) branch kind
+    slot: np.ndarray  # (live branches,) operator data position
+    indices: np.ndarray  # CSR column indices of the operator
+    indptr: np.ndarray  # CSR row pointers of the operator
+    boundary: np.ndarray  # (n,) bool, truncation-boundary states
+
+    def weigh(self, alpha: float) -> MiningModel:
+        """The base model at hashrate ``alpha``: the operator's data is the
+        branch weights summed onto the fixed pattern, and the expected block
+        rewards their products with the blocks of each branch."""
+        params = replace(self.params, alpha=alpha)
+        weights = branch_weights(params)
+        n = len(self.boundary)
+        data = np.bincount(
+            self.slot, weights=weights[self.live_kind], minlength=len(self.indices)
+        )
+        transition = sparse.csr_matrix(
+            (data, self.indices, self.indptr), shape=(len(Action) * n, n)
+        )
+        p = weights[self.kind]
+        return MiningModel(
+            params=params,
+            T=self.T,
+            feasible=self.feasible,
+            transition=transition,
+            exp_attacker=sum(p[..., b] * self.attacker[..., b] for b in range(3)),
+            exp_honest=sum(p[..., b] * self.honest[..., b] for b in range(3)),
+            boundary=self.boundary,
+        )
+
+
+def model_structure(params: MiningParams, T: int) -> ModelStructure:
+    """The structure of the base models at ``params``'s gamma and variant on
+    the {0..T}^2 grid.
 
     Interior states get every feasible action; boundary states keep a single
     terminal action with adopt's transition distribution and adopt's reward
     (the boundary mode of :func:`build_truncated` decides its scalar value).
+    Live branches are sorted into the operator's row-major order by a stable
+    sort of their (row, column) keys; branches with equal keys share a slot.
+    Block counts, at most T + 1, are kept in the smallest unsigned dtype
+    that holds that, which converts to float exactly.
     """
     table = transition_table(params, T)
     n = num_states(T)
-    live = np.nonzero(table.probability > 0.0)
-    transition = sparse.coo_matrix(
-        (table.probability[live], (live[0] * n + live[1], table.next_state[live])),
-        shape=(len(Action) * n, n),
-    ).tocsr()
-    p = table.probability
-    exp_attacker = sum(p[..., b] * table.attacker[..., b] for b in range(3))
-    exp_honest = sum(p[..., b] * table.honest[..., b] for b in range(3))
+    live = np.flatnonzero(table.probability > 0.0)  # (action*n + state)*3 + branch
+    keys = live // 3  # operator row
+    keys *= n
+    keys += table.next_state.ravel()[live]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])
+    slot = np.empty(len(keys), dtype=np.int32)
+    slot[order] = np.cumsum(first, dtype=np.int32) - 1
+    keys = keys[first]
+    counts = np.bincount(keys // n, minlength=len(Action) * n)
+    blocks = np.min_scalar_type(T + 1)
     a, h, _fork = grid_coordinates(T)
-    return MiningModel(
+    return ModelStructure(
         params=params,
         T=T,
         feasible=table.feasible,
-        transition=transition,
-        exp_attacker=exp_attacker,
-        exp_honest=exp_honest,
+        kind=table.kind,
+        attacker=table.attacker.astype(blocks),
+        honest=table.honest.astype(blocks),
+        live_kind=table.kind.ravel()[live],
+        slot=slot,
+        indices=(keys % n).astype(np.int32),
+        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
         boundary=np.maximum(a, h) == T,
     )
+
+
+def build_base_model(params: MiningParams, T: int) -> MiningModel:
+    """Realize the transition rules on the {0..T}^2 grid at ``params``: the
+    structure of :func:`model_structure` weighed at its own alpha."""
+    return model_structure(params, T).weigh(params.alpha)
 
 
 def build_honest_disabled(model: MiningModel, variant: ThresholdVariant) -> MiningModel:

@@ -3,19 +3,22 @@ render, delay.
 
 Each subcommand returns what it produced and ``main`` writes it: the data
 files, then a ``<prefix>.manifest.json`` echoing the full parameter set, tool
-version, timestamp, seeds and output paths.  Data files carry no timestamps,
-so re-running with fixed flags and seeds reproduces them byte for byte.  Exit
-codes: 0 on success, 2 for flag or validation errors, an unreadable
-``--policy`` or an unwritable ``--out``, 3 for numeric failures."""
+version, timestamp, seeds and output paths.  The file names follow from the
+flags alone, so ``main`` refuses an unwritable ``--out`` before any
+computation.  Files are created with the permissions the umask leaves of
+0666.  Data files carry no timestamps, so re-running with fixed flags and
+seeds reproduces them byte for byte.  Exit codes: 0 on success, 2 for flag or
+validation errors, an unreadable ``--policy`` or an unwritable ``--out``, 3
+for numeric failures."""
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Sequence
@@ -48,16 +51,26 @@ EXIT_OK = 0
 EXIT_FLAG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
+# Data files of each subcommand, as suffixes of its output prefix.
+OUTPUT_SUFFIXES = {
+    "optimize": (".bounds.json", ".policy.json"),
+    "evaluate": (".evaluate.json",),
+    "render": ("",),
+    "simulate": (".sim.json",),
+    "threshold": (".threshold.json",),
+    "sweep": ("",),
+    "delay": (".delay.json",),
+}
+
 
 @dataclass(frozen=True)
 class Outcome:
-    """What a subcommand produced.  ``files`` maps each data path, in write
-    order, to its text, or to data written as strict JSON; ``prefix`` names
-    the manifest written with them."""
+    """What a subcommand produced.  ``data`` holds the contents of its
+    :func:`_data_paths`, in order: text as given, or data written as strict
+    JSON; ``main`` writes them only where the flags name files."""
 
     stdout: list[str]
-    prefix: str | None = None
-    files: dict[str, object] = field(default_factory=dict)
+    data: list[object] = field(default_factory=list)
     seeds: list[int] = field(default_factory=list)
     stderr: list[str] = field(default_factory=list)
 
@@ -85,7 +98,7 @@ def _json_text(data) -> str:
     return text + "\n"
 
 
-def _manifest(args: argparse.Namespace, outcome: Outcome) -> dict:
+def _manifest(args: argparse.Namespace, outputs: list[str], seeds: list[int]) -> dict:
     echo = {
         key: (value.value if isinstance(value, Variant) else value)
         for key, value in sorted(vars(args).items())
@@ -96,9 +109,55 @@ def _manifest(args: argparse.Namespace, outcome: Outcome) -> dict:
         "parameters": echo,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": sorted(outcome.files),
-        "seeds": outcome.seeds,
+        "outputs": sorted(outputs),
+        "seeds": seeds,
     }
+
+
+def _prefix(args: argparse.Namespace) -> str | None:
+    """The output prefix: ``optimize`` names one when ``--out`` is not
+    given and ``sweep`` writes even an empty one; the other subcommands
+    write nothing without a nonempty ``--out``."""
+    if args.subcommand == "optimize":
+        return args.out or f"optimize-a{args.alpha:g}-g{args.gamma:g}"
+    if args.subcommand == "sweep":
+        return args.out
+    return args.out or None
+
+
+def _data_paths(args: argparse.Namespace) -> list[str]:
+    """The data files a subcommand writes, in write order, from its flags
+    alone."""
+    prefix = _prefix(args)
+    if prefix is None:
+        return []
+    suffixes = OUTPUT_SUFFIXES[args.subcommand]
+    if args.subcommand == "simulate" and args.replicas != 1:
+        suffixes = (".replicas.csv", *suffixes)
+    return [prefix + suffix for suffix in suffixes]
+
+
+def _open_beside(path: str) -> tuple[int, str]:
+    """A new temporary file in ``path``'s directory, open for writing, with
+    the permissions the umask leaves of 0666.  Raises ``OSError`` where
+    ``path`` cannot be renamed onto: an empty path, or a directory."""
+    if not path or os.path.isdir(path):
+        code = errno.EISDIR if path else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
+    return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+
+
+def _check_writable(paths: list[str]) -> None:
+    """Refuse, before any computation, what :func:`_write_files` would: a
+    ``ValueError`` names the first path that cannot be written."""
+    for path in paths:
+        try:
+            fd, tmp = _open_beside(path)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path!r}: {exc.strerror}") from exc
+        os.close(fd)
+        os.unlink(tmp)
 
 
 def _write_files(files: dict[str, object]) -> None:
@@ -110,9 +169,7 @@ def _write_files(files: dict[str, object]) -> None:
     placed: list[str] = []
     try:
         for path, data in files.items():
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part"
-            )
+            fd, tmp = _open_beside(path)
             staged[tmp] = path
             with os.fdopen(fd, "w") as handle:
                 handle.write(data if isinstance(data, str) else _json_text(data))
@@ -196,14 +253,12 @@ def _cmd_optimize(args: argparse.Namespace) -> Outcome:
         _params_from(args), T=args.T, eps=args.eps, eps_prime=args.eps_prime
     )
     report = find_optimal(config)
-    prefix = args.out or f"optimize-a{args.alpha:g}-g{args.gamma:g}"
-    bounds_path, policy_path = f"{prefix}.bounds.json", f"{prefix}.policy.json"
+    bounds_path, policy_path = _data_paths(args)
     line = f"lower_bound={report.lower_bound:.6f} upper_bound={report.upper_bound:.6f}"
-    files = {
-        bounds_path: report.to_json_dict(),
-        policy_path: report.policy.to_json_dict(),
-    }
-    return Outcome([line, f"wrote {bounds_path} and {policy_path}"], prefix, files)
+    return Outcome(
+        [line, f"wrote {bounds_path} and {policy_path}"],
+        [report.to_json_dict(), report.policy.to_json_dict()],
+    )
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> Outcome:
@@ -220,15 +275,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> Outcome:
         "honest_rate": value.honest_rate,
         "rev": value.rev,
     }
-    files = {f"{args.out}.evaluate.json": result} if args.out else {}
-    return Outcome([f"rev={value.rev:.6f}"], args.out, files)
+    return Outcome([f"rev={value.rev:.6f}"], [result])
 
 
 def _cmd_render(args: argparse.Namespace) -> Outcome:
     text = render_policy_text(_read_policy_file(args.policy), t_view=args.t_view)
-    if args.out:
-        return Outcome([], args.out, {args.out: text})
-    return Outcome(text.splitlines())
+    return Outcome([] if args.out else text.splitlines(), [text])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Outcome:
@@ -247,16 +299,16 @@ def _cmd_simulate(args: argparse.Namespace) -> Outcome:
     if args.replicas == 1:
         result = batch.results[0]
         line = f"rev={result.rev:.6f} stderr={result.stderr:.2e}"
-        files = {f"{args.out}.sim.json": {**result.to_json_dict(), "policy": label}}
+        data = [{**result.to_json_dict(), "policy": label}]
     else:
         line = (
             f"mean_rev={batch.mean_rev:.6f} std_rev={batch.std_rev:.2e}"
             f" replicas={args.replicas}"
         )
         rows = [f"{k},{r.seed},{r.rev:.6f}" for k, r in enumerate(batch.results)]
-        files = {
-            f"{args.out}.replicas.csv": "\n".join(["replica,seed,rev", *rows]) + "\n",
-            f"{args.out}.sim.json": {
+        data = [
+            "\n".join(["replica,seed,rev", *rows]) + "\n",
+            {
                 "policy": label,
                 "mean_rev": batch.mean_rev,
                 "std_rev": batch.std_rev,
@@ -265,9 +317,9 @@ def _cmd_simulate(args: argparse.Namespace) -> Outcome:
                 "seed": args.seed,
                 "seed_stride": args.seed_stride,
             },
-        }
+        ]
     seeds = [args.seed + k * args.seed_stride for k in range(args.replicas)]
-    return Outcome([line], args.out, files if args.out else {}, seeds)
+    return Outcome([line], data, seeds)
 
 
 def _cmd_threshold(args: argparse.Namespace) -> Outcome:
@@ -282,8 +334,7 @@ def _cmd_threshold(args: argparse.Namespace) -> Outcome:
         f"threshold={report.threshold:.6f}"
         f" bracket=[{report.alpha_lower:.6f}, {report.alpha_upper:.6f}]"
     )
-    files = {f"{args.out}.threshold.json": report.to_json_dict()} if args.out else {}
-    return Outcome([line], args.out, files)
+    return Outcome([line], [report.to_json_dict()])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Outcome:
@@ -310,8 +361,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     ]
     return Outcome(
         [f"wrote {args.out} ({len(rows)} rows, {len(failures)} failed)"],
-        args.out,
-        {args.out: format_sweep_csv(rows)},
+        [format_sweep_csv(rows)],
         stderr=failures,
     )
 
@@ -322,8 +372,7 @@ def _cmd_delay(args: argparse.Namespace) -> Outcome:
     k = min_profitable_k(params, args.rho, args.k_cap)
     gain = deviation_gain(k, q, args.rho).lower_bound if k is not None else None
     result = {"q": q, "min_k": k, "gain_at_min_k": gain}
-    files = {f"{args.out}.delay.json": result} if args.out else {}
-    return Outcome([json.dumps(result, sort_keys=True)], args.out, files)
+    return Outcome([json.dumps(result, sort_keys=True)], [result])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,10 +458,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        paths = _data_paths(args)
+        manifest = f"{_prefix(args)}.manifest.json"
+        _check_writable([*paths, manifest] if paths else [])
         outcome = args.func(args)
-        if outcome.files:
-            manifest = {f"{outcome.prefix}.manifest.json": _manifest(args, outcome)}
-            _write_files({**outcome.files, **manifest})
+        if paths:
+            files = dict(zip(paths, outcome.data))
+            files[manifest] = _manifest(args, paths, outcome.seeds)
+            _write_files(files)
     except (SolverError, ValueError) as exc:
         code = EXIT_NUMERIC_ERROR if isinstance(exc, SolverError) else EXIT_FLAG_ERROR
         if args.json_errors:

@@ -19,17 +19,17 @@ policy greedily, keeping the current action unless another is strictly
 better.  Either way the gain is bracketed by the extremes of the Bellman
 residual ``Bellman(V) - V``, which hold for any value vector, so the reported
 span is a certified bound on the gain error.  The same bracket lets
-:func:`gain_below` settle whether a gain lies below a bound in a few warm
-sweeps, without solving for it.  Identical inputs produce
-bit-identical results: iteration order is fixed, value iteration breaks
-argmax ties toward the lowest action ordinal, and policy iteration keeps the
-current action on ties.
+:func:`gain_below` decide whether a gain lies below a bound at the first
+sweep whose bracket excludes it, often long before the span is small.
+Identical inputs produce bit-identical results: iteration order is fixed,
+value iteration breaks argmax ties toward the lowest action ordinal, and
+policy iteration keeps the current action on ties.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -72,6 +72,7 @@ class RviResult:
     iterations: int  # Bellman applications
     span: float  # final residual span; bounds the gain error
     values: np.ndarray  # final relative values (reference state pinned to 0)
+    bracket: tuple[float, float]  # final residual (min, max); holds the gain
     evaluations: int = 0  # exact policy evaluations
 
 
@@ -82,6 +83,7 @@ class SolveResult:
     iterations: int
     span: float
     values: np.ndarray
+    bracket: tuple[float, float]
     evaluations: int
 
 
@@ -119,6 +121,7 @@ def relative_value_iteration(
     eps: float,
     max_iters: int = 1_000_000,
     initial_values: np.ndarray | None = None,
+    bound: float = np.nan,
 ) -> RviResult:
     """Damped relative value iteration on a finite average-reward MDP given
     its stacked operator.
@@ -127,8 +130,10 @@ def relative_value_iteration(
     (num_actions * n, n) operator whose row ``action*n + state`` is that
     pair's next-state distribution (rows of infeasible pairs are ignored), so
     a sweep is one sparse matrix-vector product.  Stops at the first sweep
-    whose span is at most ``eps``, or after ``max_iters`` sweeps with that
-    sweep's greedy policy and span; the result's span tells which.
+    whose span is at most ``eps`` or whose residual bracket lies wholly on
+    one side of ``bound`` (never, for the default NaN), or after
+    ``max_iters`` sweeps with that sweep's greedy policy and bracket; the
+    result's span and bracket tell which.
     """
     if eps <= 0:
         raise ValueError(f"solver tolerance must be positive (got {eps})")
@@ -144,13 +149,15 @@ def relative_value_iteration(
     masked_rewards = np.where(feasible, rewards, -np.inf)
     sweeps = _damped_sweeps(masked_rewards, transition, reference, values)
     for iteration, (q, low, high, values) in enumerate(sweeps, start=1):
-        if high - low <= eps or iteration == max_iters:
+        decided = high < bound or low > bound
+        if decided or high - low <= eps or iteration == max_iters:
             return RviResult(
                 actions=np.argmax(q, axis=0).astype(np.int8),
                 gain=float(0.5 * (low + high)),
                 iterations=iteration,
                 span=float(high - low),
                 values=values,
+                bracket=(float(low), float(high)),
             )
 
 
@@ -272,6 +279,7 @@ def policy_iteration(
                 iterations=step,
                 span=float(span),
                 values=values,
+                bracket=(float(low), float(high)),
                 evaluations=step,
             )
         evaluated.add(actions.astype(np.int8).tobytes())
@@ -295,16 +303,18 @@ def solve_average_reward(
     eps_solver: float,
     max_iters: int = 1_000_000,
     initial_values: np.ndarray | None = None,
+    bound: float = np.nan,
 ) -> SolveResult:
     """Solve a scalarized mining model to a Bellman-residual span of at most
     ``eps_solver``, anchored at the reference state (1,0,irrelevant).
 
-    Relative value iteration runs for at most ``RVI_SWEEP_BUDGET`` sweeps;
-    a solve still open then continues as Howard policy iteration from the
-    last greedy policy.  ``iterations`` counts Bellman applications of both
-    stages and ``evaluations`` the exact policy evaluations; ``max_iters``
-    caps the former, and a solve that reaches it raises
-    :class:`SolverError`.
+    Relative value iteration runs for at most ``RVI_SWEEP_BUDGET`` sweeps,
+    and stops early once its residual bracket lies wholly on one side of
+    ``bound`` (never, for the default NaN); a solve still open then
+    continues as Howard policy iteration from the last greedy policy.
+    ``iterations`` counts Bellman applications of both stages and
+    ``evaluations`` the exact policy evaluations; ``max_iters`` caps the
+    former, and a solve that reaches it raises :class:`SolverError`.
     """
     model = scalar.model
     system = (model.feasible, model.transition, scalar.rewards, model.reference_index)
@@ -313,9 +323,11 @@ def solve_average_reward(
         eps=eps_solver,
         max_iters=min(max_iters, RVI_SWEEP_BUDGET),
         initial_values=initial_values,
+        bound=bound,
     )
     iterations = raw.iterations
-    if raw.span > eps_solver:
+    low, high = raw.bracket
+    if raw.span > eps_solver and not (high < bound or low > bound):
         if iterations == max_iters:
             raise SolverError(
                 f"no convergence after {max_iters} iterations"
@@ -343,35 +355,49 @@ def solve_average_reward(
         iterations=iterations,
         span=raw.span,
         values=raw.values,
+        bracket=raw.bracket,
         evaluations=raw.evaluations,
     )
 
 
+class GainVerdict(NamedTuple):
+    """Whether a model's optimal gain is at most a bound, the figure that
+    decided it, and the solve that gave both."""
+
+    below: bool
+    evidence: float
+    result: SolveResult
+
+
 def gain_below(
-    scalar: ScalarModel, bound: float, eps: float, initial_values: np.ndarray
-) -> bool:
-    """Whether damped relative value iteration from ``initial_values``
-    proves the optimal gain of a scalarized model below ``bound``.
+    scalar: ScalarModel,
+    bound: float,
+    eps: float,
+    initial_values: np.ndarray | None = None,
+) -> GainVerdict:
+    """Decide whether the optimal gain of a scalarized model is at most
+    ``bound``: one :func:`solve_average_reward` to ``eps`` from
+    ``initial_values`` that stops at the first sweep whose residual bracket
+    excludes ``bound``.
 
     The gain lies in the residual bracket of every value vector (Odoni
-    1969; Puterman 1994, sec. 8.5), so the answer is True at the first
-    sweep whose residual max is below ``bound``.  The pass gives up,
-    answering False with nothing proved, once the residual min reaches
-    ``bound`` (the gain is not below it), the span is at most ``eps`` (the
-    gain is too close to tell cheaply) or ``RVI_SWEEP_BUDGET`` sweeps have
-    passed.
+    1969; Puterman 1994, sec. 8.5).  So a bracket max below ``bound``
+    proves the gain below it, and that max is the evidence; a bracket min
+    above ``bound`` proves it above, with that min as evidence.  Both are
+    certified bounds on the gain.  A solve whose span reaches ``eps`` with
+    ``bound`` inside its bracket, or that ends in policy iteration, decides
+    by its midpoint gain, which is then the evidence.
     """
-    model = scalar.model
-    masked_rewards = np.where(model.feasible, scalar.rewards, -np.inf)
-    sweeps = _damped_sweeps(
-        masked_rewards, model.transition, model.reference_index, initial_values
+    result = solve_average_reward(
+        scalar, eps, initial_values=initial_values, bound=bound
     )
-    for _q, low, high, _values in itertools.islice(sweeps, RVI_SWEEP_BUDGET):
+    low, high = result.bracket
+    if not result.evaluations:  # ended in value iteration
         if high < bound:
-            return True
-        if low >= bound or high - low <= eps:
-            return False
-    return False
+            return GainVerdict(True, high, result)
+        if low > bound:
+            return GainVerdict(False, low, result)
+    return GainVerdict(result.gain <= bound, result.gain, result)
 
 
 def reachable_mask(model: MiningModel, policy: Policy) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -121,10 +122,21 @@ def physical_memory() -> int | None:
     return memory if memory > 0 else None
 
 
-def max_truncation() -> int:
-    """Largest T whose 3(T+1)^2 grid states fit in physical memory at
-    ``BYTES_PER_STATE`` each; unbounded where the memory is unknown."""
+def memory_ceiling() -> int | None:
+    """Bytes a run may fill: the smaller of physical memory and the
+    process's soft address-space limit (``RLIMIT_AS``) where one is set, or
+    None where neither gives a figure."""
     memory = physical_memory()
+    soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        memory = soft if memory is None else min(memory, soft)
+    return memory
+
+
+def max_truncation() -> int:
+    """Largest T whose 3(T+1)^2 grid states fit in :func:`memory_ceiling`
+    at ``BYTES_PER_STATE`` each; unbounded where the memory is unknown."""
+    memory = memory_ceiling()
     if memory is None:
         return sys.maxsize
     return math.isqrt(memory // (3 * BYTES_PER_STATE)) - 1
@@ -144,8 +156,9 @@ def _check_truncation(T: int) -> None:
         raise ValueError(
             f"truncation must be <= {limit} (got {T}): its {3 * (T + 1) ** 2}"
             f" states need about {need / 2**30:.1f} GiB at {BYTES_PER_STATE}"
-            f" bytes each, more than the {physical_memory() / 2**30:.1f} GiB"
-            " of physical memory"
+            f" bytes each, more than the {memory_ceiling() / 2**30:.1f} GiB"
+            " of physical memory, or of address space where the process's"
+            " limit is lower"
         )
 
 

@@ -16,14 +16,20 @@ mining is certifiably optimal.  At probe ``alpha`` it scalarizes the
 over-paying model with honest mining disabled (override removed at (1,0),
 and separately adopt removed at (0,1)) at ``rho = alpha``; a gain at or
 below ``-eps`` for both variants certifies that no deviation beats honest
-mining there, and the larger of the two gains is the probe's evidence.  The
-first model is solved cold to a span of ``eps``.  The second is then
-settled by its residual bracket, warm-started from the first solve's
-values: once a sweep's residual max ``high`` has ``high + eps < worst``,
-the first gain, the second model cannot change the evidence, because a cold
-solve would report the midpoint of a bracket of width at most ``eps``
-holding its gain, which is at most ``high + eps/2 < worst``.  When the
-bracket does not settle it, the second model is solved cold as well.
+mining there.  Each model is decided by :func:`gain_below`, on the
+Bellman-residual bracket that holds the optimal gain for any value vector:
+below ``-eps`` at the first sweep whose residual max is below it, above at
+the first sweep whose residual min is above it.  A model whose span
+narrows to ``eps`` with ``-eps`` still inside the bracket, or whose solve
+hands over to policy iteration, is decided by the midpoint gain, as a full
+solve reports it.  A probe is certified when both models are decided below
+and refused at the first decided above; its evidence is the larger of the
+deciding figures, a bracket end (a certified bound on the gain) or a
+midpoint.  Value iteration starts warm: each model from the values at which
+the last decision ended, on the same grid.  The search builds one
+alpha-free structure (:func:`~selfish_mining.chain.model_structure`) and
+weighs it at each probe's alpha, so the transition rules are evaluated once
+per search.
 """
 
 from __future__ import annotations
@@ -37,10 +43,12 @@ import numpy as np
 from .chain import (
     BoundaryMode,
     MiningModel,
+    ModelStructure,
     ThresholdVariant,
     build_base_model,
     build_honest_disabled,
     build_truncated,
+    model_structure,
 )
 from .mdp import evaluate_policy_exact, gain_below, solve_average_reward
 from .model import (
@@ -235,7 +243,7 @@ def find_optimal(
 class ThresholdProbe:
     alpha: float
     kind: str  # "certified", "not-certified", or "profitable"
-    evidence: float  # worst disabled-model gain, or the exhibited lower bound
+    evidence: float  # deciding gain bound or midpoint, or exhibited lower bound
 
 
 @dataclass(frozen=True)
@@ -289,34 +297,28 @@ class ThresholdReport:
 
 
 def _certify_honest(
+    structure: ModelStructure,
     alpha: float,
-    gamma: float,
-    variant: Variant,
-    T: int,
     eps: float,
-) -> tuple[bool, float]:
+    values: np.ndarray | None = None,
+) -> tuple[bool, float, np.ndarray]:
     """Certification test at one hashrate: honest mining is optimal if both
-    honest-disabled over-paying models, scalarized at rho = alpha, have gain
-    at or below -eps.  Returns (certified, worst gain), both what cold
-    solves of the two models to ``eps`` give; the second model is not solved
-    once its warm residual max is below ``worst - eps`` (see the module
-    docstring)."""
-    model = build_base_model(MiningParams(alpha, gamma, variant), T)
-    scalars = (
-        build_truncated(
-            build_honest_disabled(model, tv), BoundaryMode.OVER_PAYING, rho=alpha
-        )
-        for tv in ThresholdVariant
-    )
-    first = solve_average_reward(next(scalars), eps)
-    worst = first.gain
-    if worst > -eps:
-        return False, worst
-    second = next(scalars)
-    if gain_below(second, worst - eps, eps, first.values):
-        return True, worst
-    worst = max(worst, solve_average_reward(second, eps).gain)
-    return worst <= -eps, worst
+    honest-disabled over-paying models of ``structure`` weighed at
+    ``alpha``, scalarized at rho = alpha, have gain at or below -eps.  Each
+    model is decided by :func:`gain_below` against -eps, warm from the
+    values the last decision ended at, the first from ``values``; a refused
+    first model leaves the second undecided.  Returns (certified, evidence,
+    final values), the evidence being the larger of the decided models'."""
+    model = structure.weigh(alpha)
+    evidence = -np.inf
+    for tv in ThresholdVariant:
+        disabled = build_honest_disabled(model, tv)
+        scalar = build_truncated(disabled, BoundaryMode.OVER_PAYING, rho=alpha)
+        verdict = gain_below(scalar, -eps, eps, values)
+        evidence, values = max(evidence, verdict.evidence), verdict.result.values
+        if not verdict.below:
+            return False, evidence, values
+    return True, evidence, values
 
 
 def profit_threshold(
@@ -330,28 +332,34 @@ def profit_threshold(
     becomes profitable.
 
     Bisection on (0, 0.5) driven by the certification test; the certified
-    side is exact (never moves on inconclusive evidence).  A probe solves
-    its first honest-disabled model cold, with gain ``worst``, and skips its
-    second once value iteration warm from the first's values reaches a
-    residual max ``high`` with ``high + eps < worst``: a cold solve would
-    report at most ``high + eps/2``, so the evidence is unchanged.  Otherwise
-    the second is solved cold too.  Afterwards a short outward sweep of
-    ratio iterations exhibits a concrete profitable deviation to pin
-    ``alpha_upper``; only their lower bounds are read, so no upper bound is
-    certified.  ``eps`` must be positive and finite, checked before any
-    solve.
+    side is exact (never moves on inconclusive evidence).  A probe decides
+    each honest-disabled model by its residual bracket against ``-eps``:
+    certified at the first sweep whose residual max is below ``-eps``,
+    refused at the first whose residual min is above it, and by the
+    midpoint gain when the span narrows to ``eps`` undecided or the solve
+    hands over to policy iteration.  Each model's value iteration starts
+    from the values the last one ended at, the first probe's from zero.
+    Every probe weighs one structure, built once from the transition table
+    at ``gamma``, ``variant`` and ``T``.  Afterwards a short outward sweep
+    of ratio iterations on the same structure exhibits a concrete profitable
+    deviation to pin ``alpha_upper``; only their lower bounds are read, so
+    no upper bound is certified.  ``eps`` must be positive and finite,
+    checked before any solve.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be > 0 and finite (got {eps})")
     if not 1e-5 <= alpha_tol < 0.5:
         raise ValueError(f"alpha_tol must be in [1e-5, 0.5) (got {alpha_tol})")
 
+    # any alpha in (0, 0.5) gives the same structure
+    structure = model_structure(MiningParams(0.25, gamma, variant), T)
     probes: list[ThresholdProbe] = []
+    values = None
     low, high = 0.0, 0.5
     alpha_lower = 0.0
     while high - low > alpha_tol:
         mid = 0.5 * (low + high)
-        certified, worst = _certify_honest(mid, gamma, variant, T, eps)
+        certified, worst, values = _certify_honest(structure, mid, eps, values)
         if certified:
             probes.append(ThresholdProbe(mid, "certified", worst))
             low = mid
@@ -365,7 +373,9 @@ def profit_threshold(
         # below the bracket.
         candidate = high - alpha_tol
         if candidate > 0.0:
-            certified, worst = _certify_honest(candidate, gamma, variant, T, eps)
+            certified, worst, values = _certify_honest(
+                structure, candidate, eps, values
+            )
             kind = "certified" if certified else "not-certified"
             probes.append(ThresholdProbe(candidate, kind, worst))
             if certified:
@@ -382,8 +392,7 @@ def profit_threshold(
             candidate = min(max(candidate + step, 2 * eps), 0.499)
             step *= 2.0
             continue
-        params = MiningParams(candidate, gamma, variant)
-        lower_bound = ratio_iteration(build_base_model(params, T), eps).lower_bound
+        lower_bound = ratio_iteration(structure.weigh(candidate), eps).lower_bound
         if lower_bound > candidate + eps:
             probes.append(ThresholdProbe(candidate, "profitable", lower_bound))
             alpha_upper = candidate

@@ -407,6 +407,31 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
     )
 
 
+def coo_base_model(params: MiningParams, T: int) -> MiningModel:
+    """The base model as built before the alpha-free structure: the live
+    branches of :func:`transition_table` handed to scipy as COO triplets,
+    whose CSR conversion sums the two branches of a race that land on one
+    state, and the expected rewards summed branch by branch."""
+    table = transition_table(params, T)
+    n = num_states(T)
+    live = np.nonzero(table.probability > 0.0)
+    transition = sparse.coo_matrix(
+        (table.probability[live], (live[0] * n + live[1], table.next_state[live])),
+        shape=(len(Action) * n, n),
+    ).tocsr()
+    p = table.probability
+    a, h, _fork = grid_coordinates(T)
+    return MiningModel(
+        params=params,
+        T=T,
+        feasible=table.feasible,
+        transition=transition,
+        exp_attacker=sum(p[..., b] * table.attacker[..., b] for b in range(3)),
+        exp_honest=sum(p[..., b] * table.honest[..., b] for b in range(3)),
+        boundary=np.maximum(a, h) == T,
+    )
+
+
 def reference_honest_disabled(
     model: MiningModel, variant: ThresholdVariant
 ) -> MiningModel:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfish_mining
-from selfish_mining import model, optimize
+from selfish_mining import mdp, model, optimize
 from selfish_mining.cli import main
 
 from helpers import sm1_reference_revenue
@@ -529,25 +530,53 @@ SMALL_SOLVE = ["--T", "5", "--eps", "1e-3", "--eps-prime", "1e-3"]
           "--out", "missing/x"], "adir", "'missing/x.bounds.json'"),
         (["optimize", "--alpha", "0.3", "--gamma", "0", *SMALL_SOLVE,
           "--out", "run"], "run.manifest.json", "'run.manifest.json'"),
+        (["threshold", "--gamma", "0.5", "--T", "5", "--out", "missing/x"], "adir",
+         "'missing/x.threshold.json'"),
+        (["threshold", "--gamma", "0.5", "--T", "5", "--out", "run"],
+         "run.threshold.json", "'run.threshold.json'"),
     ],
     ids=["evaluate-dir", "render-dir", "sweep-empty", "sweep-dir", "optimize-missing",
-         "optimize-manifest-dir"],
+         "optimize-manifest-dir", "threshold-missing", "threshold-dir"],
 )
 def test_refused_path_exits_2(tmp_path, monkeypatch, capsys, argv, directory, named):
     """An unreadable --policy or an unwritable --out exits 2 with one error
-    line naming the path.  No data file, manifest or temporary file is left
-    in the working directory or its parent, even when only the manifest,
-    written last, is refused."""
+    line naming the path, before any solve.  No data file, manifest or
+    temporary file is left in the working directory or its parent, even
+    when only the manifest, written last, is refused."""
     work = tmp_path / "work"
     (work / directory).mkdir(parents=True)
     monkeypatch.chdir(work)
+
+    solved = []
+
+    def no_solve(*_args, **_kwargs):  # sweep keeps a point's failure in its row
+        solved.append(True)
+        raise AssertionError("solved before refusing the path")
+
+    monkeypatch.setattr(mdp, "solve_average_reward", no_solve)
+    monkeypatch.setattr(optimize, "solve_average_reward", no_solve)
     assert main(argv) == 2
+    assert not solved
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert named in captured.err
     assert os.listdir(tmp_path) == ["work"]
     assert os.listdir(work) == [directory] and os.listdir(work / directory) == []
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_files_honour_umask(workdir, capsys, umask, mode):
+    """Data files and the manifest get the permissions the umask leaves of
+    0666, as files the shell creates do."""
+    saved = os.umask(umask)
+    try:
+        argv = ["delay", "--alpha", "0.3", "--lambda", "1", "--rho", "0.3", "--out", "d"]
+        assert main(argv) == 0
+    finally:
+        os.umask(saved)
+    for name in ("d.delay.json", "d.manifest.json"):
+        assert stat.S_IMODE(os.stat(name).st_mode) == mode, name
 
 
 class TestDelayCommand:

@@ -1,17 +1,21 @@
 """The grid-wide transition table against the per-state walks of
 ``helpers.transitions``: built models, simulator step tables and model
-dumps must agree bit for bit, and so must the stacked-operator value
-iteration and a per-action one; solves that the policy-iteration stage
+dumps must agree bit for bit, as must the alpha-free structure weighed at
+any alpha and scipy's COO build of the model there, and the stacked-operator
+value iteration and a per-action one; solves that the policy-iteration stage
 finishes must reach the per-action loop's gain.  A policy's reachable
 states traced on the table must be those traced on the built operator, and
 the closure over every feasible action the per-state walk's.  The built-in grid-rule
 policies must equal their per-state rules tabulated state by state.  The
 ratio iteration's bounds are checked against the bisection it replaced.  The
-threshold search's certification, which settles a second honest-disabled
-model by its warm residual bracket where it can, must give what two cold
-solves give, and its reports what they were with them.  The stationary
+threshold search's certification, which decides each honest-disabled model
+by its residual bracket where it can, must decide as two cold solves do, and
+its reports must be what they were with them, up to the evidence, a
+certified bound that lies between -eps and the cold worst gain.  The stationary
 distribution, a transposed solve of the grounded gain-and-bias system, must
 match a second direct solver."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from selfish_mining.chain import (
     build_truncated,
     dump_model,
     forward_closure,
+    model_structure,
     policy_closure,
     transition_table,
 )
@@ -57,6 +62,7 @@ from selfish_mining.simulate import compile_step_tables
 
 from helpers import (
     assert_models_identical,
+    coo_base_model,
     feasible_actions,
     forward_closure_all_actions,
     reference_bisection,
@@ -105,6 +111,22 @@ def test_fixed_grids_match_reference(T, variant):
     base, reference = build_base_model(params, T), reference_model(params, T)
     assert_models_identical(base, reference)
     assert_disabled_identical(base, reference)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    built_at=params_st,
+    alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    T=st.integers(1, 24),
+)
+def test_weighed_structure_matches_coo_build(built_at, alpha, gamma, T):
+    """A structure built at one alpha and weighed at another is, bit for
+    bit, the model scipy's COO-to-CSR conversion builds at the second."""
+    structure = model_structure(replace(built_at, gamma=gamma), T)
+    params = MiningParams(alpha, gamma, built_at.variant)
+    assert_models_identical(structure.weigh(alpha), coo_base_model(params, T))
+    assert_models_identical(build_base_model(params, T), coo_base_model(params, T))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -226,40 +248,57 @@ def test_ratio_iteration_matches_bisection(T, alpha, gamma, variant):
     assert abs(report.upper_bound - reference.upper_bound) <= 2 * eps
 
 
-# (alpha, variant, T) at gamma = 0.5, by the path the certification takes:
-# the second model's bracket settles it, the second model is solved cold, or
-# the first solve already rejects the probe.
-SETTLED = [
-    (alpha, Variant.STANDARD, T) for alpha in (0.1, 0.2) for T in (8, 16)
-]
-SOLVED_COLD = [
+# (alpha, variant, T) at gamma = 0.5, by how each model is decided: both by
+# a residual bracket below -eps, the first by a bracket above -eps, or next
+# to the threshold by the midpoint of a bracket narrowed to eps.
+BRACKET = [(alpha, Variant.STANDARD, T) for alpha in (0.1, 0.2) for T in (8, 16)] + [
     (alpha, Variant.UNIFORM_TIE_BREAK, T)
     for alpha in (0.05, 0.125)
     for T in (8, 12, 16)
 ]
-REJECTED = [(0.4, Variant.STANDARD, 8)]
+REFUSED = [(0.4, Variant.STANDARD, 8)]
+MIDPOINT = [
+    (0.23144, Variant.UNIFORM_TIE_BREAK, 8, [("midpoint", True), ("bracket", True)]),
+    (0.2314453125, Variant.UNIFORM_TIE_BREAK, 8, [("midpoint", False)]),
+]
+
+
+def assert_evidence_bounds_cold(certified, evidence, cold_worst, eps):
+    """The evidence lies on the decided side of -eps, between it and the
+    worst gain two cold solves report, up to eps: a decided bracket end
+    bounds the gain from the side of -eps, and a midpoint is within eps/2
+    of the gain, as the cold one is."""
+    if certified:
+        assert cold_worst - eps <= evidence <= -eps
+    else:
+        assert -eps < evidence <= cold_worst + eps
 
 
 @pytest.mark.parametrize(
     "alpha,variant,T,decisions",
-    [(*case, [True]) for case in SETTLED]
-    + [(*case, [False]) for case in SOLVED_COLD]
-    + [(*case, []) for case in REJECTED],
+    [(*case, [("bracket", True)] * 2) for case in BRACKET]
+    + [(*case, [("bracket", False)]) for case in REFUSED]
+    + MIDPOINT,
 )
 def test_certification_matches_two_cold_solves(monkeypatch, alpha, variant, T, decisions):
-    want = reference_certify(alpha, 0.5, variant, T, DEFAULT_EPS)
+    """Cold from zero values, the bracket-decided certification gives the
+    decision of two cold solves, each model decided the expected way."""
+    certified_cold, cold_worst = reference_certify(alpha, 0.5, variant, T, DEFAULT_EPS)
     decided = []
     gain_below = optimize.gain_below
 
     def spy(*args, **kwargs):
-        decided.append(gain_below(*args, **kwargs))
-        return decided[-1]
+        verdict = gain_below(*args, **kwargs)
+        how = "midpoint" if verdict.evidence == verdict.result.gain else "bracket"
+        decided.append((how, verdict.below))
+        return verdict
 
     monkeypatch.setattr(optimize, "gain_below", spy)
-    certified, worst = optimize._certify_honest(alpha, 0.5, variant, T, DEFAULT_EPS)
+    structure = model_structure(MiningParams(alpha, 0.5, variant), T)
+    certified, evidence, _values = optimize._certify_honest(structure, alpha, DEFAULT_EPS)
     assert decided == decisions
-    assert certified == want[0]
-    assert np.float64(worst).tobytes() == np.float64(want[1]).tobytes()
+    assert certified == certified_cold
+    assert_evidence_bounds_cold(certified, evidence, cold_worst, DEFAULT_EPS)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -268,7 +307,9 @@ def test_certification_matches_two_cold_solves(monkeypatch, alpha, variant, T, d
 def test_threshold_report_matches_cold_certification(monkeypatch, T, gamma, variant):
     """The report equals the one built with two cold solves per probe and
     with the exhibit step's full bound computation, whose own ratio
-    iteration is the real one."""
+    iteration is the real one, except for the certification probes'
+    evidence, a decided bracket end or a warm midpoint, which must bound the
+    cold worst gain as :func:`assert_evidence_bounds_cold` states."""
     got = profit_threshold(gamma, variant, T).to_json_dict()
     ratio_iteration = optimize.ratio_iteration
 
@@ -278,9 +319,24 @@ def test_threshold_report_matches_cold_certification(monkeypatch, T, gamma, vari
             inner.setattr(optimize, "ratio_iteration", ratio_iteration)
             return find_optimal(config, model=model)
 
-    monkeypatch.setattr(optimize, "_certify_honest", reference_certify)
+    def certify_cold(structure, alpha, eps, values):
+        params = structure.params
+        return (*reference_certify(alpha, params.gamma, params.variant, T, eps), values)
+
+    monkeypatch.setattr(optimize, "_certify_honest", certify_cold)
     monkeypatch.setattr(optimize, "ratio_iteration", find_optimal_exhibit)
-    assert got == profit_threshold(gamma, variant, T).to_json_dict()
+    want = profit_threshold(gamma, variant, T).to_json_dict()
+    assert len(got["probes"]) == len(want["probes"])
+    for probe, cold in zip(got.pop("probes"), want.pop("probes")):
+        assert (probe["alpha"], probe["kind"]) == (cold["alpha"], cold["kind"])
+        if probe["kind"] in ("certified", "not-certified"):
+            certified = probe["kind"] == "certified"
+            assert_evidence_bounds_cold(
+                certified, probe["evidence"], cold["evidence"], DEFAULT_EPS
+            )
+        else:
+            assert probe["evidence"] == cold["evidence"]
+    assert got == want
 
 
 def random_chain(n, seed, transient=0):

@@ -12,9 +12,11 @@ from selfish_mining.chain import (
     transition_table,
 )
 from selfish_mining.mdp import (
+    RVI_SWEEP_BUDGET,
     SolverError,
     evaluate_gain,
     evaluate_policy_exact,
+    gain_below,
     policy_iteration,
     reachable_mask,
     relative_value_iteration,
@@ -168,6 +170,43 @@ class TestPolicyIteration:
             policy_iteration(
                 feasible, operator, rewards, 0, 1e-300, np.zeros(3, dtype=np.int8)
             )
+
+
+class TestGainBelow:
+    """The decision pass stops at the first sweep whose residual bracket
+    excludes the bound, with that bracket end, a certified bound on the
+    gain, as evidence; otherwise the midpoint of a span narrowed to eps, by
+    value or policy iteration, decides."""
+
+    @staticmethod
+    def scalar(alpha, T):
+        model = build_base_model(MiningParams(alpha, 0.5), T)
+        return build_truncated(model, BoundaryMode.UNDER_PAYING, rho=alpha)
+
+    @pytest.mark.parametrize("offset", [0.01, -0.01])
+    def test_bracket_decides(self, offset):
+        scalar = self.scalar(0.3, 16)
+        gain = solve_average_reward(scalar, 1e-12).gain
+        verdict = gain_below(scalar, gain + offset, 1e-12)
+        low, high = verdict.result.bracket
+        assert verdict.below == (offset > 0)
+        assert verdict.evidence == (high if offset > 0 else low)
+        assert low <= gain <= high and high - low > 1e-3
+        assert verdict.result.evaluations == 0
+        assert verdict.result.iterations < RVI_SWEEP_BUDGET
+
+    @pytest.mark.parametrize("alpha,T,evaluations", [(0.3, 8, 0), (0.45, 16, 1)])
+    def test_midpoint_decides_inside_the_bracket(self, alpha, T, evaluations):
+        """With the bound at the gain itself no bracket excludes it; at T=8
+        value iteration narrows the span to eps, at T=16 and alpha=0.45 it
+        hands over to policy iteration."""
+        scalar = self.scalar(alpha, T)
+        gain = solve_average_reward(scalar, 1e-12).gain
+        verdict = gain_below(scalar, gain, 1e-12)
+        assert verdict.result.evaluations == evaluations
+        assert verdict.result.span <= 1e-12
+        assert verdict.evidence == verdict.result.gain
+        assert verdict.below == (verdict.result.gain <= gain)
 
 
 class TestStationary:

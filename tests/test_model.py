@@ -1,5 +1,6 @@
 import json
 import random
+import resource
 
 import numpy as np
 import pytest
@@ -54,6 +55,9 @@ class TestParams:
         assert MiningParams(0.3, 0.9).race_win_prob == 0.9
 
 
+UNLIMITED = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+
+
 class TestEnumeration:
     def test_grid_sizes(self):
         assert len(grid_states(2)) == 27
@@ -78,6 +82,7 @@ class TestEnumeration:
         memory = physical_memory()
         assert memory is None or memory > 0
         monkeypatch.setattr(model, "physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(resource, "getrlimit", lambda _which: UNLIMITED)
         limit = max_truncation()
         assert 3 * (limit + 1) ** 2 * BYTES_PER_STATE <= 8 * 2**30
         assert 3 * (limit + 2) ** 2 * BYTES_PER_STATE > 8 * 2**30
@@ -88,6 +93,23 @@ class TestEnumeration:
             _check_truncation(limit + 1)
         monkeypatch.setattr(model, "physical_memory", lambda: None)
         _check_truncation(10_000)  # no memory figure, no ceiling
+
+    @pytest.mark.parametrize("soft,ceiling", [(2**30, 2**30), (16 * 2**30, 8 * 2**30)])
+    def test_truncation_limited_by_address_space(self, monkeypatch, soft, ceiling):
+        """The ceiling is the smaller of physical memory and the soft
+        RLIMIT_AS; with no memory figure, the limit alone."""
+        def fits(memory, limit):
+            need = 3 * BYTES_PER_STATE
+            return need * (limit + 1) ** 2 <= memory < need * (limit + 2) ** 2
+
+        monkeypatch.setattr(model, "physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(resource, "getrlimit", lambda _which: (soft, soft))
+        limit = max_truncation()
+        assert fits(ceiling, limit)
+        with pytest.raises(ValueError, match=rf"<= {limit} \(got {limit + 1}\)"):
+            _check_truncation(limit + 1)
+        monkeypatch.setattr(model, "physical_memory", lambda: None)
+        assert fits(soft, max_truncation())
 
     def test_index_round_trip(self):
         rng = random.Random(7)

@@ -6,11 +6,13 @@ Runs the workload's operations once, as ``perfbench/run.py`` builds them,
 through the CLI of the ``src/`` package of ``--checkout``, and counts the
 calls of ``mdp.solve_average_reward``, every Bellman application
 (``mdp._bellman``: value-iteration sweeps and policy-iteration steps alike),
-and the calls of ``mdp.gain_below`` with the Bellman applications made
-inside them.  Those decision passes of the threshold search run outside any
-solve, so perfbench's traced ``mdp.rvi_sweeps``, which sums the iterations
-that solves report, does not see them.  A checkout without ``gain_below``
-counts no decision passes.  Prints one JSON object.
+and the calls of ``mdp.gain_below``, the threshold search's decision
+passes, with the Bellman applications made inside them; ``solve_bellman``
+is the rest.  Where a decision pass is a solve stopped by its bracket, its
+solve is counted among ``solve_calls`` too; where it runs its own sweeps
+outside any solve, perfbench's traced ``mdp.rvi_sweeps``, which sums the
+iterations that solves report, does not see them.  A checkout without
+``gain_below`` counts no decision passes.  Prints one JSON object.
 """
 
 from __future__ import annotations
