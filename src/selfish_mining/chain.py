@@ -142,7 +142,7 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     inconsistent and unreachable state, it is plain private mining.
     Truncation-boundary states keep adopt alone.
     """
-    a, h, fork = grid_coordinates(T)
+    a, h, fork = (c.astype(np.int32) for c in grid_coordinates(T))
     interior = np.maximum(a, h) < T
     late_match = params.variant is Variant.UNIFORM_TIE_BREAK
     can_match = (fork == Fork.RELEVANT) | ((fork == Fork.IRRELEVANT) & late_match)
@@ -151,40 +151,51 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     never = np.zeros_like(interior)
     race = np.stack([never, never, match_ok, interior & (fork == Fork.ACTIVE) & (a >= h)])
 
-    # (next a, next h, next fork, attacker blocks, honest blocks, kind)
-    irr, rel, act = Fork.IRRELEVANT, Fork.RELEVANT, Fork.ACTIVE
+    def at(na, nh, nf):  # grid index of (a, h, fork)
+        return nf + 3 * (nh + (T + 1) * na)
+
+    # (next state, attacker blocks, honest blocks, kind)
+    irr, rel, act = int(Fork.IRRELEVANT), int(Fork.RELEVANT), int(Fork.ACTIVE)
     lead = a - h
     racing = [
-        (a + 1, h, act, 0, 0, ATTACKER_BLOCK),
-        (lead, 1, rel, h, 0, RACE_WON),
-        (a, h + 1, rel, 0, 0, RACE_LOST),
+        (at(a + 1, h, act), 0, 0, ATTACKER_BLOCK),
+        (at(lead, 1, rel), h, 0, RACE_WON),
+        (at(a, h + 1, rel), 0, 0, RACE_LOST),
     ]
     two_branch = [
-        ((1, 0, irr, 0, h, ATTACKER_BLOCK), (0, 1, irr, 0, h, HONEST_BLOCK)),  # adopt
+        (  # adopt
+            (at(1, 0, irr), 0, h, ATTACKER_BLOCK),
+            (at(0, 1, irr), 0, h, HONEST_BLOCK),
+        ),
         (  # override
-            (lead, 0, irr, h + 1, 0, ATTACKER_BLOCK),
-            (lead - 1, 1, rel, h + 1, 0, HONEST_BLOCK),
+            (at(lead, 0, irr), h + 1, 0, ATTACKER_BLOCK),
+            (at(lead - 1, 1, rel), h + 1, 0, HONEST_BLOCK),
         ),
         racing[:2],  # match always races
         (  # wait
-            (a + 1, h, irr, 0, 0, ATTACKER_BLOCK),
-            (a, h + 1, rel, 0, 0, HONEST_BLOCK),
+            (at(a + 1, h, irr), 0, 0, ATTACKER_BLOCK),
+            racing[2][:3] + (HONEST_BLOCK,),
         ),
     ]
     # without a race the third branch repeats the second as no branch
-    plain = [[first, second, second[:5] + (NO_BRANCH,)] for first, second in two_branch]
+    plain = [[first, second, second[:3] + (NO_BRANCH,)] for first, second in two_branch]
+    weights = branch_weights(params)
     shape = (len(Action), len(a), 3)
-    columns = [np.zeros(shape, np.int32) for _ in range(5)] + [np.zeros(shape, np.int8)]
+    next_state, attacker, honest = (np.empty(shape, np.int32) for _ in range(3))
+    kind = np.empty(shape, np.int8)
+    probability = np.empty(shape)
+    # Filled one (action, branch) slice at a time, so that no temporary as
+    # large as a column of the table is ever held.  Infeasible pairs hold
+    # zeros and no branch.
+    columns, empty = (next_state, attacker, honest, kind), (0, 0, 0, NO_BRANCH)
     for action in Action:
         for branch in range(3):
-            for column, r, p in zip(columns, racing[branch], plain[action][branch]):
-                column[action, :, branch] = np.where(race[action], r, p)
-    na, nh, nf, attacker, honest, kind = columns
-    next_state = nf + 3 * (nh + (T + 1) * na)
-    for column in (next_state, attacker, honest):
-        column[~feasible] = 0
-    kind[~feasible] = NO_BRANCH
-    probability = branch_weights(params)[kind]
+            cells = (action, slice(None), branch)
+            rules = zip(columns, racing[branch], plain[action][branch], empty)
+            for column, r, p, infeasible in rules:
+                rule = np.where(race[action], r, p)
+                column[cells] = np.where(feasible[action], rule, infeasible)
+            probability[cells] = weights[kind[cells]]
     return TransitionTable(
         next_state, kind, probability, attacker, honest, feasible, race
     )

@@ -356,30 +356,15 @@ def profit_threshold(
     probes: list[ThresholdProbe] = []
     values = None
     low, high = 0.0, 0.5
-    alpha_lower = 0.0
     while high - low > alpha_tol:
         mid = 0.5 * (low + high)
         certified, worst, values = _certify_honest(structure, mid, eps, values)
         if certified:
             probes.append(ThresholdProbe(mid, "certified", worst))
             low = mid
-            alpha_lower = max(alpha_lower, mid)
         else:
             probes.append(ThresholdProbe(mid, "not-certified", worst))
             high = mid
-
-    if alpha_lower == 0.0 and low == 0.0:
-        # The first probes all failed; try to salvage a certified bound just
-        # below the bracket.
-        candidate = high - alpha_tol
-        if candidate > 0.0:
-            certified, worst, values = _certify_honest(
-                structure, candidate, eps, values
-            )
-            kind = "certified" if certified else "not-certified"
-            probes.append(ThresholdProbe(candidate, kind, worst))
-            if certified:
-                alpha_lower = candidate
 
     # Exhibit a profitable deviation above the bracket: lower_bound > alpha +
     # eps proves some policy beats honest mining's revenue alpha.
@@ -402,10 +387,9 @@ def profit_threshold(
         candidate = min(candidate + step, 0.499)
         step *= 2.0
 
-    if alpha_upper < alpha_lower:
+    if alpha_upper < low:
         raise RuntimeError(
-            f"threshold search produced an inverted bracket"
-            f" [{alpha_lower}, {alpha_upper}]"
+            f"threshold search produced an inverted bracket [{low}, {alpha_upper}]"
         )
     return ThresholdReport(
         gamma=gamma,
@@ -413,7 +397,7 @@ def profit_threshold(
         T=T,
         eps=eps,
         alpha_tol=alpha_tol,
-        alpha_lower=alpha_lower,
+        alpha_lower=low,
         alpha_upper=alpha_upper,
         probes=tuple(probes),
         exhibited=exhibited,

@@ -23,19 +23,19 @@ A cycle of L rounds uses L uniforms: the first picks its start state, as the
 adopt that ended the previous cycle would, and the others the branches of
 its first L-1 rounds; honest blocks are accepted only by the closing adopt.
 
-Cycles run in blocks.  Block b of replica k is a fixed number of cycles
-that read the replica's PCG64 stream (seeded ``seed + k*stride``) from draw
-b * 2**64 on, so blocks share no draw and can run in any order; at each
-step a block's live cycles read its next draws in column order.  A
-replica's first block, of at most PILOT cycles, sizes its later blocks from
-the budget and its mean cycle length.  Blocks of every replica advance in
-lockstep, one round per step, in a pool of fixed size that a finished block
-leaves room in.  A replica's cycles are concatenated in block order, and in
-column order within a block, up to exactly ``rounds`` rounds.  The cycle
-that crosses the budget keeps its own first r rounds: the lengths of its
-block's cycles tell which draws it read, and it is walked again on those
-draws.  The result has the same law as the chain run round by round, and a
-fixed seed fully determines it, whatever the number of replicas.
+Cycles run in blocks of S = min(BLOCK, rounds) cycles; a budget of r
+rounds needs at most r cycles.  Block b of replica k reads the replica's
+PCG64DXSM stream (seeded ``seed + k*stride``) from draw b * 2**64 on, so
+blocks share no draw and can run in any order; at each step a block's live
+cycles read its next draws in column order.  Blocks of every replica advance
+in lockstep, one round per step, in a pool of CAPACITY cycles, one slot of
+S cells per block, that a finished block leaves room in.  A replica's
+cycles are concatenated in block order, and in column order within a
+block, up to exactly ``rounds`` rounds.  The cycle that crosses the budget
+keeps its own first r rounds: the lengths of its block's cycles tell which
+draws it read, and it is walked again on those draws.  The result has the
+same law as the chain run round by round, and a fixed seed fully
+determines it, whatever the number of replicas or the pool's capacity.
 
 ``stderr`` is the regenerative ratio estimator's standard error over the
 replica's n complete cycles (Crane & Iglehart 1975; Asmussen & Glynn 2007,
@@ -57,14 +57,9 @@ import numpy as np
 from .chain import check_feasible, policy_closure, transition_table
 from .model import Action, MiningParams, Policy
 
-PILOT = 256  # cycles in a replica's first block
-BLOCKS_PER_RUN = 8  # later blocks each fill about 1/8 of the budget
+BLOCK = 2048  # cycles in a block, unless the budget is fewer rounds
 BLOCK_DRAWS = 2**64  # stream draws set aside for each block
-MAX_BLOCK = 2048  # cycles in one block
-PAGE = 64  # result cells per page of result storage
-PAGES = 2048  # pages of result storage; PAGE * PAGES also caps the live cycles
-JOBS = 1024  # blocks in flight at once
-BUFFER = 256  # draws buffered per block in flight
+CAPACITY = 2**16  # cycles in flight: the pool has CAPACITY // block slots
 
 
 @dataclass(frozen=True)
@@ -140,11 +135,13 @@ def compile_step_tables(policy: Policy, params: MiningParams) -> StepTables:
 
 
 class _Stream:
-    """A replica's PCG64 stream.  Block b reads it from draw b * BLOCK_DRAWS
-    on, so blocks share no draw and may read in any interleaving."""
+    """A replica's PCG64DXSM stream.  Block b reads it from draw
+    b * BLOCK_DRAWS on, so blocks share no draw and may read in any
+    interleaving.  PCG64DXSM, not PCG64: PCG64 streams that start a multiple
+    of 2**64 draws apart are correlated."""
 
     def __init__(self, seed: int):
-        self.generator = np.random.Generator(np.random.PCG64(seed))
+        self.generator = np.random.Generator(np.random.PCG64DXSM(seed))
         self.position = 0
 
     def read(self, start: int, out: np.ndarray) -> None:
@@ -156,19 +153,20 @@ class _Stream:
 
 
 class _Pool:
-    """Blocks of cycles advanced in lockstep, one round per step.
+    """Blocks of ``size`` cycles advanced in lockstep, one round per step.
 
+    Slot j holds one block: it owns cells [j*size, (j+1)*size) of the result
+    arrays and of ``uniform``, the block's window on its part of the stream.
     A block's live cycles stay contiguous and in column order, and at each
-    step they read the next draws of the block's part of the stream in that
-    order, so the draws a cycle read can be found again from the lengths of
-    its block's cycles.  A block reads from a buffer of BUFFER draws, or
-    straight into place while more than half a buffer of its cycles is live.
-    A cycle leaves when its round lands on an adopt row, or after ``stop``
-    steps; its length and its attacker and honest blocks go to its result
-    cell.
+    step they read the window's next draws in that order, so the draws a
+    cycle read can be found again from the lengths of its block's cycles.
+    A window that runs short keeps its unread draws and is topped up from
+    the stream.  A cycle leaves when its round lands on an adopt row, or
+    after ``stop`` steps; its length and its attacker and honest blocks go
+    to its cell.
     """
 
-    def __init__(self, tables: StepTables, alpha: float, stop: int):
+    def __init__(self, tables: StepTables, alpha: float, size: int, stop: int):
         # A cycle's place is kept as 3*state, the first of its state's three
         # branch rows; per-state tables are repeated to be read there too.
         self.alpha = alpha
@@ -180,88 +178,80 @@ class _Pool:
         # A new cycle sits on an adopt row: its first draw picks the start
         # state and earns nothing.
         self.origin = 3 * int(np.flatnonzero(tables.adopt)[0])
+        self.size = size
         self.stop = stop
-        cells = PAGE * PAGES
-        self.size = 0
+        slots = CAPACITY // size
+        cells = slots * size
+        # the live cycles, in pool order, fill the front of these
+        self.count = 0
         self.row = np.empty(cells, np.int64)
         self.attacker = np.empty(cells, np.int64)
-        self.job = np.empty(cells, np.int64)
+        self.slot = np.empty(cells, np.int64)
         self.cell = np.empty(cells, np.int64)
         self.position = np.arange(cells)
         self.ended_at = np.zeros(cells, np.int64)
         self.cell_attacker = np.zeros(cells, np.int64)
         self.cell_honest = np.zeros(cells, np.int64)
-        self.free_pages = list(range(PAGES))
-        # per-job buffers, then the draws read straight into place this step
-        self.uniform = np.empty(JOBS * BUFFER + cells)
-        self.free_jobs = list(range(JOBS))
-        self.live = np.zeros(JOBS, np.int64)
-        self.used = np.zeros(JOBS, np.int64)
-        self.offset = np.zeros(JOBS, np.int64)
-        self.begun = np.zeros(JOBS, np.int64)
-        self.stream: list[_Stream | None] = [None] * JOBS
-        self.read_at = [0] * JOBS  # stream position of each job's next read
-        self.cells: list[np.ndarray] = [np.empty(0, np.int64)] * JOBS
-        self.order = np.empty(0, np.int64)  # jobs in flight, in pool order
+        self.uniform = np.empty(cells)
+        self.free = list(range(slots))
+        self.live = np.zeros(slots, np.int64)
+        self.used = np.zeros(slots, np.int64)  # window draws already read
+        self.offset = np.zeros(slots, np.int64)
+        self.begun = np.zeros(slots, np.int64)
+        self.stream: list[_Stream | None] = [None] * slots
+        self.read_at = [0] * slots  # stream position of each window's next top-up
+        self.order = np.empty(0, np.int64)  # slots in flight, in pool order
         self.steps = 0
 
-    def fits(self, size: int) -> bool:
-        return bool(self.free_jobs) and len(self.free_pages) * PAGE >= size
-
-    def admit(self, stream: _Stream, start: int, size: int) -> int:
-        """Start ``size`` cycles reading ``stream`` from ``start`` on;
-        returns the block's job id."""
-        job = self.free_jobs.pop()
-        pages = [self.free_pages.pop() for _ in range(-(-size // PAGE))]
-        cells = (np.array(pages)[:, None] * PAGE + np.arange(PAGE)).ravel()[:size]
-        lo, hi = self.size, self.size + size
+    def admit(self, stream: _Stream, start: int) -> int:
+        """Start a block of cycles reading ``stream`` from ``start`` on;
+        returns its slot."""
+        slot = self.free.pop()
+        lo, hi = self.count, self.count + self.size
         self.row[lo:hi] = self.origin
         self.attacker[lo:hi] = 0
-        self.job[lo:hi] = job
-        self.cell[lo:hi] = cells
-        self.size = hi
-        self.live[job] = size
-        self.used[job] = BUFFER  # an empty buffer
-        self.begun[job] = self.steps
-        self.stream[job] = stream
-        self.read_at[job] = start
-        self.cells[job] = cells
-        self.order = np.append(self.order, job)
-        return job
+        self.slot[lo:hi] = slot
+        self.cell[lo:hi] = np.arange(slot * self.size, (slot + 1) * self.size)
+        self.count = hi
+        self.live[slot] = self.size
+        self.used[slot] = self.size  # an empty window
+        self.begun[slot] = self.steps
+        self.stream[slot] = stream
+        self.read_at[slot] = start
+        self.order = np.append(self.order, slot)
+        return slot
 
-    def release(self, job: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def release(self, slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Free a finished block; returns its cycles' lengths and attacker
         and honest blocks, in column order."""
-        cells = self.cells[job]
+        cells = slice(slot * self.size, (slot + 1) * self.size)
         result = (
-            self.ended_at[cells] - self.begun[job],
-            self.cell_attacker[cells],
-            self.cell_honest[cells],
+            self.ended_at[cells] - self.begun[slot],
+            self.cell_attacker[cells].copy(),
+            self.cell_honest[cells].copy(),
         )
-        self._free(job)
+        self._free(slot)
         return result
 
-    def cancel(self, jobs: list[int]) -> None:
+    def cancel(self, slots: list[int]) -> None:
         """Drop unfinished blocks unread."""
-        self._keep(np.flatnonzero(~np.isin(self.job[: self.size], jobs)))
-        self.live[jobs] = 0
-        self.order = self.order[~np.isin(self.order, jobs)]
-        for job in jobs:
-            self._free(job)
+        self._keep(np.flatnonzero(~np.isin(self.slot[: self.count], slots)))
+        self.order = self.order[~np.isin(self.order, slots)]
+        for slot in slots:
+            self._free(slot)
 
-    def _free(self, job: int) -> None:
-        self.free_pages.extend((self.cells[job][::PAGE] // PAGE).tolist())
-        self.stream[job] = None
-        self.free_jobs.append(job)
+    def _free(self, slot: int) -> None:
+        self.stream[slot] = None
+        self.free.append(slot)
 
     def _keep(self, keep: np.ndarray, row: np.ndarray | None = None) -> None:
         """Compact the pool to the cycles at positions ``keep``."""
-        size = len(keep)
-        self.row[:size] = (self.row if row is None else row)[keep]
-        self.attacker[:size] = self.attacker[keep]
-        self.job[:size] = self.job[keep]
-        self.cell[:size] = self.cell[keep]
-        self.size = size
+        count = len(keep)
+        self.row[:count] = (self.row if row is None else row)[keep]
+        self.attacker[:count] = self.attacker[keep]
+        self.slot[:count] = self.slot[keep]
+        self.cell[:count] = self.cell[keep]
+        self.count = count
 
     def _branch(self, row: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The branch rows that draws ``u`` pick at the cycles' states:
@@ -269,35 +259,24 @@ class _Pool:
         an honest block otherwise."""
         return row + (u >= self.alpha) + (u >= self.race_won[row])
 
-    def _read(self, job: int, at: int, count: int) -> None:
-        self.stream[job].read(self.read_at[job], self.uniform[at : at + count])
-        self.read_at[job] += count
-
     def step(self) -> np.ndarray:
-        """Advance every live cycle one round; returns the jobs whose blocks
+        """Advance every live cycle one round; returns the slots whose blocks
         finished."""
-        order, m = self.order, self.size
+        order, m, size = self.order, self.count, self.size
         live = self.live[order]
-        first = np.cumsum(live) - live  # each job's first pool position
-        base = order * BUFFER + self.used[order]  # each job's next draw
-        for p in np.flatnonzero(self.used[order] + live > BUFFER).tolist():
-            job, count = int(order[p]), int(live[p])
-            if 2 * count > BUFFER:
-                base[p] = JOBS * BUFFER + first[p]
-                self._read(job, base[p], count)
-                self.used[job] = BUFFER - count  # the buffer stays empty
-            else:  # move the unread draws to the front and top up
-                lo, used = job * BUFFER, int(self.used[job])
-                unread = self.uniform[lo + used : lo + BUFFER]
-                self.uniform[lo : lo + BUFFER - used] = unread
-                self._read(job, lo + BUFFER - used, used)
-                base[p] = lo
-                self.used[job] = 0
-        self.offset[order] = base - first
+        for slot in order[self.used[order] + live > size].tolist():
+            used = int(self.used[slot])
+            window = self.uniform[slot * size : (slot + 1) * size]
+            window[: size - used] = window[used:]
+            self.stream[slot].read(self.read_at[slot], window[size - used :])
+            self.read_at[slot] += used
+            self.used[slot] = 0
+        first = np.cumsum(live) - live  # each block's first pool position
+        self.offset[order] = order * size + self.used[order] - first
         self.used[order] += live
 
-        job = self.job[:m]
-        u = self.uniform[self.offset[job] + self.position[:m]]
+        slot = self.slot[:m]
+        u = self.uniform[self.offset[slot] + self.position[:m]]
         row = self._branch(self.row[:m], u)
         attacker = self.attacker[:m]
         attacker += self.gain[row]
@@ -307,13 +286,13 @@ class _Pool:
         end = self.adopt[row]
         due = order[self.begun[order] + self.stop == self.steps]
         if len(due):
-            end |= np.isin(job, due)
+            end |= np.isin(slot, due)
         gone = np.flatnonzero(end)
         cells = self.cell[gone]
         self.ended_at[cells] = self.steps
         self.cell_attacker[cells] = attacker[gone]
         self.cell_honest[cells] = self.honest[row[gone]]
-        self.live -= np.bincount(job[gone], minlength=JOBS)
+        self.live -= np.bincount(slot[gone], minlength=len(self.live))
         self._keep(np.flatnonzero(~end), row)
         done = self.live[order] == 0
         self.order = order[~done]
@@ -360,11 +339,10 @@ class _Run:
         self.stream = _Stream(seed)
         self.rounds = rounds
         self.remaining = rounds
-        self.block = 0  # cycles in each block after the first, set by it
-        self.cycles_seen = 0  # cycles and rounds of the finished blocks
+        self.blocks_seen = 0  # blocks finished and the rounds they ran
         self.rounds_seen = 0
         self.admitted = 0
-        self.jobs: set[int] = set()  # the pool's jobs running this run's blocks
+        self.slots: set[int] = set()  # the pool's slots running this run's blocks
         self.queued = True
         self.folded = 0
         self.finished: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -376,32 +354,21 @@ class _Run:
         # blocks A and accepted blocks Y = A + H of each cycle
         self.sums = np.zeros((3, 3), np.int64)
 
-    def size(self, block: int) -> int:
-        # A budget of r rounds needs at most r cycles.
-        return min(PILOT, self.rounds) if block == 0 else self.block
-
     def wants_block(self) -> bool:
         """Whether the blocks finished or in flight are expected to fall
-        short of the budget."""
+        short of the budget; until one block has finished, one is wanted."""
         if self.done:
             return False
-        if self.admitted == 0:
-            return True
-        if not self.block:
-            return False
-        expected = self.block * self.rounds_seen / self.cycles_seen
-        return self.pending_rounds + len(self.jobs) * expected < self.remaining
+        if not self.blocks_seen:
+            return self.admitted == 0
+        expected = self.rounds_seen / self.blocks_seen
+        return self.pending_rounds + len(self.slots) * expected < self.remaining
 
     def finish(self, block: int, lengths, attacker, honest) -> None:
         """Take a finished block and fold what is in order: whole blocks
         while they fit the budget, then the block that crosses it."""
         total = int(lengths.sum())
-        if block == 0:
-            mean = total / len(lengths)
-            self.block = min(
-                MAX_BLOCK, max(PILOT, math.ceil(self.rounds / (BLOCKS_PER_RUN * mean)))
-            )
-        self.cycles_seen += len(lengths)
+        self.blocks_seen += 1
         self.rounds_seen += total
         self.finished[block] = (lengths, attacker, honest)
         self.pending_rounds += total
@@ -456,40 +423,37 @@ def _run_blocks(
     tables: StepTables, alpha: float, rounds: int, seeds: list[int]
 ) -> list[_Run]:
     """Run every replica's blocks in one pool until each budget is spent."""
-    pool = _Pool(tables, alpha, stop=rounds + 1)
+    pool = _Pool(tables, alpha, min(BLOCK, rounds), stop=rounds + 1)
     runs = [_Run(seed, rounds) for seed in seeds]
-    owner: dict[int, tuple[_Run, int]] = {}  # job -> run, block
+    owner: dict[int, tuple[_Run, int]] = {}  # slot -> run, block
     waiting = deque(runs)  # runs that may want another block, in turn
     unfinished = len(runs)
     while unfinished:
-        while waiting:
+        while waiting and pool.free:
             run = waiting[0]
             if not run.wants_block():
                 waiting.popleft()
                 run.queued = False
                 continue
-            size = run.size(run.admitted)
-            if not pool.fits(size):
-                break
-            job = pool.admit(run.stream, run.admitted * BLOCK_DRAWS, size)
-            owner[job] = (run, run.admitted)
+            slot = pool.admit(run.stream, run.admitted * BLOCK_DRAWS)
+            owner[slot] = (run, run.admitted)
             run.admitted += 1
-            run.jobs.add(job)
+            run.slots.add(slot)
             waiting.rotate(-1)
-        if not pool.size:
+        if not pool.count:
             raise RuntimeError("no cycle in flight before every budget was spent")
-        for job in pool.step().tolist():
-            if job not in owner:  # cancelled earlier in this loop
+        for slot in pool.step().tolist():
+            if slot not in owner:  # cancelled earlier in this loop
                 continue
-            run, block = owner.pop(job)
-            run.jobs.remove(job)
-            run.finish(block, *pool.release(job))
+            run, block = owner.pop(slot)
+            run.slots.remove(slot)
+            run.finish(block, *pool.release(slot))
             if run.done:
                 unfinished -= 1
-                if run.jobs:  # blocks past the budget
-                    pool.cancel(list(run.jobs))
-                    for j in run.jobs:
-                        del owner[j]
+                if run.slots:  # blocks past the budget
+                    pool.cancel(list(run.slots))
+                    for cancelled in run.slots:
+                        del owner[cancelled]
             elif not run.queued:
                 waiting.append(run)
                 run.queued = True

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from selfish_mining.chain import (
     build_truncated,
     dump_model,
     overpaying_terminal_reward,
+    transition_table,
 )
 from selfish_mining.model import (
     Action,
@@ -99,6 +101,19 @@ class TestModelBuild:
         idx = state_index(ChainState(2, 1, Fork.RELEVANT), 10)
         row = action_rows(model, Action.MATCH)
         assert row.indptr[idx + 1] - row.indptr[idx] == 2
+
+    def test_table_built_without_full_size_temporaries(self):
+        """The table is filled in place: the peak traced while it is built
+        stays within 1.3 times the arrays it returns."""
+        params = MiningParams(0.45, 0.5)
+        transition_table(params, 75)  # first-call allocations are not the table's
+        tracemalloc.start()
+        try:
+            table = transition_table(params, 75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * sum(column.nbytes for column in table)
 
     def test_boundary_states_are_adopt_only(self):
         model = build_base_model(MiningParams(0.35, 0.5), 6)

@@ -273,7 +273,7 @@ class TestSimulateCommand:
         the batch statistics are then undefined and written as null."""
         rc = main(
             ["simulate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0",
-             "--T", "10", "--rounds", "1", "--seed", "3", "--replicas", replicas,
+             "--T", "10", "--rounds", "1", "--seed", "1", "--replicas", replicas,
              "--out", "s"]
         )
         assert rc == 0

@@ -70,16 +70,17 @@ class TestDeterminism:
 
 
 class TestLaw:
-    @pytest.mark.parametrize("pilot", [simulate.PILOT, 1])
+    @pytest.mark.parametrize("block", [256, 1])
     @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", ["sm1", "honest"])
-    def test_short_horizon_law(self, monkeypatch, name, rounds, pilot):
+    def test_short_horizon_law(self, monkeypatch, name, rounds, block):
         """Counts after a few rounds, the cycle cut at the budget included,
         follow the exact law of the chain: each (attacker, honest) cell is
-        within four standard errors over 4000 replicas.  A one-cycle pilot
-        makes every later block one cycle, so the budget is also spent
+        within four standard errors over 4000 replicas.  Blocks of 256
+        cycles hold the whole budget in one block, as the default BLOCK's
+        do at these budgets; one-cycle blocks make the budget also spent
         across many blocks."""
-        monkeypatch.setattr(simulate, "PILOT", pilot)
+        monkeypatch.setattr(simulate, "BLOCK", block)
         params = MiningParams(0.4, 0.5)
         policy = builtin_policy(name, 4, params)
         law = exact_round_law(policy, params, rounds)
@@ -96,8 +97,20 @@ class TestLaw:
         params = MiningParams(0.4, 0.5)
         cfg = SimConfig(params, builtin_policy("sm1", 12, params), rounds=30_000, seed=6)
         wide = simulate_batch(cfg, replicas=4)
-        monkeypatch.setattr(simulate, "JOBS", 2)
+        monkeypatch.setattr(simulate, "CAPACITY", simulate.BLOCK)
         assert simulate_batch(cfg, replicas=4) == wide
+
+    def test_block_streams_uncorrelated(self):
+        """Summed draw by draw over 256 blocks' parts of one stream, the
+        first 20,000 draws have the variance of 256 independent uniforms,
+        256/12, within 5% (about five standard errors)."""
+        count = 20_000
+        total = np.zeros(count)
+        draws = np.empty(count)
+        for b in range(256):
+            simulate._Stream(1).read(b * simulate.BLOCK_DRAWS, draws)
+            total += draws
+        assert abs(total.var() / (256 / 12) - 1) <= 0.05
 
 
 class TestStatistics:

@@ -32,7 +32,7 @@ COMMANDS = [
     ["simulate", "--policy", "sm1", "--alpha", "0.35", "--gamma", "0.5", "--T", "75",
      "--rounds", "20000", "--replicas", "100", "--seed", "777", "--out", "batch"],
     ["simulate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "10",
-     "--rounds", "1", "--seed", "3", "--out", "null"],
+     "--rounds", "1", "--seed", "1", "--out", "null"],
     ["threshold", "--gamma", "0.5", "--T", "16", "--out", "thr"],
     ["sweep", "--alphas", "0.3,0.4", "--gammas", "0,0.5", "--T", "12",
      "--out", "sweep.csv"],
