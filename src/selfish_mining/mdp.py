@@ -16,9 +16,12 @@ to Howard policy iteration (Puterman 1994, ch. 8):
 each step evaluates the policy's gain and bias exactly with one grounded
 sparse LU factorization, applies the Bellman operator once, and improves the
 policy greedily, keeping the current action unless another is strictly
-better.  Either way the gain is bracketed by the extremes of the Bellman
-residual ``Bellman(V) - V``, which hold for any value vector, so the reported
-span is a certified bound on the gain error.  The same bracket lets
+better; it needs no step cap, since it never evaluates a policy twice and
+there are finitely many.  Either way the gain is bracketed by the extremes
+of the Bellman residual ``Bellman(V) - V``, which hold for any value vector,
+so the reported span is a certified bound on the gain error.  Both stages
+return one :class:`SolveResult`: greedy actions, values and that bracket,
+whose midpoint is the gain.  The same bracket lets
 :func:`gain_below` decide whether a gain lies below a bound at the first
 sweep whose bracket excludes it, often long before the span is small.
 Identical inputs produce bit-identical results: iteration order is fixed,
@@ -28,7 +31,8 @@ policy iteration keeps the current action on ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -53,38 +57,38 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
-    """Raised when a solve fails to reach the requested span, when a policy
-    evaluation is singular or inaccurate, or when a stationary solve returns
-    no valid distribution."""
-
-    def __init__(self, message: str, span: float, iterations: int):
-        super().__init__(message)
-        self.span = span
-        self.iterations = iterations
-
-
-@dataclass(frozen=True, eq=False)
-class RviResult:
-    """Raw solver output on an anonymous state grid."""
-
-    actions: np.ndarray  # greedy action ordinal per state
-    gain: float  # midpoint of the final Bellman-residual bracket
-    iterations: int  # Bellman applications
-    span: float  # final residual span; bounds the gain error
-    values: np.ndarray  # final relative values (reference state pinned to 0)
-    bracket: tuple[float, float]  # final residual (min, max); holds the gain
-    evaluations: int = 0  # exact policy evaluations
+    """Raised when policy iteration stalls above the requested span, when a
+    policy evaluation is singular or inaccurate, or when a stationary solve
+    returns no valid distribution."""
 
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    policy: Policy
-    gain: float
-    iterations: int
-    span: float
-    values: np.ndarray
-    bracket: tuple[float, float]
-    evaluations: int
+    """One average-reward solve on a state grid."""
+
+    actions: np.ndarray  # greedy action ordinal per state (int8)
+    values: np.ndarray  # final relative values (reference state pinned to 0)
+    bracket: tuple[float, float]  # final residual (min, max); holds the gain
+    iterations: int  # Bellman applications
+    evaluations: int = 0  # exact policy evaluations
+
+    @property
+    def gain(self) -> float:
+        """Midpoint of the bracket."""
+        low, high = self.bracket
+        return 0.5 * (low + high)
+
+    @property
+    def span(self) -> float:
+        """Width of the bracket; bounds the gain error."""
+        low, high = self.bracket
+        return high - low
+
+
+def _excludes(low: float, high: float, bound: float) -> bool:
+    """Whether the bracket ``[low, high]`` lies wholly on one side of
+    ``bound``; never, for a NaN bound."""
+    return high < bound or low > bound
 
 
 def _bellman(masked_rewards: np.ndarray, transition: sparse.csr_matrix, values):
@@ -96,69 +100,46 @@ def _bellman(masked_rewards: np.ndarray, transition: sparse.csr_matrix, values):
     return q, bellman, residual.min(), residual.max()
 
 
-def _damped_sweeps(
-    masked_rewards: np.ndarray,
-    transition: sparse.csr_matrix,
-    reference: int,
-    values: np.ndarray,
-):
-    """Damped relative value iteration from ``values``, without end: yields
-    each sweep's action values ``q``, residual bracket ``(low, high)`` and
-    the values it started from, then steps to
-    ``(1-DAMPING)*Bellman(V) + DAMPING*V`` pinned at ``reference``."""
-    while True:
-        q, bellman, low, high = _bellman(masked_rewards, transition, values)
-        yield q, low, high, values
-        values = (1.0 - DAMPING) * bellman + DAMPING * values
-        values -= values[reference]
-
-
 def relative_value_iteration(
     feasible: np.ndarray,
     transition: sparse.csr_matrix,
     rewards: np.ndarray,
     reference: int,
     eps: float,
-    max_iters: int = 1_000_000,
+    max_sweeps: float = np.inf,
     initial_values: np.ndarray | None = None,
     bound: float = np.nan,
-) -> RviResult:
+) -> SolveResult:
     """Damped relative value iteration on a finite average-reward MDP given
     its stacked operator.
 
     ``feasible`` and ``rewards`` are (num_actions, n); ``transition`` is the
     (num_actions * n, n) operator whose row ``action*n + state`` is that
     pair's next-state distribution (rows of infeasible pairs are ignored), so
-    a sweep is one sparse matrix-vector product.  Stops at the first sweep
-    whose span is at most ``eps`` or whose residual bracket lies wholly on
-    one side of ``bound`` (never, for the default NaN), or after
-    ``max_iters`` sweeps with that sweep's greedy policy and bracket; the
-    result's span and bracket tell which.
+    a sweep is one sparse matrix-vector product.  Each sweep from ``V`` steps
+    to ``(1-DAMPING)*Bellman(V) + DAMPING*V`` pinned at ``reference``.  Stops
+    at the first sweep whose span is at most ``eps`` or whose residual
+    bracket lies wholly on one side of ``bound`` (never, for the default
+    NaN), or after ``max_sweeps`` sweeps (none, by default), with that
+    sweep's greedy policy, starting values and bracket; the result's span
+    and bracket tell which.
     """
     if eps <= 0:
         raise ValueError(f"solver tolerance must be positive (got {eps})")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be positive (got {max_iters})")
-    values = (
-        np.zeros(rewards.shape[1])
-        if initial_values is None
-        else np.array(initial_values, dtype=float)
-    )
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be positive (got {max_sweeps})")
+    start = np.zeros(rewards.shape[1]) if initial_values is None else initial_values
+    values = np.array(start, dtype=float)
     # Infeasible (action, state) pairs carry -inf reward so they never win
     # the max; every state keeps at least one feasible action.
     masked_rewards = np.where(feasible, rewards, -np.inf)
-    sweeps = _damped_sweeps(masked_rewards, transition, reference, values)
-    for iteration, (q, low, high, values) in enumerate(sweeps, start=1):
-        decided = high < bound or low > bound
-        if decided or high - low <= eps or iteration == max_iters:
-            return RviResult(
-                actions=np.argmax(q, axis=0).astype(np.int8),
-                gain=float(0.5 * (low + high)),
-                iterations=iteration,
-                span=float(high - low),
-                values=values,
-                bracket=(float(low), float(high)),
-            )
+    for sweep in count(1):
+        q, bellman, low, high = _bellman(masked_rewards, transition, values)
+        if high - low <= eps or _excludes(low, high, bound) or sweep == max_sweeps:
+            actions = np.argmax(q, axis=0).astype(np.int8)
+            return SolveResult(actions, values, (float(low), float(high)), sweep)
+        values = (1.0 - DAMPING) * bellman + DAMPING * values
+        values -= values[reference]
 
 
 def _grounded_system(P: sparse.csr_matrix, reference: int) -> sparse.csc_matrix:
@@ -189,9 +170,7 @@ def _factorized(system: sparse.csc_matrix, solve: str, question: str):
     try:
         return sparse_linalg.splu(system, relax=1, panel_size=1)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverError(
-            f"{solve} failed ({exc}); {question}", span=np.nan, iterations=0
-        ) from exc
+        raise SolverError(f"{solve} failed ({exc}); {question}") from exc
 
 
 def evaluate_gain(
@@ -233,9 +212,7 @@ def evaluate_gain(
     if not residual <= EVALUATION_RESIDUAL_TOL * scale:
         raise SolverError(
             f"policy evaluation is inaccurate (residual {residual:.3e}); does the"
-            " policy have more than one recurrent class?",
-            span=np.nan,
-            iterations=0,
+            " policy have more than one recurrent class?"
         )
     gain = float(x[reference])
     x[reference] = 0.0
@@ -249,8 +226,7 @@ def policy_iteration(
     reference: int,
     eps: float,
     actions: np.ndarray,
-    max_iters: int = 1_000_000,
-) -> RviResult:
+) -> SolveResult:
     """Howard policy iteration from ``actions`` until the Bellman-residual
     span of the evaluated bias is at most ``eps``.
 
@@ -259,49 +235,31 @@ def policy_iteration(
     better, and is the policy returned at the end.  Raises
     :class:`SolverError` when the improved policy was already evaluated
     (nothing improved, or actions tied up to round-off alternate) while the
-    span is still above ``eps``, or after ``max_iters`` steps.
+    span is still above ``eps``.
     """
     masked_rewards = np.where(feasible, rewards, -np.inf)
     states = np.arange(rewards.shape[1])
-    span = np.inf
     evaluated: set[bytes] = set()
-    for step in range(1, max_iters + 1):
+    for step in count(1):
         _, values = evaluate_gain(feasible, transition, rewards, reference, actions)
         q, _, low, high = _bellman(masked_rewards, transition, values)
-        span = high - low
         best = np.argmax(q, axis=0)
         better = q[best, states] > q[actions, states]
         improved = np.where(better, best, actions).astype(np.int8)
-        if span <= eps:
-            return RviResult(
-                actions=improved,
-                gain=float(0.5 * (low + high)),
-                iterations=step,
-                span=float(span),
-                values=values,
-                bracket=(float(low), float(high)),
-                evaluations=step,
-            )
+        if high - low <= eps:
+            return SolveResult(improved, values, (float(low), float(high)), step, step)
         evaluated.add(actions.astype(np.int8).tobytes())
         if improved.tobytes() in evaluated:
             raise SolverError(
-                f"policy iteration stalled at span {span:.3e} > {eps:.3e}:"
-                " no action is strictly better beyond round-off",
-                span=float(span),
-                iterations=step,
+                f"policy iteration stalled at span {high - low:.3e} > {eps:.3e}:"
+                " no action is strictly better beyond round-off"
             )
         actions = improved
-    raise SolverError(
-        f"no convergence after {max_iters} policy steps (span {span:.3e} > {eps:.3e})",
-        span=float(span),
-        iterations=max_iters,
-    )
 
 
 def solve_average_reward(
     scalar: ScalarModel,
     eps_solver: float,
-    max_iters: int = 1_000_000,
     initial_values: np.ndarray | None = None,
     bound: float = np.nan,
 ) -> SolveResult:
@@ -313,51 +271,17 @@ def solve_average_reward(
     ``bound`` (never, for the default NaN); a solve still open then
     continues as Howard policy iteration from the last greedy policy.
     ``iterations`` counts Bellman applications of both stages and
-    ``evaluations`` the exact policy evaluations; ``max_iters`` caps the
-    former, and a solve that reaches it raises :class:`SolverError`.
+    ``evaluations`` the exact policy evaluations.
     """
     model = scalar.model
     system = (model.feasible, model.transition, scalar.rewards, model.reference_index)
-    raw = relative_value_iteration(
-        *system,
-        eps=eps_solver,
-        max_iters=min(max_iters, RVI_SWEEP_BUDGET),
-        initial_values=initial_values,
-        bound=bound,
+    result = relative_value_iteration(
+        *system, eps_solver, RVI_SWEEP_BUDGET, initial_values, bound
     )
-    iterations = raw.iterations
-    low, high = raw.bracket
-    if raw.span > eps_solver and not (high < bound or low > bound):
-        if iterations == max_iters:
-            raise SolverError(
-                f"no convergence after {max_iters} iterations"
-                f" (span {raw.span:.3e} > {eps_solver:.3e})",
-                span=raw.span,
-                iterations=max_iters,
-            )
-        raw = policy_iteration(
-            *system,
-            eps=eps_solver,
-            actions=raw.actions,
-            max_iters=max_iters - iterations,
-        )
-        iterations += raw.iterations
-    policy = Policy(
-        T=model.T,
-        actions=raw.actions,
-        alpha=model.params.alpha,
-        gamma=model.params.gamma,
-        variant=model.params.variant,
-    )
-    return SolveResult(
-        policy=policy,
-        gain=raw.gain,
-        iterations=iterations,
-        span=raw.span,
-        values=raw.values,
-        bracket=raw.bracket,
-        evaluations=raw.evaluations,
-    )
+    if result.span <= eps_solver or _excludes(*result.bracket, bound):
+        return result
+    finish = policy_iteration(*system, eps_solver, result.actions)
+    return replace(finish, iterations=result.iterations + finish.iterations)
 
 
 class GainVerdict(NamedTuple):
@@ -386,18 +310,17 @@ def gain_below(
     above ``bound`` proves it above, with that min as evidence.  Both are
     certified bounds on the gain.  A solve whose span reaches ``eps`` with
     ``bound`` inside its bracket, or that ends in policy iteration, decides
-    by its midpoint gain, which is then the evidence.
+    by its midpoint gain, which is then the evidence.  The midpoint lies in
+    the bracket, so either way the verdict is ``gain <= bound``.
     """
     result = solve_average_reward(
         scalar, eps, initial_values=initial_values, bound=bound
     )
+    below = result.gain <= bound
     low, high = result.bracket
-    if not result.evaluations:  # ended in value iteration
-        if high < bound:
-            return GainVerdict(True, high, result)
-        if low > bound:
-            return GainVerdict(False, low, result)
-    return GainVerdict(result.gain <= bound, result.gain, result)
+    if result.evaluations or not _excludes(low, high, bound):
+        return GainVerdict(below, result.gain, result)
+    return GainVerdict(below, high if below else low, result)
 
 
 def reachable_mask(model: MiningModel, policy: Policy) -> np.ndarray:
@@ -438,9 +361,7 @@ def stationary_distribution(P: sparse.csr_matrix) -> np.ndarray:
     if closed != 1:
         raise SolverError(
             f"stationary solve refused: the chain has {closed} closed classes;"
-            " is the chain irreducible?",
-            span=np.nan,
-            iterations=0,
+            " is the chain irreducible?"
         )
     lu = _factorized(
         _grounded_system(P, 0), "stationary solve", "is the chain irreducible?"
@@ -452,9 +373,7 @@ def stationary_distribution(P: sparse.csr_matrix) -> np.ndarray:
     if not (lowest >= -STATIONARY_NEGATIVE_TOL and residual <= STATIONARY_RESIDUAL_TOL):
         raise SolverError(
             f"stationary solve gave no distribution (smallest entry {lowest:.3e},"
-            f" residual {residual:.3e}); is the chain irreducible?",
-            span=np.nan,
-            iterations=0,
+            f" residual {residual:.3e}); is the chain irreducible?"
         )
     pi = np.maximum(pi, 0.0)
     return pi / pi.sum()

@@ -185,15 +185,19 @@ def ratio_iteration(model: MiningModel, eps: float) -> RatioIteration:
     probes: list[ProbeRecord] = []
     values = None
     lower_bound, policy = -np.inf, None
-    rho = model.params.alpha
+    params = model.params
+    rho = params.alpha
     while True:
         scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho)
         result = solve_average_reward(scalar, solver_eps, initial_values=values)
         values = result.values
-        rev = evaluate_policy_exact(model, result.policy).rev
+        greedy = Policy(
+            model.T, result.actions, params.alpha, params.gamma, params.variant
+        )
+        rev = evaluate_policy_exact(model, greedy).rev
         probes.append(ProbeRecord(rho, result.gain, rev, result.iterations, result.span))
         if rev >= lower_bound:
-            lower_bound, policy = rev, result.policy
+            lower_bound, policy = rev, greedy
         if result.gain <= solver_eps or rev <= rho:
             break
         rho = rev

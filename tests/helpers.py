@@ -467,13 +467,20 @@ def reference_rvi(
     rewards: np.ndarray,
     reference: int,
     eps: float,
-) -> tuple[float, int, np.ndarray, np.ndarray]:
+    initial_values: np.ndarray | None = None,
+    bound: float = np.nan,
+) -> tuple[float, int, np.ndarray, np.ndarray, tuple[float, float]]:
     """Damped relative value iteration with one sparse product per action
-    and sweep, the loop the stacked solver replaced.  Returns the gain, the
-    sweep count, the relative values and the greedy actions."""
+    and sweep, the loop the stacked solver replaced, from ``initial_values``
+    (zeros by default).  It stops at a span of at most ``eps`` or at a
+    residual bracket wholly above or below ``bound``.  Returns the gain, the
+    sweep count, the relative values, the greedy actions and the bracket."""
     damping = 0.01
     masked = np.where(feasible, rewards, -np.inf)
-    values = np.zeros(rewards.shape[1])
+    if initial_values is None:
+        values = np.zeros(rewards.shape[1])
+    else:
+        values = np.array(initial_values, dtype=float)
     q = np.empty(rewards.shape)
     for iteration in range(1, 1_000_000):
         for action, matrix in enumerate(matrices):
@@ -481,9 +488,10 @@ def reference_rvi(
         bellman = q.max(axis=0)
         residual = bellman - values
         low, high = residual.min(), residual.max()
-        if high - low <= eps:
+        if high - low <= eps or high < bound or low > bound:
             greedy = np.argmax(q, axis=0).astype(np.int8)
-            return float(0.5 * (low + high)), iteration, values, greedy
+            gain = float(0.5 * (low + high))
+            return gain, iteration, values, greedy, (float(low), float(high))
         values = (1.0 - damping) * bellman + damping * values
         values -= values[reference]
     raise AssertionError("reference value iteration did not converge")

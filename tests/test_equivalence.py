@@ -2,8 +2,9 @@
 ``helpers.transitions``: built models, simulator step tables and model
 dumps must agree bit for bit, as must the alpha-free structure weighed at
 any alpha and scipy's COO build of the model there, and the stacked-operator
-value iteration and a per-action one; solves that the policy-iteration stage
-finishes must reach the per-action loop's gain.  A policy's reachable
+value iteration and a per-action one, cold or warm-started and stopped by a
+bound; solves that the policy-iteration stage finishes must reach the
+per-action loop's gain.  A policy's reachable
 states traced on the table must be those traced on the built operator, and
 the closure over every feasible action the per-state walk's.  The built-in grid-rule
 policies must equal their per-state rules tabulated state by state.  The
@@ -193,15 +194,16 @@ def test_dump_matches_reference(params, T):
         assert dump_model(disabled) == reference_dump(disabled)
 
 
-def per_action_solve(T, mode, eps=1e-8):
+def per_action_solve(T, mode, eps=1e-8, rho=0.45, **warm):
     params = MiningParams(0.4, 0.5)
-    scalar = build_truncated(build_base_model(params, T), mode, rho=0.45)
+    scalar = build_truncated(build_base_model(params, T), mode, rho=rho)
     reference = reference_rvi(
         scalar.model.feasible,
         reference_layers(params, T)[3],
         scalar.rewards,
         scalar.model.reference_index,
         eps,
+        **warm,
     )
     return scalar, reference
 
@@ -209,12 +211,41 @@ def per_action_solve(T, mode, eps=1e-8):
 @pytest.mark.parametrize("mode", list(BoundaryMode))
 @pytest.mark.parametrize("T", [2, 8, 30])
 def test_solver_matches_per_action_iteration(T, mode):
-    scalar, (gain, iterations, values, actions) = per_action_solve(T, mode)
+    scalar, (gain, iterations, values, actions, _bracket) = per_action_solve(T, mode)
     model = scalar.model
     got = relative_value_iteration(
         model.feasible, model.transition, scalar.rewards, model.reference_index, 1e-8
     )
     assert (got.gain, got.iterations) == (gain, iterations)
+    assert got.values.tobytes() == values.tobytes()
+    assert got.actions.tobytes() == actions.tobytes()
+
+
+@pytest.mark.parametrize("offset,excluded", [(0.01, True), (0.0, False)])
+def test_bounded_warm_solver_matches_per_action_iteration(offset, excluded):
+    """Warm-started from another model's values and stopped by a bound,
+    the stacked solver still matches the per-action loop bit for bit: at a
+    bound 0.01 above the gain, which a bracket excludes early, and at the
+    gain itself, which every bracket holds, so the span decides."""
+    T, mode, eps = 12, BoundaryMode.UNDER_PAYING, 1e-8
+    start = per_action_solve(T, mode, eps, rho=0.4)[1][2]
+    scalar, unbounded = per_action_solve(T, mode, eps, initial_values=start)
+    bound = unbounded[0] + offset
+    _, reference = per_action_solve(T, mode, eps, initial_values=start, bound=bound)
+    _gain, iterations, values, actions, (low, high) = reference
+    assert (high < bound or low > bound) == excluded
+    assert (iterations < unbounded[1]) == excluded
+    model = scalar.model
+    got = relative_value_iteration(
+        model.feasible,
+        model.transition,
+        scalar.rewards,
+        model.reference_index,
+        eps,
+        initial_values=start,
+        bound=bound,
+    )
+    assert (got.bracket, got.iterations) == ((low, high), iterations)
     assert got.values.tobytes() == values.tobytes()
     assert got.actions.tobytes() == actions.tobytes()
 
@@ -226,7 +257,7 @@ def test_policy_iteration_finishes_long_solves(T, mode):
     """These two solves need more sweeps than the budget, so the solver
     finishes them with policy iteration: same certificate, same gain."""
     eps = 1e-8
-    scalar, (gain, iterations, _values, _actions) = per_action_solve(T, mode, eps)
+    scalar, (gain, iterations, *_) = per_action_solve(T, mode, eps)
     got = solve_average_reward(scalar, eps)
     assert iterations > RVI_SWEEP_BUDGET and got.evaluations >= 1
     assert got.iterations == RVI_SWEEP_BUDGET + got.evaluations

@@ -12,7 +12,7 @@ from selfish_mining.chain import (
     model_structure,
 )
 from selfish_mining.mdp import evaluate_policy_exact, solve_average_reward
-from selfish_mining.model import MiningParams, Variant, builtin_policy
+from selfish_mining.model import MiningParams, Policy, Variant, builtin_policy
 from selfish_mining.optimize import (
     SWEEP_HEADER,
     OptimizeConfig,
@@ -70,7 +70,8 @@ class TestFindOptimal:
             values = result.values
             assert (result.gain, result.iterations) == (probe.gain, probe.iterations)
             assert probe.span <= eps / 8
-            assert evaluate_policy_exact(model, result.policy).rev == probe.rev
+            greedy = Policy(model.T, result.actions)
+            assert evaluate_policy_exact(model, greedy).rev == probe.rev
         assert report.probes[-1].gain <= eps / 8
         assert report.lower_bound == max(probe.rev for probe in report.probes)
 

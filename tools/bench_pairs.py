@@ -10,12 +10,12 @@ alike.  Each workload's metrics are the end-to-end metrics of
 ``BENCHMARK.json``; the file gets their medians and quartiles per side and
 the number of pairs in which the after side was better.  With ``--trace``,
 one traced run per side and workload adds the per-layer solver and
-simulator figures, and one ``tools/count_bellman.py`` run per side adds the
-direct counts of solves and Bellman applications, decision passes included,
-that the traced ``mdp.rvi_sweeps`` does not see.  Before the workloads,
-five fresh interpreters per side, alternating, each only import
-``selfish_mining.cli``; the file gets their wall time, peak RSS and number of
-loaded modules, the layer every CLI process pays before its first operation.
+simulator figures; the threshold search's decision passes are solves, so
+the traced ``mdp.solve_calls`` and ``mdp.rvi_sweeps`` count them too.
+Before the workloads, five fresh interpreters per side, alternating, each
+only import ``selfish_mining.cli``; the file gets their wall time, peak RSS
+and number of loaded modules, the layer every CLI process pays before its
+first operation.
 
 The summary goes to ``BENCH_<name>.json`` at the root of the repository
 that holds this script.  A section is keyed by workload and seeds, so a later call with
@@ -73,18 +73,6 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
           + ", ".join(f"{k}={result['metrics'][k]['value']:.4g}" for k in shown),
           file=sys.stderr, flush=True)
     return result
-
-
-def count(checkout: Path, workload: str, seed: int) -> dict:
-    """Direct solver counts of one round, from ``tools/count_bellman.py``."""
-    command = [
-        sys.executable, str(ROOT / "tools" / "count_bellman.py"),
-        "--checkout", str(checkout), "--workload", workload, "--seed", str(seed),
-    ]
-    done = subprocess.run(command, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{' '.join(command)} failed:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def startup(checkout: Path) -> dict:
@@ -205,10 +193,6 @@ def main(argv: list[str] | None = None) -> int:
                 section["traced"][side] = {
                     name: metrics[name]["value"] for name in TRACED_LAYERS
                 }
-            section["counted"] = {
-                side: count(checkout, workload, seed)
-                for side, checkout in (("before", before), ("after", after))
-            }
         key = f"{workload} seeds {args.seeds[0]}-{args.seeds[-1]}"
         bench["sections"][key] = section
         out.write_text(json.dumps(bench, indent=2) + "\n")

@@ -34,6 +34,7 @@ COMMANDS = [
     ["simulate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "10",
      "--rounds", "1", "--seed", "1", "--out", "null"],
     ["threshold", "--gamma", "0.5", "--T", "16", "--out", "thr"],
+    ["threshold", "--gamma", "0.5", "--T", "75", "--out", "thr75"],
     ["sweep", "--alphas", "0.3,0.4", "--gammas", "0,0.5", "--T", "12",
      "--out", "sweep.csv"],
     ["render", "--policy", "opt.policy.json"],
