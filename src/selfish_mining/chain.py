@@ -1,21 +1,20 @@
 """Builders that turn the block-race rules into solvable models.
 
 The rules are computed once, over the whole grid, by :func:`transition_table`:
-for every (action, state) pair it gives each branch's next state, kind,
-probability and block rewards, with the feasibility of the pair.  The model's
-transition operator and expected rewards, the simulator's step tables, the
-model validation and the text dump are all read from that table.  Every
+for every (action, state) pair it gives each branch's next state, kind and
+block rewards, with the feasibility of the pair.  The model's transition
+operator and expected rewards, the simulator's step tables, the model
+validation and the text dump are all read from that table.  Every
 per-(action, state) quantity of a built model shares one row layout: row
 ``action*n + state``, the (actions, n) arrays flattened in C order.
 
 A branch's probability is one of five weights of its kind (the attacker's
 block, a race won or lost by the honest block, a plain honest block, or no
-branch), so at a fixed T, gamma and variant everything but those weights,
-the live branches included, is the same for every alpha in (0, 0.5).
-:func:`model_structure` builds that part once, with the sparse pattern of
-the operator; :meth:`ModelStructure.weigh` turns it into the model at any
-such alpha, and :func:`build_base_model` is the structure weighed at its
-own alpha.
+branch), so the table stores kinds, not probabilities, and at a fixed T,
+gamma and variant it is the same for every alpha in (0, 0.5), its live
+branches included.  :meth:`TransitionTable.weigh` turns it into the model at
+any such alpha, on the operator's sparse pattern, which it sorts once per
+table; :func:`build_base_model` is the table weighed at its own alpha.
 
 The built model keeps two-component block rewards untransformed.  The scalar
 reward used by the average-reward solver, ``(1-rho)*attacker - rho*honest``,
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -109,25 +108,90 @@ def branch_weights(params: MiningParams) -> np.ndarray:
     return np.array([alpha, win * lost, (1 - win) * lost, lost, 0.0])
 
 
-class TransitionTable(NamedTuple):
-    """The block-race rules for every (action, state) pair of a grid,
-    indexed ``[action, state, branch]``.
+@dataclass(frozen=True, eq=False)
+class TransitionTable:
+    """The block-race rules for every (action, state) pair of a grid at
+    ``params``'s gamma and variant, indexed ``[action, state, branch]``.
 
     Branches come in a fixed order: the attacker block, then the honest
-    block (race won, then race lost, where ``race`` is set).  A pair
+    block (race won, then race lost, where a race is live).  A pair
     without a race has two branches; its third repeats the second as kind
-    ``NO_BRANCH``, at probability zero.  Infeasible pairs, including every
-    action but adopt at the truncation boundary, hold zeros and
-    ``NO_BRANCH``.  ``probability`` is ``branch_weights(params)[kind]``.
+    ``NO_BRANCH``.  Infeasible pairs, including every action but adopt at
+    the truncation boundary, hold zeros and ``NO_BRANCH``.  Block counts,
+    at most T + 1, are kept in the smallest unsigned dtype that holds that,
+    which converts to float exactly.
+
+    Nothing here depends on alpha: a branch's probability is the weight of
+    its kind, ``branch_weights(params)[kind]``, and its live branches
+    (probability > 0) are the same for every alpha in (0, 0.5).
     """
 
+    params: MiningParams
+    T: int
     next_state: np.ndarray  # (actions, n, 3) grid index
     kind: np.ndarray  # (actions, n, 3) branch kind
-    probability: np.ndarray  # (actions, n, 3)
     attacker: np.ndarray  # (actions, n, 3) attacker blocks accepted
     honest: np.ndarray  # (actions, n, 3) honest blocks accepted
     feasible: np.ndarray  # (actions, n) bool
-    race: np.ndarray  # (actions, n) bool, three branches with a race split
+
+    @property
+    def probability(self) -> np.ndarray:
+        """(actions, n, 3) branch probabilities at ``params``'s alpha."""
+        return branch_weights(self.params)[self.kind]
+
+    @cached_property
+    def _pattern(self) -> tuple[np.ndarray, ...]:
+        """``(live_kind, slot, indices, indptr, boundary)``, built on first
+        use and shared by every weighing: the kind of each live branch, in C order
+        over ``[action, state, branch]``, its position in the operator's
+        data, and the operator's CSR pattern.  Live branches are sorted by a
+        stable sort of their (row, column) keys; the two branches of a race
+        that land on one state share a slot."""
+        n = self.kind.shape[1]
+        live = np.flatnonzero((branch_weights(self.params) > 0.0)[self.kind])
+        keys = live // 3  # operator row
+        keys *= n
+        keys += self.next_state.ravel()[live]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.concatenate([[True], keys[1:] != keys[:-1]])
+        slot = np.empty(len(keys), dtype=np.int32)
+        slot[order] = np.cumsum(first, dtype=np.int32) - 1
+        keys = keys[first]
+        counts = np.bincount(keys // n, minlength=len(Action) * n)
+        a, h, _fork = grid_coordinates(self.T)
+        return (
+            self.kind.ravel()[live],
+            slot,
+            (keys % n).astype(np.int32),
+            np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+            np.maximum(a, h) == self.T,
+        )
+
+    def weigh(self, alpha: float) -> MiningModel:
+        """The base model at hashrate ``alpha``: the operator's data is the
+        branch weights summed onto the fixed pattern, and the expected block
+        rewards their products with the blocks of each branch.  Boundary
+        states keep adopt alone; :func:`build_truncated`'s boundary mode
+        decides its scalar reward."""
+        params = replace(self.params, alpha=alpha)
+        weights = branch_weights(params)
+        live_kind, slot, indices, indptr, boundary = self._pattern
+        n = len(boundary)
+        data = np.bincount(slot, weights=weights[live_kind], minlength=len(indices))
+        transition = sparse.csr_matrix(
+            (data, indices, indptr), shape=(len(Action) * n, n)
+        )
+        p = weights[self.kind]
+        return MiningModel(
+            params=params,
+            T=self.T,
+            feasible=self.feasible,
+            transition=transition,
+            exp_attacker=sum(p[..., b] * self.attacker[..., b] for b in range(3)),
+            exp_honest=sum(p[..., b] * self.honest[..., b] for b in range(3)),
+            boundary=boundary,
+        )
 
 
 def transition_table(params: MiningParams, T: int) -> TransitionTable:
@@ -142,17 +206,22 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     inconsistent and unreachable state, it is plain private mining.
     Truncation-boundary states keep adopt alone.
     """
-    a, h, fork = (c.astype(np.int32) for c in grid_coordinates(T))
+    # The coordinates broadcast over the (a, h, fork) grid, so that every
+    # rule below is at most an (a, h) plane.
+    side = T + 1
+    a = np.arange(side, dtype=np.int32).reshape(side, 1, 1)
+    h = a.reshape(1, side, 1)
+    fork = np.arange(len(Fork), dtype=np.int32).reshape(1, 1, len(Fork))
     interior = np.maximum(a, h) < T
     late_match = params.variant is Variant.UNIFORM_TIE_BREAK
     can_match = (fork == Fork.RELEVANT) | ((fork == Fork.IRRELEVANT) & late_match)
     match_ok = interior & (a >= h) & can_match
-    feasible = np.stack([np.ones_like(interior), interior & (a > h), match_ok, interior])
-    never = np.zeros_like(interior)
-    race = np.stack([never, never, match_ok, interior & (fork == Fork.ACTIVE) & (a >= h)])
+    by_action = np.broadcast_arrays(True, interior & (a > h), match_ok, interior)
+    feasible = np.stack(by_action)  # (actions, a, h, fork)
+    race = (False, False, match_ok, interior & (fork == Fork.ACTIVE) & (a >= h))
 
     def at(na, nh, nf):  # grid index of (a, h, fork)
-        return nf + 3 * (nh + (T + 1) * na)
+        return nf + 3 * (nh + side * na)
 
     # (next state, attacker blocks, honest blocks, kind)
     irr, rel, act = int(Fork.IRRELEVANT), int(Fork.RELEVANT), int(Fork.ACTIVE)
@@ -179,25 +248,31 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     ]
     # without a race the third branch repeats the second as no branch
     plain = [[first, second, second[:3] + (NO_BRANCH,)] for first, second in two_branch]
-    weights = branch_weights(params)
-    shape = (len(Action), len(a), 3)
-    next_state, attacker, honest = (np.empty(shape, np.int32) for _ in range(3))
-    kind = np.empty(shape, np.int8)
-    probability = np.empty(shape)
-    # Filled one (action, branch) slice at a time, so that no temporary as
-    # large as a column of the table is ever held.  Infeasible pairs hold
-    # zeros and no branch.
+    shape, blocks = (*feasible.shape, 3), np.min_scalar_type(T + 1)
+    next_state, kind = np.empty(shape, np.int32), np.empty(shape, np.int8)
+    attacker, honest = np.empty(shape, blocks), np.empty(shape, blocks)
+    # Filled in place, one (action, branch) slice at a time, so that no
+    # temporary as large as a slice is ever held.  Infeasible pairs hold
+    # zeros and no branch; a race is only live at a feasible pair.  Every
+    # value fits its column's dtype.
     columns, empty = (next_state, attacker, honest, kind), (0, 0, 0, NO_BRANCH)
     for action in Action:
         for branch in range(3):
-            cells = (action, slice(None), branch)
             rules = zip(columns, racing[branch], plain[action][branch], empty)
             for column, r, p, infeasible in rules:
-                rule = np.where(race[action], r, p)
-                column[cells] = np.where(feasible[action], rule, infeasible)
-            probability[cells] = weights[kind[cells]]
+                cells = column[action, ..., branch]
+                cells[...] = infeasible
+                np.copyto(cells, p, casting="unsafe", where=feasible[action])
+                np.copyto(cells, r, casting="unsafe", where=race[action])
+    rows = (len(Action), num_states(T), 3)
     return TransitionTable(
-        next_state, kind, probability, attacker, honest, feasible, race
+        params=params,
+        T=T,
+        next_state=next_state.reshape(rows),
+        kind=kind.reshape(rows),
+        attacker=attacker.reshape(rows),
+        honest=honest.reshape(rows),
+        feasible=feasible.reshape(rows[:2]),
     )
 
 
@@ -213,13 +288,13 @@ def forward_closure(source: np.ndarray, target: np.ndarray, T: int) -> np.ndarra
     return seen
 
 
-def policy_closure(table: TransitionTable, actions: np.ndarray, T: int) -> np.ndarray:
+def policy_closure(table: TransitionTable, actions: np.ndarray) -> np.ndarray:
     """The states a policy reaches: the forward closure over the live
     branches (probability > 0) of its rows of the table.  An infeasible
     pair has no live branch, so the trace stops there."""
     rows = (actions, np.arange(len(actions)))
-    state, branch = np.nonzero(table.probability[rows] > 0.0)
-    return forward_closure(state, table.next_state[rows][state, branch], T)
+    state, branch = np.nonzero(branch_weights(table.params)[table.kind[rows]] > 0.0)
+    return forward_closure(state, table.next_state[rows][state, branch], table.T)
 
 
 def check_feasible(
@@ -236,100 +311,10 @@ def check_feasible(
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ModelStructure:
-    """A built model without its branch probabilities: the parts of the
-    transition table of ``params`` that :meth:`weigh` reads, in the smallest
-    dtypes that hold them, and the CSR pattern of the stacked operator.  Its
-    live branches (probability > 0) are the same for every alpha in
-    (0, 0.5) at its T, gamma and variant.  ``live_kind`` holds the kind of
-    each live branch, in C order over ``[action, state, branch]``, and
-    ``slot`` its position in the operator's data; the two branches of a
-    race that land on one state share a slot."""
-
-    params: MiningParams
-    T: int
-    feasible: np.ndarray  # (actions, n) bool
-    kind: np.ndarray  # (actions, n, 3) branch kind
-    attacker: np.ndarray  # (actions, n, 3) attacker blocks accepted
-    honest: np.ndarray  # (actions, n, 3) honest blocks accepted
-    live_kind: np.ndarray  # (live branches,) branch kind
-    slot: np.ndarray  # (live branches,) operator data position
-    indices: np.ndarray  # CSR column indices of the operator
-    indptr: np.ndarray  # CSR row pointers of the operator
-    boundary: np.ndarray  # (n,) bool, truncation-boundary states
-
-    def weigh(self, alpha: float) -> MiningModel:
-        """The base model at hashrate ``alpha``: the operator's data is the
-        branch weights summed onto the fixed pattern, and the expected block
-        rewards their products with the blocks of each branch."""
-        params = replace(self.params, alpha=alpha)
-        weights = branch_weights(params)
-        n = len(self.boundary)
-        data = np.bincount(
-            self.slot, weights=weights[self.live_kind], minlength=len(self.indices)
-        )
-        transition = sparse.csr_matrix(
-            (data, self.indices, self.indptr), shape=(len(Action) * n, n)
-        )
-        p = weights[self.kind]
-        return MiningModel(
-            params=params,
-            T=self.T,
-            feasible=self.feasible,
-            transition=transition,
-            exp_attacker=sum(p[..., b] * self.attacker[..., b] for b in range(3)),
-            exp_honest=sum(p[..., b] * self.honest[..., b] for b in range(3)),
-            boundary=self.boundary,
-        )
-
-
-def model_structure(params: MiningParams, T: int) -> ModelStructure:
-    """The structure of the base models at ``params``'s gamma and variant on
-    the {0..T}^2 grid.
-
-    Interior states get every feasible action; boundary states keep a single
-    terminal action with adopt's transition distribution and adopt's reward
-    (the boundary mode of :func:`build_truncated` decides its scalar value).
-    Live branches are sorted into the operator's row-major order by a stable
-    sort of their (row, column) keys; branches with equal keys share a slot.
-    Block counts, at most T + 1, are kept in the smallest unsigned dtype
-    that holds that, which converts to float exactly.
-    """
-    table = transition_table(params, T)
-    n = num_states(T)
-    live = np.flatnonzero(table.probability > 0.0)  # (action*n + state)*3 + branch
-    keys = live // 3  # operator row
-    keys *= n
-    keys += table.next_state.ravel()[live]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.concatenate([[True], keys[1:] != keys[:-1]])
-    slot = np.empty(len(keys), dtype=np.int32)
-    slot[order] = np.cumsum(first, dtype=np.int32) - 1
-    keys = keys[first]
-    counts = np.bincount(keys // n, minlength=len(Action) * n)
-    blocks = np.min_scalar_type(T + 1)
-    a, h, _fork = grid_coordinates(T)
-    return ModelStructure(
-        params=params,
-        T=T,
-        feasible=table.feasible,
-        kind=table.kind,
-        attacker=table.attacker.astype(blocks),
-        honest=table.honest.astype(blocks),
-        live_kind=table.kind.ravel()[live],
-        slot=slot,
-        indices=(keys % n).astype(np.int32),
-        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
-        boundary=np.maximum(a, h) == T,
-    )
-
-
 def build_base_model(params: MiningParams, T: int) -> MiningModel:
     """Realize the transition rules on the {0..T}^2 grid at ``params``: the
-    structure of :func:`model_structure` weighed at its own alpha."""
-    return model_structure(params, T).weigh(params.alpha)
+    transition table weighed at its own alpha."""
+    return transition_table(params, T).weigh(params.alpha)
 
 
 def build_honest_disabled(model: MiningModel, variant: ThresholdVariant) -> MiningModel:
@@ -417,12 +402,13 @@ def dump_model(model: MiningModel) -> str:
     names = _cat(a, ",", h, ",", np.array([f.name.lower() for f in Fork])[fork])
     state, action = np.nonzero(model.feasible.T)  # state-major, like the grid
     pick = (action, state)
+    probability = table.probability[pick]
     entries = _cat(
-        " ", np.char.mod("%.12g", table.probability[pick]),
+        " ", np.char.mod("%.12g", probability),
         ":(", names[table.next_state[pick]], "):",
         table.attacker[pick], ",", table.honest[pick],
     )
-    entries[table.probability[pick] <= 0.0] = ""
+    entries[probability <= 0.0] = ""
     lines = _cat(
         names[state], " | ", ACTION_NAMES[action], " -> [",
         np.char.lstrip(_cat(*entries.T), " "), "]",

@@ -93,9 +93,14 @@ def min_profitable_k(
     q = catchup_probability(params)
     if q <= 0.0:
         return None
+    # Every qualifying k exceeds rho/q - 1, which is infinite when a
+    # subnormal q overflows the division.
+    start = rho / q - 1.0
+    if start > k_cap:
+        return None
     # Arithmetic start k = ceil(rho/q - 1), then scan to settle strictness at
     # floating-point boundaries.
-    k = max(1, math.ceil(rho / q - 1.0) - 1)
+    k = max(1, math.ceil(start) - 1)
     while k <= k_cap:
         if deviation_gain(k, q, rho).lower_bound > 0.0:
             return k

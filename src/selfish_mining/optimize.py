@@ -27,9 +27,10 @@ and refused at the first decided above; its evidence is the larger of the
 deciding figures, a bracket end (a certified bound on the gain) or a
 midpoint.  Value iteration starts warm: each model from the values at which
 the last decision ended, on the same grid.  The search builds one
-alpha-free structure (:func:`~selfish_mining.chain.model_structure`) and
-weighs it at each probe's alpha, so the transition rules are evaluated once
-per search.
+transition table (:func:`~selfish_mining.chain.transition_table`), which
+does not depend on alpha, and weighs it at each probe's alpha, so the
+transition rules are evaluated, and the operator's sparse pattern sorted,
+once per search.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ import numpy as np
 from .chain import (
     BoundaryMode,
     MiningModel,
-    ModelStructure,
     ThresholdVariant,
+    TransitionTable,
     build_base_model,
     build_honest_disabled,
     build_truncated,
-    model_structure,
+    transition_table,
 )
 from .mdp import evaluate_policy_exact, gain_below, solve_average_reward
 from .model import (
@@ -301,19 +302,19 @@ class ThresholdReport:
 
 
 def _certify_honest(
-    structure: ModelStructure,
+    table: TransitionTable,
     alpha: float,
     eps: float,
     values: np.ndarray | None = None,
 ) -> tuple[bool, float, np.ndarray]:
     """Certification test at one hashrate: honest mining is optimal if both
-    honest-disabled over-paying models of ``structure`` weighed at
+    honest-disabled over-paying models of ``table`` weighed at
     ``alpha``, scalarized at rho = alpha, have gain at or below -eps.  Each
     model is decided by :func:`gain_below` against -eps, warm from the
     values the last decision ended at, the first from ``values``; a refused
     first model leaves the second undecided.  Returns (certified, evidence,
     final values), the evidence being the larger of the decided models'."""
-    model = structure.weigh(alpha)
+    model = table.weigh(alpha)
     evidence = -np.inf
     for tv in ThresholdVariant:
         disabled = build_honest_disabled(model, tv)
@@ -343,9 +344,9 @@ def profit_threshold(
     midpoint gain when the span narrows to ``eps`` undecided or the solve
     hands over to policy iteration.  Each model's value iteration starts
     from the values the last one ended at, the first probe's from zero.
-    Every probe weighs one structure, built once from the transition table
-    at ``gamma``, ``variant`` and ``T``.  Afterwards a short outward sweep
-    of ratio iterations on the same structure exhibits a concrete profitable
+    Every probe weighs one transition table, built once at ``gamma``,
+    ``variant`` and ``T``.  Afterwards a short outward sweep of ratio
+    iterations on the same table exhibits a concrete profitable
     deviation to pin ``alpha_upper``; only their lower bounds are read, so
     no upper bound is certified.  ``eps`` must be positive and finite,
     checked before any solve.
@@ -355,14 +356,14 @@ def profit_threshold(
     if not 1e-5 <= alpha_tol < 0.5:
         raise ValueError(f"alpha_tol must be in [1e-5, 0.5) (got {alpha_tol})")
 
-    # any alpha in (0, 0.5) gives the same structure
-    structure = model_structure(MiningParams(0.25, gamma, variant), T)
+    # any alpha in (0, 0.5) gives the same table
+    table = transition_table(MiningParams(0.25, gamma, variant), T)
     probes: list[ThresholdProbe] = []
     values = None
     low, high = 0.0, 0.5
     while high - low > alpha_tol:
         mid = 0.5 * (low + high)
-        certified, worst, values = _certify_honest(structure, mid, eps, values)
+        certified, worst, values = _certify_honest(table, mid, eps, values)
         if certified:
             probes.append(ThresholdProbe(mid, "certified", worst))
             low = mid
@@ -381,7 +382,7 @@ def profit_threshold(
             candidate = min(max(candidate + step, 2 * eps), 0.499)
             step *= 2.0
             continue
-        lower_bound = ratio_iteration(structure.weigh(candidate), eps).lower_bound
+        lower_bound = ratio_iteration(table.weigh(candidate), eps).lower_bound
         if lower_bound > candidate + eps:
             probes.append(ThresholdProbe(candidate, "profitable", lower_bound))
             alpha_upper = candidate

@@ -29,7 +29,7 @@ def render_policy_grid(policy: Policy, t_view: int = 8) -> list[list[str]]:
         raise ValueError(f"t_view must be in [0, {policy.T}] (got {t_view})")
     table = transition_table(params, policy.T)
     chars = np.where(
-        policy_closure(table, policy.actions, policy.T),
+        policy_closure(table, policy.actions),
         ACTION_CHARS[policy.actions],
         UNREACHABLE_CHAR,
     )

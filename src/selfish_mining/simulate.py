@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import check_feasible, policy_closure, transition_table
+from .chain import RACE_LOST, check_feasible, policy_closure, transition_table
 from .model import Action, MiningParams, Policy
 
 BLOCK = 2048  # cycles in a block, unless the budget is fewer rounds
@@ -123,13 +123,15 @@ def compile_step_tables(policy: Policy, params: MiningParams) -> StepTables:
     is rejected if it assigns an infeasible action anywhere it reaches."""
     T, actions = policy.T, policy.actions
     table = transition_table(params, T)
-    check_feasible(table.feasible, actions, policy_closure(table, actions, T), T)
+    check_feasible(table.feasible, actions, policy_closure(table, actions), T)
     states = np.arange(len(actions))
     return StepTables(
         next_state=table.next_state[actions, states].astype(np.int64),
         attacker=table.attacker[actions, states].astype(np.int64),
         honest=table.honest[actions, states, 0].astype(np.int64),
-        race_win_prob=np.where(table.race[actions, states], params.race_win_prob, 0.0),
+        race_win_prob=np.where(
+            table.kind[actions, states, 2] == RACE_LOST, params.race_win_prob, 0.0
+        ),
         adopt=actions == Action.ADOPT,
     )
 

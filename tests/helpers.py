@@ -408,7 +408,7 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
 
 
 def coo_base_model(params: MiningParams, T: int) -> MiningModel:
-    """The base model as built before the alpha-free structure: the live
+    """The base model as built before the alpha-free table: the live
     branches of :func:`transition_table` handed to scipy as COO triplets,
     whose CSR conversion sums the two branches of a race that land on one
     state, and the expected rewards summed branch by branch."""
@@ -552,6 +552,7 @@ def exact_round_law(
     branch path through :func:`transition_table`; boundary states adopt."""
     T = policy.T
     table = transition_table(params, T)
+    probability = table.probability
     a, h, _ = grid_coordinates(T)
     actions = np.where(np.maximum(a, h) == T, Action.ADOPT, policy.actions)
     first, second = initial_states(T)
@@ -561,7 +562,7 @@ def exact_round_law(
         for (state, attacker, honest), p in paths.items():
             action = actions[state]
             for branch in range(3):
-                q = table.probability[action, state, branch]
+                q = probability[action, state, branch]
                 if q > 0:
                     key = (
                         int(table.next_state[action, state, branch]),

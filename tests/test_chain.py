@@ -113,7 +113,8 @@ class TestModelBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * sum(column.nbytes for column in table)
+        names = ("next_state", "kind", "attacker", "honest", "feasible")
+        assert peak <= 1.3 * sum(getattr(table, name).nbytes for name in names)
 
     def test_boundary_states_are_adopt_only(self):
         model = build_base_model(MiningParams(0.35, 0.5), 6)

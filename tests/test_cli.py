@@ -606,6 +606,14 @@ class TestDelayCommand:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload == {"q": 0.09, "min_k": 3, "gain_at_min_k": pytest.approx(0.06)}
 
+    def test_subnormal_catchup_has_no_min_k(self, workdir, capsys):
+        """A catch-up probability so small that rho/q overflows reports no
+        profitable k instead of failing."""
+        rc = main(["delay", "--alpha", "1e-160", "--lambda", "1", "--rho", "0.5"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["min_k"] is None and payload["gain_at_min_k"] is None
+
     def test_rho_validation(self, workdir, capsys):
         rc = main(["delay", "--alpha", "0.3", "--lambda", "1", "--rho", "1.5"])
         assert rc == 2

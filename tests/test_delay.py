@@ -119,6 +119,13 @@ class TestMinProfitableK:
         params = DelayParams(0.01, 1.0, 40.0, 40.0)  # q astronomically small
         assert min_profitable_k(params, rho=0.9, k_cap=100) is None
 
+    def test_subnormal_catchup_exceeds_cap(self):
+        """A q so small that rho/q overflows to infinity needs a k beyond
+        any cap: no k, not an overflow."""
+        params = DelayParams(1e-160, 1.0, 0.0, 0.0)
+        assert 0.0 < catchup_probability(params) < 1e-300
+        assert min_profitable_k(params, rho=0.5) is None
+
     def test_finite_k_for_every_positive_hashrate(self):
         """Any attacker with positive hashrate and finite delay eventually
         profits from gambling on a catch-up."""

@@ -1,6 +1,6 @@
 """The grid-wide transition table against the per-state walks of
 ``helpers.transitions``: built models, simulator step tables and model
-dumps must agree bit for bit, as must the alpha-free structure weighed at
+dumps must agree bit for bit, as must the alpha-free table weighed at
 any alpha and scipy's COO build of the model there, and the stacked-operator
 value iteration and a per-action one, cold or warm-started and stopped by a
 bound; solves that the policy-iteration stage finishes must reach the
@@ -16,7 +16,7 @@ certified bound that lies between -eps and the cold worst gain.  The stationary
 distribution, a transposed solve of the grounded gain-and-bias system, must
 match a second direct solver."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,6 @@ from selfish_mining.chain import (
     build_truncated,
     dump_model,
     forward_closure,
-    model_structure,
     policy_closure,
     transition_table,
 )
@@ -121,13 +120,35 @@ def test_fixed_grids_match_reference(T, variant):
     gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     T=st.integers(1, 24),
 )
-def test_weighed_structure_matches_coo_build(built_at, alpha, gamma, T):
-    """A structure built at one alpha and weighed at another is, bit for
+def test_weighed_table_matches_coo_build(built_at, alpha, gamma, T):
+    """A table built at one alpha and weighed at another is, bit for
     bit, the model scipy's COO-to-CSR conversion builds at the second."""
-    structure = model_structure(replace(built_at, gamma=gamma), T)
+    table = transition_table(replace(built_at, gamma=gamma), T)
     params = MiningParams(alpha, gamma, built_at.variant)
-    assert_models_identical(structure.weigh(alpha), coo_base_model(params, T))
+    assert_models_identical(table.weigh(alpha), coo_base_model(params, T))
     assert_models_identical(build_base_model(params, T), coo_base_model(params, T))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    built_at=params_st,
+    alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    T=st.integers(1, 24),
+)
+def test_table_does_not_depend_on_alpha(built_at, alpha, gamma, T):
+    """Tables built at two alphas, at one gamma, variant and T, hold the
+    same arrays, bit for bit."""
+    one = transition_table(replace(built_at, gamma=gamma), T)
+    other = transition_table(replace(built_at, alpha=alpha, gamma=gamma), T)
+    compared = []
+    for field in fields(one):
+        want, got = getattr(one, field.name), getattr(other, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+            compared.append(field.name)
+    assert compared == ["next_state", "kind", "attacker", "honest", "feasible"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -172,7 +193,7 @@ def test_table_closure_matches_operator_closure(params, T, seed, feasible_only):
     draws = np.random.default_rng(seed).random(model.feasible.shape)
     weights = model.feasible * draws if feasible_only else draws
     actions = np.argmax(weights, axis=0).astype(np.int8)
-    got = policy_closure(table, actions, T)
+    got = policy_closure(table, actions)
     want = reachable_mask(model, Policy(T=T, actions=actions))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -325,8 +346,8 @@ def test_certification_matches_two_cold_solves(monkeypatch, alpha, variant, T, d
         return verdict
 
     monkeypatch.setattr(optimize, "gain_below", spy)
-    structure = model_structure(MiningParams(alpha, 0.5, variant), T)
-    certified, evidence, _values = optimize._certify_honest(structure, alpha, DEFAULT_EPS)
+    table = transition_table(MiningParams(alpha, 0.5, variant), T)
+    certified, evidence, _values = optimize._certify_honest(table, alpha, DEFAULT_EPS)
     assert decided == decisions
     assert certified == certified_cold
     assert_evidence_bounds_cold(certified, evidence, cold_worst, DEFAULT_EPS)
@@ -350,8 +371,8 @@ def test_threshold_report_matches_cold_certification(monkeypatch, T, gamma, vari
             inner.setattr(optimize, "ratio_iteration", ratio_iteration)
             return find_optimal(config, model=model)
 
-    def certify_cold(structure, alpha, eps, values):
-        params = structure.params
+    def certify_cold(table, alpha, eps, values):
+        params = table.params
         return (*reference_certify(alpha, params.gamma, params.variant, T, eps), values)
 
     monkeypatch.setattr(optimize, "_certify_honest", certify_cold)
@@ -437,6 +458,6 @@ def test_stationary_matches_reference_on_policy_chains(T, emitted, params):
         policy = find_optimal(OptimizeConfig(params, T, 1e-4, 1e-4), model=model).policy
     else:
         policy = builtin_policy("sm1", T, params)
-    idxs = np.flatnonzero(policy_closure(transition_table(params, T), policy.actions, T))
+    idxs = np.flatnonzero(policy_closure(transition_table(params, T), policy.actions))
     rows = policy.actions[idxs].astype(np.int64) * model.n + idxs
     assert_stationary_matches_reference(model.transition[rows][:, idxs])

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from selfish_mining import chain
+from selfish_mining import optimize
 from selfish_mining.chain import (
     BoundaryMode,
     ThresholdVariant,
     build_base_model,
     build_honest_disabled,
     build_truncated,
-    model_structure,
+    transition_table,
 )
 from selfish_mining.mdp import evaluate_policy_exact, solve_average_reward
 from selfish_mining.model import MiningParams, Policy, Variant, builtin_policy
@@ -46,8 +46,8 @@ class TestFindOptimal:
         report = find_optimal(OptimizeConfig(MiningParams(0.1, 0.0), T=20, eps=eps))
         assert report.lower_bound == pytest.approx(0.1, abs=1.3 * eps)
         assert report.lower_bound <= 0.1
-        structure = model_structure(MiningParams(0.1, 0.0), 20)
-        certified, worst, _values = _certify_honest(structure, 0.1, eps)
+        table = transition_table(MiningParams(0.1, 0.0), 20)
+        certified, worst, _values = _certify_honest(table, 0.1, eps)
         assert certified and worst <= -eps
 
     def test_ratio_step_invariant(self):
@@ -176,16 +176,16 @@ class TestThreshold:
         assert report.alpha_lower <= report.alpha_upper
 
     def test_one_transition_table_per_search(self, monkeypatch):
-        """The search builds one alpha-free structure and weighs it for every
-        probe, exhibit steps included."""
+        """The search builds one alpha-free transition table and weighs it
+        for every probe, exhibit steps included."""
         calls = []
-        table = chain.transition_table
+        table = optimize.transition_table
 
         def counted(params, T):
             calls.append((params.gamma, params.variant, T))
             return table(params, T)
 
-        monkeypatch.setattr(chain, "transition_table", counted)
+        monkeypatch.setattr(optimize, "transition_table", counted)
         report = profit_threshold(0.5, Variant.UNIFORM_TIE_BREAK, T=12, alpha_tol=0.01)
         assert len(report.probes) > 5 and report.exhibited
         assert calls == [(0.5, Variant.UNIFORM_TIE_BREAK, 12)]
@@ -205,8 +205,8 @@ class TestThreshold:
     def test_certification_is_two_sided(self):
         """Both honest-disabled variants must be losing before a probe is
         declared certified."""
-        structure = model_structure(MiningParams(0.2, 0.5), 16)
-        certified, _worst, _values = _certify_honest(structure, 0.2, 1e-4)
+        table = transition_table(MiningParams(0.2, 0.5), 16)
+        certified, _worst, _values = _certify_honest(table, 0.2, 1e-4)
         assert certified
         base = build_base_model(MiningParams(0.2, 0.5), 16)
         for tv in ThresholdVariant:

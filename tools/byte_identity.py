@@ -35,6 +35,16 @@ COMMANDS = [
      "--rounds", "1", "--seed", "1", "--out", "null"],
     ["threshold", "--gamma", "0.5", "--T", "16", "--out", "thr"],
     ["threshold", "--gamma", "0.5", "--T", "75", "--out", "thr75"],
+    # gamma 0 and 1 and uniform tie breaking change which race branches live
+    ["optimize", "--alpha", "0.35", "--gamma", "1", "--variant", "uniform",
+     "--T", "20", "--out", "optu"],
+    ["threshold", "--gamma", "0", "--T", "16", "--out", "thr0"],
+    ["threshold", "--gamma", "1", "--T", "16", "--out", "thr1"],
+    ["threshold", "--gamma", "0.5", "--variant", "uniform", "--T", "16",
+     "--out", "thru"],
+    ["simulate", "--policy", "sm1", "--alpha", "0.4", "--gamma", "0.5",
+     "--variant", "uniform", "--T", "40", "--rounds", "50000", "--replicas", "4",
+     "--seed", "2024", "--out", "simu"],
     ["sweep", "--alphas", "0.3,0.4", "--gammas", "0,0.5", "--T", "12",
      "--out", "sweep.csv"],
     ["render", "--policy", "opt.policy.json"],
