@@ -9,7 +9,6 @@ from .chain import (
     build_base_model,
     build_honest_disabled,
     build_truncated,
-    dump_model,
     overpaying_terminal_reward,
 )
 from .delay import (
@@ -28,7 +27,6 @@ from .mdp import (
     reachable_mask,
     solve_average_reward,
     stationary_distribution,
-    validate_model,
 )
 from .model import (
     Action,

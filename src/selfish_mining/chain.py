@@ -3,8 +3,8 @@
 The rules are computed once, over the whole grid, by :func:`transition_table`:
 for every (action, state) pair it gives each branch's next state, kind and
 block rewards, with the feasibility of the pair.  The model's transition
-operator and expected rewards, the simulator's step tables, the model
-validation and the text dump are all read from that table.  Every
+operator and expected rewards, the simulator's step tables and the policy
+closures of ``render`` and ``simulate`` are all read from that table.  Every
 per-(action, state) quantity of a built model shares one row layout: row
 ``action*n + state``, the (actions, n) arrays flattened in C order.
 
@@ -134,11 +134,6 @@ class TransitionTable:
     honest: np.ndarray  # (actions, n, 3) honest blocks accepted
     feasible: np.ndarray  # (actions, n) bool
 
-    @property
-    def probability(self) -> np.ndarray:
-        """(actions, n, 3) branch probabilities at ``params``'s alpha."""
-        return branch_weights(self.params)[self.kind]
-
     @cached_property
     def _pattern(self) -> tuple[np.ndarray, ...]:
         """``(live_kind, slot, indices, indptr, boundary)``, built on first
@@ -204,8 +199,10 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     probability 1/2, so no block needs to be prepared in advance).  Waiting
     in an active fork with a >= h keeps the race going; with a < h, an
     inconsistent and unreachable state, it is plain private mining.
-    Truncation-boundary states keep adopt alone.
+    Truncation-boundary states keep adopt alone.  A T past what memory can
+    hold is refused before anything is allocated.
     """
+    rows = (len(Action), num_states(T), 3)
     # The coordinates broadcast over the (a, h, fork) grid, so that every
     # rule below is at most an (a, h) plane.
     side = T + 1
@@ -264,7 +261,6 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
                 cells[...] = infeasible
                 np.copyto(cells, p, casting="unsafe", where=feasible[action])
                 np.copyto(cells, r, casting="unsafe", where=race[action])
-    rows = (len(Action), num_states(T), 3)
     return TransitionTable(
         params=params,
         T=T,
@@ -384,33 +380,3 @@ def build_truncated(model: MiningModel, mode: BoundaryMode, rho: float) -> Scala
             a, h = rest // (T + 1), rest % (T + 1)
             rewards[Action.ADOPT, idx] = overpaying_terminal_reward(a, h, rho, alpha)
     return ScalarModel(model=model, rewards=rewards)
-
-
-def _cat(*parts) -> np.ndarray:
-    """Elementwise string concatenation of arrays and scalars."""
-    text = np.asarray(parts[0]).astype(str)
-    for part in parts[1:]:
-        text = np.char.add(text, np.asarray(part).astype(str))
-    return text
-
-
-def dump_model(model: MiningModel) -> str:
-    """Per-row text dump, one line per (state, action), for golden-file
-    diffing: ``a,h,fork | action -> [p:next:rA,rH] ...``."""
-    table = transition_table(model.params, model.T)
-    a, h, fork = grid_coordinates(model.T)
-    names = _cat(a, ",", h, ",", np.array([f.name.lower() for f in Fork])[fork])
-    state, action = np.nonzero(model.feasible.T)  # state-major, like the grid
-    pick = (action, state)
-    probability = table.probability[pick]
-    entries = _cat(
-        " ", np.char.mod("%.12g", probability),
-        ":(", names[table.next_state[pick]], "):",
-        table.attacker[pick], ",", table.honest[pick],
-    )
-    entries[probability <= 0.0] = ""
-    lines = _cat(
-        names[state], " | ", ACTION_NAMES[action], " -> [",
-        np.char.lstrip(_cat(*entries.T), " "), "]",
-    )
-    return "\n".join(lines.tolist()) + "\n"

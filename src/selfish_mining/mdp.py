@@ -40,14 +40,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
-from .chain import (
-    MiningModel,
-    ScalarModel,
-    check_feasible,
-    forward_closure,
-    transition_table,
-)
-from .model import Action, Policy, grid_coordinates, state_at
+from .chain import MiningModel, ScalarModel, check_feasible, forward_closure
+from .model import Policy
 
 DAMPING = 0.01
 RVI_SWEEP_BUDGET = 256
@@ -386,7 +380,6 @@ class PolicyValue:
     attacker_rate: float
     honest_rate: float
     rev: float
-    reachable_count: int
 
 
 def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
@@ -415,116 +408,4 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     total = attacker + honest
     if total <= 0.0:
         raise ValueError("degenerate policy: zero long-run block rate")
-    return PolicyValue(
-        attacker_rate=attacker,
-        honest_rate=honest,
-        rev=attacker / total,
-        reachable_count=int(len(idxs)),
-    )
-
-
-@dataclass(frozen=True)
-class ModelCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ModelDiagnostics:
-    checks: tuple[ModelCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
-
-def validate_model(model: MiningModel) -> ModelDiagnostics:
-    """Machine-readable consistency report for a built model: row
-    normalization, reward-sign rules, boundary restriction, reachability."""
-    checks: list[ModelCheck] = []
-
-    sums = np.asarray(model.transition.sum(axis=1)).reshape(model.feasible.shape)
-    act, idx = np.nonzero(model.feasible & (np.abs(sums - 1.0) > 1e-12))
-    bad_rows = [
-        (state_at(int(i), model.T), Action(x).name.lower())
-        for x, i in zip(act[:3], idx[:3])
-    ]
-    checks.append(
-        ModelCheck(
-            "row-normalization",
-            not bad_rows,
-            "all feasible rows sum to 1" if not bad_rows else f"bad rows: {bad_rows}",
-        )
-    )
-
-    # Rewards may only be paid as an override's h+1 attacker blocks, a won
-    # race's h attacker blocks or an adopt's h honest blocks.
-    table = transition_table(model.params, model.T)
-    h = grid_coordinates(model.T)[1][None, :, None]
-    next_h = table.next_state // 3 % (model.T + 1)
-    action = np.arange(len(Action))[:, None, None]
-    race_win = (action >= Action.MATCH) & (table.attacker == h) & (next_h == 1)
-    attacker_ok = (table.attacker == 0) | race_win | (
-        (action == Action.OVERRIDE) & (table.attacker == h + 1)
-    )
-    honest_ok = (table.honest == 0) | ((action == Action.ADOPT) & (table.honest == h))
-    live = model.feasible[:, :, None] & (table.probability > 0)
-    act, idx, _branch = np.nonzero(live & ~(attacker_ok & honest_ok))
-    sign_bad = [
-        f"misplaced reward at {state_at(int(i), model.T)} {Action(x).name}"
-        for x, i in zip(act[:3], idx[:3])
-    ]
-    checks.append(
-        ModelCheck(
-            "reward-signs",
-            not sign_bad,
-            "reward placement consistent" if not sign_bad else "; ".join(sign_bad),
-        )
-    )
-
-    only_adopt = model.feasible[Action.ADOPT] & (model.feasible.sum(axis=0) == 1)
-    boundary_bad = [
-        state_at(int(idx), model.T)
-        for idx in np.flatnonzero(model.boundary & ~only_adopt)[:3]
-    ]
-    checks.append(
-        ModelCheck(
-            "boundary-restriction",
-            not boundary_bad,
-            "boundary states are terminal-adopt only"
-            if not boundary_bad
-            else f"non-terminal boundary states: {boundary_bad}",
-        )
-    )
-
-    act, state, branch = np.nonzero(live)
-    reached = forward_closure(state, table.next_state[act, state, branch], model.T)
-    count = int(reached.sum())
-    checks.append(
-        ModelCheck(
-            "reachability",
-            count >= 2,
-            f"{count} states reachable from the initial distribution",
-        )
-    )
-
-    in_grid = model.transition.shape == (len(Action) * model.n, model.n)
-    checks.append(
-        ModelCheck(
-            "grid-closure",
-            in_grid,
-            "all transitions stay on the grid" if in_grid else "matrix shape mismatch",
-        )
-    )
-
-    return ModelDiagnostics(checks=tuple(checks))
+    return PolicyValue(attacker_rate=attacker, honest_rate=honest, rev=attacker / total)

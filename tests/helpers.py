@@ -16,6 +16,8 @@ from selfish_mining.chain import (
     BoundaryMode,
     MiningModel,
     ThresholdVariant,
+    TransitionTable,
+    branch_weights,
     build_base_model,
     build_honest_disabled,
     build_truncated,
@@ -333,6 +335,12 @@ def forward_closure_all_actions(
     return seen
 
 
+def branch_probability(table: TransitionTable) -> np.ndarray:
+    """(actions, n, 3) branch probabilities of a transition table at its
+    params' alpha: the weight of each branch's kind."""
+    return branch_weights(table.params)[table.kind]
+
+
 def action_rows(model: MiningModel, action: Action) -> sparse.csr_matrix:
     """The (n, n) block of the stacked operator that holds ``action``'s rows."""
     start = int(action) * model.n
@@ -414,12 +422,12 @@ def coo_base_model(params: MiningParams, T: int) -> MiningModel:
     state, and the expected rewards summed branch by branch."""
     table = transition_table(params, T)
     n = num_states(T)
-    live = np.nonzero(table.probability > 0.0)
+    p = branch_probability(table)
+    live = np.nonzero(p > 0.0)
     transition = sparse.coo_matrix(
-        (table.probability[live], (live[0] * n + live[1], table.next_state[live])),
+        (p[live], (live[0] * n + live[1], table.next_state[live])),
         shape=(len(Action) * n, n),
     ).tocsr()
-    p = table.probability
     a, h, _fork = grid_coordinates(T)
     return MiningModel(
         params=params,
@@ -497,25 +505,6 @@ def reference_rvi(
     raise AssertionError("reference value iteration did not converge")
 
 
-def reference_dump(model: MiningModel) -> str:
-    """The text of ``dump_model``, written line by line from
-    :func:`transitions`."""
-    lines = []
-    for idx, state in enumerate(grid_states(model.T)):
-        for action in feasible_at(model, idx):
-            entries = [
-                f"{prob:.12g}:({nxt.a},{nxt.h},{nxt.fork.name.lower()})"
-                f":{reward.attacker},{reward.honest}"
-                for prob, nxt, reward in transitions(state, action, model.params)
-                if prob > 0.0
-            ]
-            lines.append(
-                f"{state.a},{state.h},{state.fork.name.lower()}"
-                f" | {action.name.lower()} -> [{' '.join(entries)}]"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def reference_step_tables(policy: Policy, params: MiningParams) -> dict:
     """The simulator's step tables for a feasible policy, read state by
     state from :func:`transitions`; boundary states adopt.  Row ``state`` of
@@ -552,7 +541,7 @@ def exact_round_law(
     branch path through :func:`transition_table`; boundary states adopt."""
     T = policy.T
     table = transition_table(params, T)
-    probability = table.probability
+    probability = branch_probability(table)
     a, h, _ = grid_coordinates(T)
     actions = np.where(np.maximum(a, h) == T, Action.ADOPT, policy.actions)
     first, second = initial_states(T)

@@ -1,4 +1,5 @@
 import random
+import resource
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from selfish_mining.chain import (
     build_base_model,
     build_honest_disabled,
     build_truncated,
-    dump_model,
     overpaying_terminal_reward,
     transition_table,
 )
@@ -88,13 +88,14 @@ class TestTransitionRules:
 
 class TestModelBuild:
     def test_rows_normalized_and_zero_entries_dropped(self):
-        model = build_base_model(MiningParams(0.35, 0.0), 10)
-        for action in Action:
-            P = action_rows(model, action)
-            sums = np.asarray(P.sum(axis=1)).ravel()
-            feasible = model.feasible[action]
-            assert np.allclose(sums[feasible], 1.0, atol=1e-12)
-            assert (P.data > 0).all()  # gamma=0 race branches dropped
+        for alpha, gamma, T in [(0.35, 0.0, 10), (0.4, 0.5, 75)]:
+            model = build_base_model(MiningParams(alpha, gamma), T)
+            for action in Action:
+                P = action_rows(model, action)
+                sums = np.asarray(P.sum(axis=1)).ravel()
+                feasible = model.feasible[action]
+                assert np.allclose(sums[feasible], 1.0, rtol=0.0, atol=1e-12)
+                assert (P.data > 0).all()  # gamma=0 race branches dropped
 
     def test_match_row_has_two_entries_at_gamma_zero(self):
         model = build_base_model(MiningParams(0.35, 0.0), 10)
@@ -115,6 +116,21 @@ class TestModelBuild:
             tracemalloc.stop()
         names = ("next_state", "kind", "attacker", "honest", "feasible")
         assert peak <= 1.3 * sum(getattr(table, name).nbytes for name in names)
+
+    def test_oversized_truncation_refused_before_allocation(self, monkeypatch):
+        """With memory patched to 2**24 bytes, room for T = 64, a T = 400
+        table is refused before its grid-sized arrays are allocated."""
+        unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+        monkeypatch.setattr("selfish_mining.model.physical_memory", lambda: 2**24)
+        monkeypatch.setattr(resource, "getrlimit", lambda _which: unlimited)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"<= 64 \(got 400\)"):
+                transition_table(MiningParams(0.3, 0.5), 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_boundary_states_are_adopt_only(self):
         model = build_base_model(MiningParams(0.35, 0.5), 6)
@@ -282,15 +298,3 @@ class TestVariantEquivalence:
             delta = action_rows(standard, action) - action_rows(uniform, action)
             rows = np.unique(delta.tocoo().row)
             assert not any(std_feasible[r] for r in rows)
-
-
-class TestDump:
-    def test_dump_lines(self):
-        model = build_base_model(MiningParams(0.25, 0.0), 2)
-        text = dump_model(model)
-        assert "1,0,irrelevant | override -> " in text
-        assert "0.75:(0,1,relevant):1,0" in text
-        lines = [line for line in text.strip().split("\n")]
-        # boundary rows carry exactly one action
-        boundary_lines = [l for l in lines if l.startswith("2,2,")]
-        assert all("| adopt ->" in l for l in boundary_lines)

@@ -766,3 +766,18 @@ def test_exit_contract(subcommand, data):
                 with open(path, newline="") as handle:
                     rows = list(csv.reader(handle))
                 assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+
+
+@pytest.mark.parametrize("argv", [["optimize", "--alpha", "0.3"], ["threshold"]])
+def test_exit_contract_past_memory(workdir, capsys, monkeypatch, argv):
+    """The two commands whose first allocation is the transition table,
+    given the --T that test_exit_contract's draws never pair with them:
+    with memory patched to room for T = 8, T = 100000 is refused before
+    anything is allocated, with exit 2, the truncation message, no traceback
+    and no file."""
+    room = 3 * 9**2 * model.BYTES_PER_STATE
+    monkeypatch.setattr(model, "physical_memory", lambda: room)
+    assert main([*argv, "--gamma", "0", "--T", "100000", "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert "truncation must be <= 8 (got 100000)" in err and "Traceback" not in err
+    assert os.listdir(".") == []

@@ -1,6 +1,6 @@
 """The grid-wide transition table against the per-state walks of
-``helpers.transitions``: built models, simulator step tables and model
-dumps must agree bit for bit, as must the alpha-free table weighed at
+``helpers.transitions``: built models and simulator step tables must agree
+bit for bit, as must the alpha-free table weighed at
 any alpha and scipy's COO build of the model there, and the stacked-operator
 value iteration and a per-action one, cold or warm-started and stopped by a
 bound; solves that the policy-iteration stage finishes must reach the
@@ -30,7 +30,6 @@ from selfish_mining.chain import (
     build_base_model,
     build_honest_disabled,
     build_truncated,
-    dump_model,
     forward_closure,
     policy_closure,
     transition_table,
@@ -62,12 +61,12 @@ from selfish_mining.simulate import compile_step_tables
 
 from helpers import (
     assert_models_identical,
+    branch_probability,
     coo_base_model,
     feasible_actions,
     forward_closure_all_actions,
     reference_bisection,
     reference_certify,
-    reference_dump,
     reference_honest_disabled,
     reference_layers,
     reference_model,
@@ -197,22 +196,13 @@ def test_table_closure_matches_operator_closure(params, T, seed, feasible_only):
     want = reachable_mask(model, Policy(T=T, actions=actions))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    act, state, branch = np.nonzero(model.feasible[:, :, None] & (table.probability > 0))
+    live = model.feasible[:, :, None] & (branch_probability(table) > 0)
+    act, state, branch = np.nonzero(live)
     every = forward_closure(state, table.next_state[act, state, branch], T)
     oracle = forward_closure_all_actions(
         params, T, lambda s, p: sorted(feasible_actions(s, p))
     )
     assert {state_at(int(i), T) for i in np.flatnonzero(every)} == oracle
-
-
-@examples
-@given(params=params_st, T=grids)
-def test_dump_matches_reference(params, T):
-    model = build_base_model(params, T)
-    assert dump_model(model) == reference_dump(model)
-    if T >= 2:
-        disabled = build_honest_disabled(model, ThresholdVariant.ADOPT_DISABLED_AT_0_1)
-        assert dump_model(disabled) == reference_dump(disabled)
 
 
 def per_action_solve(T, mode, eps=1e-8, rho=0.45, **warm):

@@ -22,7 +22,6 @@ from selfish_mining.mdp import (
     relative_value_iteration,
     solve_average_reward,
     stationary_distribution,
-    validate_model,
 )
 from selfish_mining.model import (
     Action,
@@ -36,9 +35,8 @@ from selfish_mining.model import (
 )
 
 from helpers import (
-    action_rows,
+    branch_probability,
     feasible_actions,
-    feasible_at,
     forward_closure_all_actions,
     sm1_reference_revenue,
 )
@@ -235,7 +233,6 @@ class TestExactEvaluation:
             model = build_base_model(params, 9)
             value = evaluate_policy_exact(model, builtin_policy("honest", 9, params))
             assert value.rev == pytest.approx(alpha, abs=1e-10)
-            assert value.reachable_count == 3
 
     @pytest.mark.parametrize(
         "alpha,gamma,T,tol",
@@ -315,50 +312,15 @@ class TestReachability:
         }
 
     def test_all_actions_closure_matches_oracle(self):
-        params = MiningParams(0.3, 0.5)
-        table = transition_table(params, 6)
-        act, state, branch = np.nonzero(table.probability > 0)
-        mask = forward_closure(state, table.next_state[act, state, branch], 6)
-        got = {state_at(int(i), 6) for i in np.flatnonzero(mask)}
-        want = forward_closure_all_actions(
-            params, 6, lambda s, p: sorted(feasible_actions(s, p))
-        )
-        assert got == want
-
-
-class TestValidation:
-    def test_clean_model_passes(self):
-        model = build_base_model(MiningParams(0.4, 0.5), 75)
-        report = validate_model(model)
-        assert report.ok, report.to_json_dict()
-        # independent per-row summation on a sample
-        rng = random.Random(1)
-        for _ in range(50):
-            idx = rng.randrange(model.n)
-            for action in feasible_at(model, idx):
-                row = action_rows(model, action)
-                total = row.data[row.indptr[idx] : row.indptr[idx + 1]].sum()
-                assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_corrupted_probability_is_named(self):
-        model = build_base_model(MiningParams(0.4, 0.5), 5)
-        operator = model.transition
-        operator.data[operator.indptr[Action.WAIT * model.n] + 4] += 0.05
-        report = validate_model(model)
-        failed = {c.name: c for c in report.checks if not c.passed}
-        assert "row-normalization" in failed
-        assert "wait" in failed["row-normalization"].detail
-
-    def test_minimal_truncation_reachable_set(self):
-        """At T=1 every nonzero state is a boundary state, so the only states
-        ever visited are the two start states (brute-force closure agrees)."""
-        params = MiningParams(0.3, 0.0)
-        model = build_base_model(params, 1)
-        report = validate_model(model)
-        assert report.ok
-        oracle = forward_closure_all_actions(
-            params, 1, lambda s, p: sorted(feasible_actions(s, p))
-        )
-        assert len(oracle) == 2
-        reach_check = [c for c in report.checks if c.name == "reachability"][0]
-        assert reach_check.detail.startswith("2 ")
+        """At T=1 every nonzero state is a boundary state, so the only
+        states ever visited are the two start states."""
+        for gamma, T, size in [(0.5, 6, 88), (0.0, 1, 2)]:
+            params = MiningParams(0.3, gamma)
+            table = transition_table(params, T)
+            act, state, branch = np.nonzero(branch_probability(table) > 0)
+            mask = forward_closure(state, table.next_state[act, state, branch], T)
+            got = {state_at(int(i), T) for i in np.flatnonzero(mask)}
+            want = forward_closure_all_actions(
+                params, T, lambda s, p: sorted(feasible_actions(s, p))
+            )
+            assert got == want and len(got) == size

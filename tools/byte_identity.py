@@ -4,11 +4,11 @@
 
 Runs a fixed command set with each checkout's ``src/``, in a fresh temporary
 directory per checkout, one fresh interpreter per command, the commands in
-order (``evaluate`` and ``render`` read the policy ``optimize`` wrote).  For
-every command it compares the exit status, standard output and every data
-file the command created, byte for byte; manifests carry a timestamp and
-are left out.  Prints one verdict line per command and exits 1 if any
-command differs.
+order (``evaluate``, ``simulate`` and ``render`` read the policies
+``optimize`` wrote).  For every command it compares the exit status, standard
+output, standard error and every data file the command created, byte for
+byte; manifests carry a timestamp and are left out.  Prints one verdict line
+per command and exits 1 if any command differs.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ COMMANDS = [
     # gamma 0 and 1 and uniform tie breaking change which race branches live
     ["optimize", "--alpha", "0.35", "--gamma", "1", "--variant", "uniform",
      "--T", "20", "--out", "optu"],
+    # a uniform policy under standard tie breaking: refused, exit 2
+    ["evaluate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "1",
+     "--T", "20", "--force"],
+    ["simulate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "1",
+     "--T", "20", "--rounds", "1000", "--seed", "1", "--force"],
+    ["render", "--policy", "optu.policy.json", "--t-view", "20"],
     ["threshold", "--gamma", "0", "--T", "16", "--out", "thr0"],
     ["threshold", "--gamma", "1", "--T", "16", "--out", "thr1"],
     ["threshold", "--gamma", "0.5", "--variant", "uniform", "--T", "16",
@@ -54,8 +60,11 @@ COMMANDS = [
 ]
 
 
-def run_all(checkout: Path, work: Path) -> list[tuple[int, bytes, dict[str, bytes]]]:
-    """Each command's exit status, standard output and new data files."""
+def run_all(
+    checkout: Path, work: Path
+) -> list[tuple[int, bytes, bytes, dict[str, bytes]]]:
+    """Each command's exit status, standard output, standard error and new
+    data files."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     results = []
     for argv in COMMANDS:
@@ -70,7 +79,7 @@ def run_all(checkout: Path, work: Path) -> list[tuple[int, bytes, dict[str, byte
             for name in created
             if not name.endswith(".manifest.json")
         }
-        results.append((done.returncode, done.stdout, files))
+        results.append((done.returncode, done.stdout, done.stderr, files))
     return results
 
 
@@ -86,12 +95,15 @@ def main(argv: list[str] | None = None) -> int:
             sides.append(run_all(checkout.resolve(), Path(work)))
     differing = 0
     for argv, old, new in zip(COMMANDS, *sides):
-        (old_code, old_out, old_files), (new_code, new_out, new_files) = old, new
+        old_code, old_out, old_err, old_files = old
+        new_code, new_out, new_err, new_files = new
         problems = []
         if old_code != new_code:
             problems.append(f"exit {old_code} -> {new_code}")
         if old_out != new_out:
             problems.append("stdout")
+        if old_err != new_err:
+            problems.append("stderr")
         problems.extend(
             name
             for name in sorted(old_files.keys() | new_files.keys())
