@@ -30,7 +30,9 @@ the last decision ended, on the same grid.  The search builds one
 transition table (:func:`~selfish_mining.chain.transition_table`), which
 does not depend on alpha, and weighs it at each probe's alpha, so the
 transition rules are evaluated, and the operator's sparse pattern sorted,
-once per search.
+once per search.  Above the certified bracket, each exhibit candidate is
+decided by :func:`gain_below` too, on the under-paying model at ``rho =
+alpha + eps``, and its greedy policy scored exactly.
 """
 
 from __future__ import annotations
@@ -247,8 +249,8 @@ def find_optimal(
 @dataclass(frozen=True)
 class ThresholdProbe:
     alpha: float
-    kind: str  # "certified", "not-certified", or "profitable"
-    evidence: float  # deciding gain bound or midpoint, or exhibited lower bound
+    kind: str  # "certified", "not-certified", "profitable" or "not-profitable"
+    evidence: float  # deciding gain bound or midpoint, or exhibit's exact revenue
 
 
 @dataclass(frozen=True)
@@ -326,6 +328,32 @@ def _certify_honest(
     return True, evidence, values
 
 
+def _exhibit(
+    table: TransitionTable,
+    alpha: float,
+    eps: float,
+    values: np.ndarray | None = None,
+) -> tuple[bool, float, np.ndarray]:
+    """Exhibit test at one hashrate: some policy earns more than alpha +
+    eps.  The under-paying model of ``table`` weighed at ``alpha``,
+    scalarized at rho = alpha + eps, is decided by :func:`gain_below`
+    against 0 to ``eps/8``, warm from ``values``.  A decided bracket min
+    above 0 makes the greedy policy's residual positive at every state, so
+    its revenue exceeds rho; a decided max below 0 proves that no policy
+    earns rho; a bracket narrowed to ``eps/8`` undecided is decided by its
+    midpoint.  Returns (profitable, evidence, final values), the evidence
+    being the greedy policy's exact revenue, which must also exceed rho."""
+    model = table.weigh(alpha)
+    scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho=alpha + eps)
+    verdict = gain_below(scalar, 0.0, eps / 8.0, values)
+    params = model.params
+    greedy = Policy(
+        model.T, verdict.result.actions, alpha, params.gamma, params.variant
+    )
+    rev = evaluate_policy_exact(model, greedy).rev
+    return not verdict.below and rev > alpha + eps, rev, verdict.result.values
+
+
 def profit_threshold(
     gamma: float,
     variant: Variant = Variant.STANDARD,
@@ -345,11 +373,12 @@ def profit_threshold(
     hands over to policy iteration.  Each model's value iteration starts
     from the values the last one ended at, the first probe's from zero.
     Every probe weighs one transition table, built once at ``gamma``,
-    ``variant`` and ``T``.  Afterwards a short outward sweep of ratio
-    iterations on the same table exhibits a concrete profitable
-    deviation to pin ``alpha_upper``; only their lower bounds are read, so
-    no upper bound is certified.  ``eps`` must be positive and finite,
-    checked before any solve.
+    ``variant`` and ``T``.  Afterwards a short outward sweep of exhibit
+    tests (:func:`_exhibit`) on the same table, warm from the last
+    certification's values, looks for a concrete profitable deviation to
+    pin ``alpha_upper``.  It stops after 0.499, and before any ``rho =
+    candidate + eps`` of 1 or more, which no policy earns.  ``eps`` must be
+    positive and finite, checked before any solve.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be > 0 and finite (got {eps})")
@@ -371,26 +400,23 @@ def profit_threshold(
             probes.append(ThresholdProbe(mid, "not-certified", worst))
             high = mid
 
-    # Exhibit a profitable deviation above the bracket: lower_bound > alpha +
-    # eps proves some policy beats honest mining's revenue alpha.
-    alpha_upper = 0.5
+    # Exhibit a profitable deviation above the bracket: a policy whose exact
+    # revenue exceeds alpha + eps beats honest mining's revenue alpha.  The
+    # candidates rise from the bracket's top and stop at 0.499, or where
+    # rho = candidate + eps is no revenue.
     exhibited = False
-    step = alpha_tol
-    candidate = high
+    step, candidate = alpha_tol, min(high, 0.499)
     for _ in range(10):
-        if not 0.0 < candidate < 0.5 or eps >= 8.0 * candidate:
-            candidate = min(max(candidate + step, 2 * eps), 0.499)
-            step *= 2.0
-            continue
-        lower_bound = ratio_iteration(table.weigh(candidate), eps).lower_bound
-        if lower_bound > candidate + eps:
-            probes.append(ThresholdProbe(candidate, "profitable", lower_bound))
-            alpha_upper = candidate
-            exhibited = True
+        if candidate + eps >= 1.0:
             break
-        probes.append(ThresholdProbe(candidate, "not-profitable", lower_bound))
+        exhibited, evidence, values = _exhibit(table, candidate, eps, values)
+        kind = "profitable" if exhibited else "not-profitable"
+        probes.append(ThresholdProbe(candidate, kind, evidence))
+        if exhibited or candidate == 0.499:
+            break
         candidate = min(candidate + step, 0.499)
         step *= 2.0
+    alpha_upper = candidate if exhibited else 0.5
 
     if alpha_upper < low:
         raise RuntimeError(

@@ -38,7 +38,7 @@ from selfish_mining.model import (
     state_index,
     upper_bound_revenue,
 )
-from selfish_mining.optimize import OptimizeConfig
+from selfish_mining.optimize import OptimizeConfig, find_optimal
 
 ACCEPTANCE_LINES: list[str] = []
 QUADRATURE_TOL = 1e-10
@@ -620,6 +620,16 @@ def reference_certify(
         if worst > -eps:
             return False, worst
     return True, worst
+
+
+def reference_exhibit(
+    alpha: float, gamma: float, variant: Variant, T: int, eps: float
+) -> float:
+    """The lower bound of a cold :func:`find_optimal` at ``alpha``, the
+    revenue the threshold search's exhibit step must match within ``eps``;
+    it exhibits a profitable deviation when it exceeds ``alpha + eps``."""
+    config = OptimizeConfig(MiningParams(alpha, gamma, variant), T, eps, eps)
+    return find_optimal(config).lower_bound
 
 
 def reference_stationary(P: sparse.csr_matrix) -> np.ndarray:

@@ -342,17 +342,48 @@ class TestThresholdCommand:
         assert report["threshold"] == report["alpha_lower"]
 
     def test_eps_below_round_off_is_numeric_failure(self, workdir, capsys):
-        """At gamma = 1 two actions tie up to round-off, and policy iteration
-        toward a tolerance below it would alternate between two policies
-        without end: it stops at the first repeat, exit 3."""
+        """At gamma = 0.5 the first exhibit candidate is 1/4, where selfish
+        and honest mining earn the same, so the optimal gain at rho = 1/4 +
+        eps is zero up to round-off.  Policy iteration toward a tolerance
+        below it would alternate between tied policies without end: it stops
+        at the first repeat, exit 3."""
         rc = main(
-            ["threshold", "--gamma", "1", "--T", "8", "--eps", "1e-300",
+            ["threshold", "--gamma", "0.5", "--T", "8", "--eps", "1e-300",
              "--alpha-tol", "0.1", "--out", "thr"]
         )
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: policy iteration stalled") and err.count("\n") == 1
         assert os.listdir(workdir) == []
+
+    def test_eps_below_round_off_decided_by_bracket(self, workdir, capsys):
+        """At gamma = 1 every candidate is profitable, and the exhibit's
+        bracket decides the first one well before the span narrows to the
+        tolerance: exit 0 with a valid bracket."""
+        rc = main(
+            ["threshold", "--gamma", "1", "--T", "8", "--eps", "1e-300",
+             "--alpha-tol", "0.1", "--out", "thr"]
+        )
+        assert rc == 0
+        report = read_json("thr.threshold.json")
+        assert (report["alpha_lower"], report["alpha_upper"]) == (0.0, 0.0625)
+        assert report["exhibited"]
+        assert report["probes"][-1]["kind"] == "profitable"
+        assert report["probes"][-1]["evidence"] > report["alpha_upper"]
+
+    def test_exhibit_rho_stays_a_revenue(self, workdir, capsys):
+        """With eps = 0.7 no probe certifies, and the exhibit step skips
+        every candidate from which rho = candidate + eps would reach 1, and
+        probes no candidate twice: exit 0, nothing exhibited."""
+        rc = main(["threshold", "--gamma", "0.5", "--T", "8", "--eps", "0.7",
+                   "--out", "thr"])
+        assert rc == 0
+        report = read_json("thr.threshold.json")
+        assert (report["alpha_lower"], report["alpha_upper"]) == (0.0, 0.5)
+        assert not report["exhibited"]
+        exhibits = [p["alpha"] for p in report["probes"] if "profitable" in p["kind"]]
+        assert exhibits and len(set(exhibits)) == len(exhibits)
+        assert all(alpha + 0.7 < 1.0 for alpha in exhibits)
 
     @pytest.mark.parametrize("tol", ["0.5", "0.7"])
     def test_alpha_tol_checked(self, workdir, capsys, tol):

@@ -11,10 +11,12 @@ policies must equal their per-state rules tabulated state by state.  The
 ratio iteration's bounds are checked against the bisection it replaced.  The
 threshold search's certification, which decides each honest-disabled model
 by its residual bracket where it can, must decide as two cold solves do, and
-its reports must be what they were with them, up to the evidence, a
-certified bound that lies between -eps and the cold worst gain.  The stationary
-distribution, a transposed solve of the grounded gain-and-bias system, must
-match a second direct solver."""
+its exhibit step, decided by the bracket of one under-paying model, as a
+cold bound computation does; its reports must be what they were with them,
+up to the evidence: a certified bound that lies between -eps and the cold
+worst gain, or an exhibited revenue within eps of the cold lower bound.  The
+stationary distribution, a transposed solve of the grounded gain-and-bias
+system, must match a second direct solver."""
 
 from dataclasses import fields, replace
 
@@ -67,6 +69,7 @@ from helpers import (
     forward_closure_all_actions,
     reference_bisection,
     reference_certify,
+    reference_exhibit,
     reference_honest_disabled,
     reference_layers,
     reference_model,
@@ -347,26 +350,26 @@ def test_certification_matches_two_cold_solves(monkeypatch, alpha, variant, T, d
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("T", [16, 24])
 def test_threshold_report_matches_cold_certification(monkeypatch, T, gamma, variant):
-    """The report equals the one built with two cold solves per probe and
-    with the exhibit step's full bound computation, whose own ratio
-    iteration is the real one, except for the certification probes'
-    evidence, a decided bracket end or a warm midpoint, which must bound the
-    cold worst gain as :func:`assert_evidence_bounds_cold` states."""
+    """The report equals the one built with two cold solves per probe and a
+    cold :func:`find_optimal` per exhibit candidate, except for the
+    evidence.  A certification probe's, a decided bracket end or a warm
+    midpoint, must bound the cold worst gain as
+    :func:`assert_evidence_bounds_cold` states; an exhibit probe's, the
+    exact revenue of the policy its bracket decided, must be within eps of
+    the cold lower bound, and above alpha + eps exactly when profitable."""
     got = profit_threshold(gamma, variant, T).to_json_dict()
-    ratio_iteration = optimize.ratio_iteration
-
-    def find_optimal_exhibit(model, eps):
-        config = OptimizeConfig(model.params, model.T, eps, eps)
-        with monkeypatch.context() as inner:
-            inner.setattr(optimize, "ratio_iteration", ratio_iteration)
-            return find_optimal(config, model=model)
 
     def certify_cold(table, alpha, eps, values):
         params = table.params
         return (*reference_certify(alpha, params.gamma, params.variant, T, eps), values)
 
+    def exhibit_cold(table, alpha, eps, values):
+        params = table.params
+        lower_bound = reference_exhibit(alpha, params.gamma, params.variant, T, eps)
+        return lower_bound > alpha + eps, lower_bound, values
+
     monkeypatch.setattr(optimize, "_certify_honest", certify_cold)
-    monkeypatch.setattr(optimize, "ratio_iteration", find_optimal_exhibit)
+    monkeypatch.setattr(optimize, "_exhibit", exhibit_cold)
     want = profit_threshold(gamma, variant, T).to_json_dict()
     assert len(got["probes"]) == len(want["probes"])
     for probe, cold in zip(got.pop("probes"), want.pop("probes")):
@@ -377,8 +380,37 @@ def test_threshold_report_matches_cold_certification(monkeypatch, T, gamma, vari
                 certified, probe["evidence"], cold["evidence"], DEFAULT_EPS
             )
         else:
-            assert probe["evidence"] == cold["evidence"]
+            assert abs(probe["evidence"] - cold["evidence"]) <= DEFAULT_EPS
+            profitable = probe["kind"] == "profitable"
+            assert (probe["evidence"] > probe["alpha"] + DEFAULT_EPS) == profitable
     assert got == want
+
+
+@pytest.mark.parametrize("alpha,above", [(0.3, True), (0.2, False)])
+def test_exhibit_decided_by_bracket(monkeypatch, alpha, above):
+    """Well above the threshold (0.25 at gamma = 0.5) the exhibit's model is
+    decided by a bracket min above 0 and the candidate is profitable; well
+    below it by a bracket max below 0, and it is not."""
+    decided = []
+    gain_below = optimize.gain_below
+
+    def spy(*args, **kwargs):
+        verdict = gain_below(*args, **kwargs)
+        low, high = verdict.result.bracket
+        if verdict.evidence == low > 0.0:
+            decided.append("min above 0")
+        elif verdict.evidence == high < 0.0:
+            decided.append("max below 0")
+        else:
+            decided.append("midpoint")
+        return verdict
+
+    monkeypatch.setattr(optimize, "gain_below", spy)
+    table = transition_table(MiningParams(alpha, 0.5, Variant.STANDARD), 24)
+    profitable, evidence, _values = optimize._exhibit(table, alpha, DEFAULT_EPS)
+    assert decided == ["min above 0" if above else "max below 0"]
+    assert profitable == above
+    assert (evidence > alpha + DEFAULT_EPS) == above
 
 
 def random_chain(n, seed, transient=0):

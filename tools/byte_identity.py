@@ -48,6 +48,8 @@ COMMANDS = [
     ["threshold", "--gamma", "1", "--T", "16", "--out", "thr1"],
     ["threshold", "--gamma", "0.5", "--variant", "uniform", "--T", "16",
      "--out", "thru"],
+    # an eps so large that rho = candidate + eps reaches 1 within the sweep
+    ["threshold", "--gamma", "0.5", "--T", "8", "--eps", "0.7", "--out", "thrbig"],
     ["simulate", "--policy", "sm1", "--alpha", "0.4", "--gamma", "0.5",
      "--variant", "uniform", "--T", "40", "--rounds", "50000", "--replicas", "4",
      "--seed", "2024", "--out", "simu"],
