@@ -368,15 +368,23 @@ class ScalarModel:
 
 
 def build_truncated(model: MiningModel, mode: BoundaryMode, rho: float) -> ScalarModel:
-    """Scalarize a built model at ``rho`` under the given boundary mode."""
+    """Scalarize a built model at ``rho`` under the given boundary mode.
+
+    Every reward is ``(1-rho)*attacker - rho*honest``, computed as
+    ``attacker - rho*(attacker + honest)``.  Over-paying, each boundary pair
+    ``(a, h)`` then gets one :func:`overpaying_terminal_reward` as the adopt
+    reward of its three fork labels.  The rewards read only the model's
+    block rewards and boundary, so one scalarization serves every model that
+    differs from ``model`` only in ``feasible`` (``replace(scalar,
+    model=...)``)."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1] (got {rho})")
     rewards = model.exp_attacker - rho * (model.exp_attacker + model.exp_honest)
     if mode is BoundaryMode.OVER_PAYING:
         alpha = model.params.alpha
         T = model.T
-        for idx in np.flatnonzero(model.boundary):
-            rest = idx // 3
+        for rest in np.flatnonzero(model.boundary[::3]):  # pair h + (T+1)*a
             a, h = rest // (T + 1), rest % (T + 1)
-            rewards[Action.ADOPT, idx] = overpaying_terminal_reward(a, h, rho, alpha)
+            reward = overpaying_terminal_reward(a, h, rho, alpha)
+            rewards[Action.ADOPT, 3 * rest : 3 * rest + 3] = reward
     return ScalarModel(model=model, rewards=rewards)

@@ -26,7 +26,11 @@ whose midpoint is the gain.  The same bracket lets
 sweep whose bracket excludes it, often long before the span is small.
 Identical inputs produce bit-identical results: iteration order is fixed,
 value iteration breaks argmax ties toward the lowest action ordinal, and
-policy iteration keeps the current action on ties.
+policy iteration keeps the current action on ties.  Both stages share one
+sweep, :func:`_bellman`, which writes into value, update and residual
+buffers that each solve allocates once, so that a sweep allocates only its
+sparse product; the in-place steps are bit-identical to the same arithmetic
+on fresh arrays.
 """
 
 from __future__ import annotations
@@ -85,13 +89,29 @@ def _excludes(low: float, high: float, bound: float) -> bool:
     return high < bound or low > bound
 
 
-def _bellman(masked_rewards: np.ndarray, transition: sparse.csr_matrix, values):
-    """Action values ``q`` of ``values``, the Bellman update ``max_a q`` and
-    the bracket ``(low, high)`` of the residual ``max_a q - values``."""
-    q = masked_rewards + transition.dot(values).reshape(masked_rewards.shape)
-    bellman = q.max(axis=0)
-    residual = bellman - values
-    return q, bellman, residual.min(), residual.max()
+def _bellman(masked_rewards, transition, values, bellman, residual):
+    """One Bellman application into buffers the solve owns: writes the
+    update ``max_a q`` into ``bellman`` and the residual ``max_a q - values``
+    into ``residual``, and returns the action values ``q`` (the sparse
+    product, the only array a sweep allocates) with the residual bracket
+    ``(low, high)``.  Bit-identical to ``q = masked_rewards + P @ values``,
+    ``bellman = q.max(axis=0)``: IEEE addition is commutative and the
+    operations run in the same order."""
+    q = transition.dot(values).reshape(masked_rewards.shape)
+    np.add(q, masked_rewards, out=q)
+    np.max(q, axis=0, out=bellman)
+    np.subtract(bellman, values, out=residual)
+    return q, residual.min(), residual.max()
+
+
+def _greedy(q: np.ndarray, bellman: np.ndarray) -> np.ndarray:
+    """The lowest action ordinal whose action value attains ``bellman`` in
+    each column of ``q``: ``np.argmax(q, axis=0)`` for finite values,
+    without its strided pass over the columns."""
+    actions = np.zeros(len(bellman), dtype=np.int8)
+    for action in range(len(q) - 1, -1, -1):
+        np.copyto(actions, action, where=q[action] == bellman)
+    return actions
 
 
 def relative_value_iteration(
@@ -117,22 +137,33 @@ def relative_value_iteration(
     NaN), or after ``max_sweeps`` sweeps (none, by default), with that
     sweep's greedy policy, starting values and bracket; the result's span
     and bracket tell which.
+
+    The values, Bellman update and residual live in buffers allocated once
+    per solve, ``initial_values`` copied into the first, and the damping
+    step runs in place; the results are bit-identical to stepping with
+    fresh arrays.  The returned values are the solve's own buffer, which no
+    later sweep writes.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"solver tolerance must be positive (got {eps})")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be positive (got {max_sweeps})")
-    start = np.zeros(rewards.shape[1]) if initial_values is None else initial_values
+    n = rewards.shape[1]
+    start = np.zeros(n) if initial_values is None else initial_values
     values = np.array(start, dtype=float)
+    bellman, residual = np.empty(n), np.empty(n)
     # Infeasible (action, state) pairs carry -inf reward so they never win
     # the max; every state keeps at least one feasible action.
     masked_rewards = np.where(feasible, rewards, -np.inf)
     for sweep in count(1):
-        q, bellman, low, high = _bellman(masked_rewards, transition, values)
+        q, low, high = _bellman(masked_rewards, transition, values, bellman, residual)
         if high - low <= eps or _excludes(low, high, bound) or sweep == max_sweeps:
-            actions = np.argmax(q, axis=0).astype(np.int8)
+            actions = _greedy(q, bellman)
             return SolveResult(actions, values, (float(low), float(high)), sweep)
-        values = (1.0 - DAMPING) * bellman + DAMPING * values
+        # values <- (1-DAMPING)*bellman + DAMPING*values, pinned at reference
+        np.multiply(bellman, 1.0 - DAMPING, out=bellman)
+        np.multiply(values, DAMPING, out=values)
+        np.add(bellman, values, out=values)
         values -= values[reference]
 
 
@@ -231,15 +262,18 @@ def policy_iteration(
     (nothing improved, or actions tied up to round-off alternate) while the
     span is still above ``eps``.
     """
+    if not eps > 0:
+        raise ValueError(f"solver tolerance must be positive (got {eps})")
     masked_rewards = np.where(feasible, rewards, -np.inf)
-    states = np.arange(rewards.shape[1])
+    n = rewards.shape[1]
+    states = np.arange(n)
+    bellman, residual = np.empty(n), np.empty(n)
     evaluated: set[bytes] = set()
     for step in count(1):
         _, values = evaluate_gain(feasible, transition, rewards, reference, actions)
-        q, _, low, high = _bellman(masked_rewards, transition, values)
-        best = np.argmax(q, axis=0)
-        better = q[best, states] > q[actions, states]
-        improved = np.where(better, best, actions).astype(np.int8)
+        q, low, high = _bellman(masked_rewards, transition, values, bellman, residual)
+        better = bellman > q[actions, states]
+        improved = np.where(better, _greedy(q, bellman), actions).astype(np.int8)
         if high - low <= eps:
             return SolveResult(improved, values, (float(low), float(high)), step, step)
         evaluated.add(actions.astype(np.int8).tobytes())

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -317,11 +317,12 @@ def _certify_honest(
     first model leaves the second undecided.  Returns (certified, evidence,
     final values), the evidence being the larger of the decided models'."""
     model = table.weigh(alpha)
+    # the variants differ only in feasibility, so they share one scalarization
+    scalar = build_truncated(model, BoundaryMode.OVER_PAYING, rho=alpha)
     evidence = -np.inf
     for tv in ThresholdVariant:
-        disabled = build_honest_disabled(model, tv)
-        scalar = build_truncated(disabled, BoundaryMode.OVER_PAYING, rho=alpha)
-        verdict = gain_below(scalar, -eps, eps, values)
+        disabled = replace(scalar, model=build_honest_disabled(model, tv))
+        verdict = gain_below(disabled, -eps, eps, values)
         evidence, values = max(evidence, verdict.evidence), verdict.result.values
         if not verdict.below:
             return False, evidence, values

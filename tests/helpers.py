@@ -24,7 +24,7 @@ from selfish_mining.chain import (
     transition_table,
 )
 from selfish_mining.delay import DelayParams
-from selfish_mining.mdp import solve_average_reward
+from selfish_mining.mdp import evaluate_gain, solve_average_reward
 from selfish_mining.model import (
     Action,
     ChainState,
@@ -503,6 +503,39 @@ def reference_rvi(
         values = (1.0 - damping) * bellman + damping * values
         values -= values[reference]
     raise AssertionError("reference value iteration did not converge")
+
+
+def reference_policy_iteration(
+    feasible: np.ndarray,
+    transition: sparse.csr_matrix,
+    matrices: tuple[sparse.csr_matrix, ...],
+    rewards: np.ndarray,
+    reference: int,
+    eps: float,
+    actions: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray, tuple[float, float]]:
+    """Howard policy iteration from ``actions`` with one sparse product per
+    action and step, each policy evaluated exactly on the stacked
+    ``transition``; the improved policy keeps the current action unless the
+    lowest-ordinal best one is strictly better.  Stops at a residual span of
+    at most ``eps``.  Returns the step count, the improved actions, the
+    evaluated bias and the bracket."""
+    masked = np.where(feasible, rewards, -np.inf)
+    states = np.arange(rewards.shape[1])
+    q = np.empty(rewards.shape)
+    for step in range(1, 1_000):
+        _, values = evaluate_gain(feasible, transition, rewards, reference, actions)
+        for action, matrix in enumerate(matrices):
+            q[action] = masked[action] + matrix.dot(values)
+        best = np.argmax(q, axis=0)
+        residual = q.max(axis=0) - values
+        low, high = residual.min(), residual.max()
+        better = q[best, states] > q[actions, states]
+        improved = np.where(better, best, actions).astype(np.int8)
+        if high - low <= eps:
+            return step, improved, values, (float(low), float(high))
+        actions = improved
+    raise AssertionError("reference policy iteration did not converge")
 
 
 def reference_step_tables(policy: Policy, params: MiningParams) -> dict:

@@ -1,6 +1,7 @@
 import random
 import resource
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from selfish_mining.model import (
     Fork,
     MiningParams,
     Variant,
+    grid_coordinates,
+    state_at,
     state_index,
 )
 
@@ -246,6 +249,27 @@ class TestScalarization:
         assert rewards.min() >= -rho * (2 * T + 1)
         assert rewards.max() <= (1 - rho) * (2 * T + 1)
 
+    @pytest.mark.parametrize("T", [2, 8, 75])
+    def test_overpaying_rewards_per_state(self, T):
+        """Every fork label of every boundary pair adopts for that pair's
+        compensation; every other reward is the under-paying one.  The
+        compensation is taken at the grid's numpy coordinates, as the
+        builder takes it: numpy's integer power can differ from Python's in
+        the last bit (at T=8, (a, h) = (4, 8))."""
+        alpha, rho = 0.35, 0.3
+        model = build_base_model(MiningParams(alpha, 0.5), T)
+        over = build_truncated(model, BoundaryMode.OVER_PAYING, rho).rewards
+        under = build_truncated(model, BoundaryMode.UNDER_PAYING, rho).rewards
+        a, h, fork = grid_coordinates(T)
+        boundary = np.flatnonzero(model.boundary)
+        assert len(boundary) == 3 * (2 * T + 1)
+        assert np.bincount(fork[boundary]).tolist() == [2 * T + 1] * 3
+        for idx in boundary:
+            want = overpaying_terminal_reward(a[idx], h[idx], rho, alpha)
+            assert over[Action.ADOPT, idx] == want, state_at(int(idx), T)
+        over[Action.ADOPT, boundary] = under[Action.ADOPT, boundary]
+        assert over.tobytes() == under.tobytes()
+
     def test_rho_out_of_range(self):
         model = build_base_model(MiningParams(0.3, 0.0), 4)
         with pytest.raises(ValueError):
@@ -280,6 +304,20 @@ class TestHonestDisabled:
             assert (action_rows(base, action) != action_rows(disabled, action)).nnz == 0
             same = base.feasible[action] == disabled.feasible[action]
             assert all(same[i] for i in range(base.n) if i not in touched)
+
+
+    def test_shared_scalarization_matches_each_variant(self):
+        """Disabling an action changes no reward, so one over-paying
+        scalarization serves both variants: it holds the rewards of each
+        variant's own scalarization, byte for byte."""
+        model = build_base_model(MiningParams(0.3, 0.5), 12)
+        shared = build_truncated(model, BoundaryMode.OVER_PAYING, rho=0.3)
+        for tv in ThresholdVariant:
+            disabled = build_honest_disabled(model, tv)
+            own = build_truncated(disabled, BoundaryMode.OVER_PAYING, rho=0.3)
+            swapped = replace(shared, model=disabled)
+            assert swapped.rewards.tobytes() == own.rewards.tobytes()
+            assert swapped.model.feasible.tobytes() == disabled.feasible.tobytes()
 
 
 class TestVariantEquivalence:

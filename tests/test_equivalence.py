@@ -4,7 +4,8 @@ bit for bit, as must the alpha-free table weighed at
 any alpha and scipy's COO build of the model there, and the stacked-operator
 value iteration and a per-action one, cold or warm-started and stopped by a
 bound; solves that the policy-iteration stage finishes must reach the
-per-action loop's gain.  A policy's reachable
+per-action loop's gain, and that stage must match per-action Howard steps bit
+for bit.  A policy's reachable
 states traced on the table must be those traced on the built operator, and
 the closure over every feasible action the per-state walk's.  The built-in grid-rule
 policies must equal their per-state rules tabulated state by state.  The
@@ -40,6 +41,7 @@ from selfish_mining.mdp import (
     RVI_SWEEP_BUDGET,
     SolverError,
     evaluate_policy_exact,
+    policy_iteration,
     reachable_mask,
     relative_value_iteration,
     solve_average_reward,
@@ -74,6 +76,7 @@ from helpers import (
     reference_layers,
     reference_model,
     reference_policy,
+    reference_policy_iteration,
     reference_rvi,
     reference_stationary,
     reference_step_tables,
@@ -277,6 +280,38 @@ def test_policy_iteration_finishes_long_solves(T, mode):
     assert got.iterations == RVI_SWEEP_BUDGET + got.evaluations
     assert got.span <= eps
     assert abs(got.gain - gain) <= eps
+
+
+@pytest.mark.parametrize("start", ["hand-off", "adopt"])
+@pytest.mark.parametrize(
+    "T,mode", [(8, BoundaryMode.OVER_PAYING), (30, BoundaryMode.UNDER_PAYING)]
+)
+def test_policy_iteration_matches_per_action_howard(T, mode, start):
+    """Howard steps on the stacked operator, from the value-iteration
+    stage's hand-off policy or from adopting everywhere, reach the same
+    actions, bias and bracket as per-action steps, bit for bit."""
+    eps = 1e-8
+    params = MiningParams(0.4, 0.5)
+    scalar = build_truncated(build_base_model(params, T), mode, rho=0.45)
+    model = scalar.model
+    system = (model.feasible, model.transition, scalar.rewards, model.reference_index)
+    if start == "adopt":
+        actions = np.zeros(model.n, dtype=np.int8)
+    else:
+        actions = relative_value_iteration(*system, eps, RVI_SWEEP_BUDGET).actions
+    got = policy_iteration(*system, eps, actions)
+    steps, want_actions, values, bracket = reference_policy_iteration(
+        model.feasible,
+        model.transition,
+        reference_layers(params, T)[3],
+        scalar.rewards,
+        model.reference_index,
+        eps,
+        actions,
+    )
+    assert (got.iterations, got.evaluations, got.bracket) == (steps, steps, bracket)
+    assert got.actions.tobytes() == want_actions.tobytes()
+    assert got.values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("variant", list(Variant))

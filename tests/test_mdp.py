@@ -122,6 +122,30 @@ class TestRelativeValueIteration:
         assert (first.values == second.values).all()
 
 
+    def test_warm_solve_leaves_initial_values(self):
+        """A solve copies its warm start into a buffer of its own: the
+        caller's array is unchanged and the result does not alias it."""
+        model = build_base_model(MiningParams(0.4, 0.5), 12)
+        start = solve_average_reward(
+            build_truncated(model, BoundaryMode.UNDER_PAYING, 0.4), 1e-8
+        ).values
+        before = start.copy()
+        scalar = build_truncated(model, BoundaryMode.OVER_PAYING, 0.45)
+        result = solve_average_reward(scalar, 1e-8, initial_values=start)
+        assert result.iterations > 1
+        assert start.tobytes() == before.tobytes()
+        assert not np.shares_memory(result.values, start)
+
+    @pytest.mark.parametrize("solve", [relative_value_iteration, policy_iteration])
+    def test_nan_tolerance_rejected(self, solve):
+        """A NaN tolerance never ends a span test, so both stages refuse it."""
+        feasible, operator, rewards = toy_mdp([[1.0, 0.0]], [[[0.0, 1.0], [1.0, 0.0]]])
+        start = np.zeros(2, dtype=np.int8)
+        args = (start,) if solve is policy_iteration else ()
+        with pytest.raises(ValueError, match="solver tolerance must be positive"):
+            solve(feasible, operator, rewards, 0, np.nan, *args)
+
+
 class TestPolicyIteration:
     def test_two_absorbing_states_rejected(self):
         """Two recurrent classes leave the grounded system singular."""
@@ -198,6 +222,17 @@ class TestGainBelow:
         assert verdict.result.span <= 1e-12
         assert verdict.evidence == verdict.result.gain
         assert verdict.below == (verdict.result.gain <= gain)
+
+
+    def test_chained_verdicts_keep_their_values(self):
+        """Each decision warm-starts from the last one's values; the later
+        solve neither writes into them nor returns memory they share."""
+        first = gain_below(self.scalar(0.3, 16), 0.0, 1e-8)
+        kept = first.result.values.copy()
+        second = gain_below(self.scalar(0.35, 16), 0.0, 1e-8, first.result.values)
+        assert second.result.iterations > 1
+        assert not np.shares_memory(first.result.values, second.result.values)
+        assert first.result.values.tobytes() == kept.tobytes()
 
 
 class TestStationary:

@@ -9,9 +9,11 @@ from seed to seed, so that drift in the machine's load falls on both sides
 alike.  Each workload's metrics are the end-to-end metrics of
 ``BENCHMARK.json``; the file gets their medians and quartiles per side and
 the number of pairs in which the after side was better.  With ``--trace``,
-one traced run per side and workload adds the per-layer solver and
-simulator figures; the threshold search's decision passes are solves, so
-the traced ``mdp.solve_calls`` and ``mdp.rvi_sweeps`` count them too.
+one traced run per side and workload adds the per-layer scalarization,
+solver and simulator figures, the solver's time per Bellman sweep
+(``mdp.sweep_ms``) among them; the threshold search's decision passes are
+solves, so the traced ``mdp.solve_calls`` and ``mdp.rvi_sweeps`` count them
+too.
 Before the workloads, five fresh interpreters per side, alternating, each
 only import ``selfish_mining.cli``; the file gets their wall time, peak RSS
 and number of loaded modules, the layer every CLI process pays before its
@@ -37,8 +39,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_LAYERS = (
-    "chain.build_calls", "optimize.find_optimal_calls",
-    "mdp.solve_calls", "mdp.solve_s", "mdp.rvi_sweeps",
+    "chain.build_calls", "chain.scalarize_calls", "chain.scalarize_s",
+    "optimize.find_optimal_calls",
+    "mdp.solve_calls", "mdp.solve_s", "mdp.rvi_sweeps", "mdp.sweep_ms",
     "mdp.evaluate_calls", "mdp.evaluate_s", "mdp.stationary_s",
     "simulate.loop_s", "simulate.loop_rounds_per_s", "cli.sim_batch_rounds_per_s",
     "model.tabulate_s", "model.policy_load_s",
