@@ -171,18 +171,19 @@ def _grounded_system(P: sparse.csr_matrix, reference: int) -> sparse.csc_matrix:
     """``I - P`` for a square chain matrix ``P``, with the reference state's
     column replaced by ones.  For a chain with one recurrent class this
     system is nonsingular: it gives gain and bias as ``A x = r`` and the
-    stationary distribution as ``pi A = e_reference``."""
+    stationary distribution as ``pi A = e_reference``.  Built in CSC, where
+    the reference column is one slice of the arrays."""
     n = P.shape[0]
-    chosen = P.tocoo()
-    keep = chosen.col != reference
-    others = np.flatnonzero(np.arange(n) != reference)
+    system = (sparse.identity(n, format="csr") - P).tocsc()
+    start, end = system.indptr[reference : reference + 2]
+    indptr = system.indptr.copy()
+    indptr[reference + 1 :] += n - (end - start)
+    rows = np.arange(n, dtype=system.indices.dtype)
     return sparse.csc_matrix(
         (
-            np.concatenate([-chosen.data[keep], np.ones(n - 1), np.ones(n)]),
-            (
-                np.concatenate([chosen.row[keep], others, np.arange(n)]),
-                np.concatenate([chosen.col[keep], others, np.full(n, reference)]),
-            ),
+            np.concatenate([system.data[:start], np.ones(n), system.data[end:]]),
+            np.concatenate([system.indices[:start], rows, system.indices[end:]]),
+            indptr,
         ),
         shape=(n, n),
     )
