@@ -341,9 +341,13 @@ def overpaying_terminal_reward(a: int, h: int, rho: float, alpha: float) -> floa
     it mixes the cost of an immediate adopt with the (geometrically unlikely)
     value of catching up to the diagonal first.  Either way the compensation
     over-pays, so the truncated value upper-bounds the untruncated one.
+    ``a`` and ``h`` are taken as the grid's int64 coordinates, whatever
+    integer type the caller passes: numpy's scalar power and Python's can
+    differ in the last bit.
     """
     if alpha >= 0.5:
         raise ValueError("over-paying rewards require alpha < 0.5")
+    a, h = np.int64(a), np.int64(h)
     expected_peak = alpha * (1 - alpha) / (1 - 2 * alpha) ** 2
     if a >= h:
         drift_term = 0.5 * ((a - h) / (1 - 2 * alpha) + a + h)

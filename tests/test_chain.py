@@ -214,6 +214,21 @@ class TestCompensation:
             float(superseded), abs=1e-12
         )
 
+    def test_integer_type_does_not_matter(self):
+        """Python, int32 and int64 coordinates give the model's reward bit
+        for bit; numpy's scalar power and Python's differ in the last bit at
+        T=8, alpha=0.35, rho=0.3, (a, h) = (4, 8)."""
+        alpha, rho, T = 0.35, 0.3, 8
+        model = build_base_model(MiningParams(alpha, 0.5), T)
+        rewards = build_truncated(model, BoundaryMode.OVER_PAYING, rho).rewards
+        a, h, _ = grid_coordinates(T)
+        for idx in np.flatnonzero(model.boundary):
+            want = rewards[Action.ADOPT, idx]
+            for kind in (int, np.int32, np.int64):
+                got = overpaying_terminal_reward(kind(a[idx]), kind(h[idx]), rho, alpha)
+                assert got == want, (kind, state_at(int(idx), T))
+        assert overpaying_terminal_reward(4, 8, rho, alpha) == -1.2648797505533966
+
     def test_alpha_half_rejected(self):
         with pytest.raises(ValueError):
             overpaying_terminal_reward(5, 2, 0.3, 0.5)
@@ -252,10 +267,7 @@ class TestScalarization:
     @pytest.mark.parametrize("T", [2, 8, 75])
     def test_overpaying_rewards_per_state(self, T):
         """Every fork label of every boundary pair adopts for that pair's
-        compensation; every other reward is the under-paying one.  The
-        compensation is taken at the grid's numpy coordinates, as the
-        builder takes it: numpy's integer power can differ from Python's in
-        the last bit (at T=8, (a, h) = (4, 8))."""
+        compensation; every other reward is the under-paying one."""
         alpha, rho = 0.35, 0.3
         model = build_base_model(MiningParams(alpha, 0.5), T)
         over = build_truncated(model, BoundaryMode.OVER_PAYING, rho).rewards

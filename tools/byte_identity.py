@@ -23,6 +23,8 @@ from pathlib import Path
 COMMANDS = [
     ["optimize", "--alpha", "0.4", "--gamma", "0", "--T", "40", "--out", "opt"],
     ["optimize", "--alpha", "0.3", "--gamma", "0.5", "--T", "8"],
+    # the benchmark's bounds point; its ratio iteration ends in policy iteration
+    ["optimize", "--alpha", "0.45", "--gamma", "0", "--T", "95", "--out", "opt95"],
     ["evaluate", "--policy", "opt.policy.json", "--alpha", "0.4", "--gamma", "0",
      "--out", "ev"],
     ["evaluate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "75",
