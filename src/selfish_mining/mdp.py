@@ -8,22 +8,27 @@ distribution.
 :func:`solve_average_reward` first runs a plain synchronous relative value
 iteration with a damping step ``V <- (1-tau)*Bellman(V) + tau*V`` (tau =
 0.01) guarding against periodic chains; damping changes neither the gain
-estimate nor the greedy policy.  Solves that converge quickly, such as most
-of the threshold search's certification solves, finish within
-``RVI_SWEEP_BUDGET`` sweeps, where one exact evaluation would cost more than
-the sweeps it saves.  A solve still open after them hands its greedy policy
-to Howard policy iteration (Puterman 1994, ch. 8):
-each step evaluates the policy's gain and bias exactly with one grounded
-sparse LU factorization, applies the Bellman operator once, and improves the
-policy greedily, keeping the current action unless another is strictly
-better; it needs no step cap, since it never evaluates a policy twice and
-there are finitely many.  Either way the gain is bracketed by the extremes
-of the Bellman residual ``Bellman(V) - V``, which hold for any value vector,
-so the reported span is a certified bound on the gain error.  Both stages
-return one :class:`SolveResult`: greedy actions, values and that bracket,
-whose midpoint is the gain.  The same bracket lets
-:func:`gain_below` decide whether a gain lies below a bound at the first
-sweep whose bracket excludes it, often long before the span is small.
+estimate nor the greedy policy.  Solves that converge quickly, such as the
+threshold search's decision solves, finish in value iteration.  A solve
+still open hands its greedy policy to Howard policy iteration (Puterman
+1994, ch. 8) once that policy has held for ``HANDOFF_HOLD`` sweeps, read
+every ``HOLD_STRIDE`` sweeps, or after ``RVI_SWEEP_BUDGET`` sweeps at the
+latest.  A held policy is where further sweeps stop paying: 64 sweeps cost
+about one LU factorization on grids with T=75 to 250.  A solve given a
+policy to start from skips value iteration and resumes policy iteration
+there, as each Dinkelbach step after one that ended in policy iteration
+does.  Each policy-iteration step evaluates the policy's gain and bias
+exactly with one grounded sparse LU factorization, applies the Bellman
+operator once, and improves the policy greedily, keeping the current action
+unless another is strictly better; it needs no step cap, since it never
+evaluates a policy twice and there are finitely many.  Either way the gain
+is bracketed by the extremes of the Bellman residual ``Bellman(V) - V``,
+which hold for any value vector, so the reported span is a certified bound
+on the gain error.  Both stages return one :class:`SolveResult`: greedy
+actions, values and that bracket, whose midpoint is the gain.  The same
+bracket lets :func:`gain_below` decide whether a gain lies below a bound at
+the first sweep whose bracket excludes it, often long before the span is
+small.
 Identical inputs produce bit-identical results: iteration order is fixed,
 value iteration breaks argmax ties toward the lowest action ordinal, and
 policy iteration keeps the current action on ties.  Both stages share one
@@ -49,6 +54,10 @@ from .model import Policy
 
 DAMPING = 0.01
 RVI_SWEEP_BUDGET = 256
+# Sweeps a greedy policy must hold before the hand-off, about one LU's cost;
+# it is read every HOLD_STRIDE sweeps, since a read costs a quarter sweep.
+HANDOFF_HOLD = 64
+HOLD_STRIDE = 8
 EVALUATION_RESIDUAL_TOL = 1e-9
 STATIONARY_NEGATIVE_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -123,6 +132,7 @@ def relative_value_iteration(
     max_sweeps: float = np.inf,
     initial_values: np.ndarray | None = None,
     bound: float = np.nan,
+    hold: float = np.inf,
 ) -> SolveResult:
     """Damped relative value iteration on a finite average-reward MDP given
     its stacked operator.
@@ -134,9 +144,11 @@ def relative_value_iteration(
     to ``(1-DAMPING)*Bellman(V) + DAMPING*V`` pinned at ``reference``.  Stops
     at the first sweep whose span is at most ``eps`` or whose residual
     bracket lies wholly on one side of ``bound`` (never, for the default
-    NaN), or after ``max_sweeps`` sweeps (none, by default), with that
-    sweep's greedy policy, starting values and bracket; the result's span
-    and bracket tell which.
+    NaN), after ``max_sweeps`` sweeps (none, by default), or once the greedy
+    policy, read every ``HOLD_STRIDE`` sweeps, has read the same for
+    ``hold`` sweeps (never, by default), with that sweep's greedy policy,
+    starting values and bracket.  A stop on ``hold`` returns what a stop on
+    ``max_sweeps`` at the same sweep returns.
 
     The values, Bellman update and residual live in buffers allocated once
     per solve, ``initial_values`` copied into the first, and the damping
@@ -155,9 +167,21 @@ def relative_value_iteration(
     # Infeasible (action, state) pairs carry -inf reward so they never win
     # the max; every state keeps at least one feasible action.
     masked_rewards = np.where(feasible, rewards, -np.inf)
+    greedy, since = None, 0
     for sweep in count(1):
         q, low, high = _bellman(masked_rewards, transition, values, bellman, residual)
-        if high - low <= eps or _excludes(low, high, bound) or sweep == max_sweeps:
+        held = False
+        if hold < np.inf and sweep % HOLD_STRIDE == 0:
+            actions = _greedy(q, bellman)
+            if not np.array_equal(actions, greedy):
+                since = sweep
+            greedy, held = actions, sweep - since >= hold
+        if (
+            high - low <= eps
+            or _excludes(low, high, bound)
+            or sweep == max_sweeps
+            or held
+        ):
             actions = _greedy(q, bellman)
             return SolveResult(actions, values, (float(low), float(high)), sweep)
         # values <- (1-DAMPING)*bellman + DAMPING*values, pinned at reference
@@ -291,21 +315,27 @@ def solve_average_reward(
     eps_solver: float,
     initial_values: np.ndarray | None = None,
     bound: float = np.nan,
+    initial_actions: np.ndarray | None = None,
 ) -> SolveResult:
     """Solve a scalarized mining model to a Bellman-residual span of at most
     ``eps_solver``, anchored at the reference state (1,0,irrelevant).
 
-    Relative value iteration runs for at most ``RVI_SWEEP_BUDGET`` sweeps,
-    and stops early once its residual bracket lies wholly on one side of
-    ``bound`` (never, for the default NaN); a solve still open then
-    continues as Howard policy iteration from the last greedy policy.
-    ``iterations`` counts Bellman applications of both stages and
-    ``evaluations`` the exact policy evaluations.
+    Relative value iteration from ``initial_values`` runs until its greedy
+    policy has held for ``HANDOFF_HOLD`` sweeps, or for at most
+    ``RVI_SWEEP_BUDGET`` sweeps, and stops early once its residual bracket
+    lies wholly on one side of ``bound`` (never, for the default NaN); a
+    solve still open then continues as Howard policy iteration from the
+    last greedy policy.  Given ``initial_actions``, the solve is Howard
+    policy iteration from them alone, and ``initial_values`` and ``bound``
+    go unused.  ``iterations`` counts Bellman applications of both stages
+    and ``evaluations`` the exact policy evaluations.
     """
     model = scalar.model
     system = (model.feasible, model.transition, scalar.rewards, model.reference_index)
+    if initial_actions is not None:
+        return policy_iteration(*system, eps_solver, initial_actions)
     result = relative_value_iteration(
-        *system, eps_solver, RVI_SWEEP_BUDGET, initial_values, bound
+        *system, eps_solver, RVI_SWEEP_BUDGET, initial_values, bound, HANDOFF_HOLD
     )
     if result.span <= eps_solver or _excludes(*result.bracket, bound):
         return result

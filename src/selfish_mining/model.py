@@ -26,9 +26,10 @@ import numpy as np
 
 # Peak resident memory per grid state of an ``optimize`` run, which holds
 # the stacked operator, a sparse LU and the value-iteration arrays at once:
-# 239 MB over the 189,003 states of T=250, interpreter included.  Each added
-# state costs less (about 0.7 kB from T=150 to T=250), so at the large T this
-# rejects the figure errs on the side of caution.
+# 193-210 MB over the 189,003 states of T=250 in separate runs (about 1.1 kB
+# a state), interpreter included.  Each added state costs less (about 0.7 kB
+# from T=150 to T=250), so at the large T this rejects the figure errs on the
+# side of caution.
 BYTES_PER_STATE = 1300
 
 

@@ -37,7 +37,10 @@ from selfish_mining.chain import (
     policy_closure,
     transition_table,
 )
+from selfish_mining import mdp
 from selfish_mining.mdp import (
+    HANDOFF_HOLD,
+    HOLD_STRIDE,
     RVI_SWEEP_BUDGET,
     SolverError,
     evaluate_policy_exact,
@@ -267,19 +270,65 @@ def test_bounded_warm_solver_matches_per_action_iteration(offset, excluded):
     assert got.actions.tobytes() == actions.tobytes()
 
 
+def held_handoff(system, eps):
+    """The first sweep at which value iteration's greedy policy, read every
+    ``HOLD_STRIDE`` sweeps (each reading a solve stopped there by its
+    budget), has read the same for ``HANDOFF_HOLD`` sweeps; the budget if
+    none before it."""
+    readings = {}
+    for sweep in range(HOLD_STRIDE, RVI_SWEEP_BUDGET, HOLD_STRIDE):
+        actions = relative_value_iteration(*system, eps, sweep).actions
+        readings[sweep] = actions.tobytes()
+        first = sweep - HANDOFF_HOLD
+        if first >= HOLD_STRIDE and all(
+            readings[s] == readings[sweep] for s in range(first, sweep, HOLD_STRIDE)
+        ):
+            return sweep
+    return RVI_SWEEP_BUDGET
+
+
 @pytest.mark.parametrize(
     "T,mode", [(8, BoundaryMode.OVER_PAYING), (30, BoundaryMode.UNDER_PAYING)]
 )
 def test_policy_iteration_finishes_long_solves(T, mode):
-    """These two solves need more sweeps than the budget, so the solver
-    finishes them with policy iteration: same certificate, same gain."""
+    """These two solves need more sweeps than the budget.  Value iteration
+    hands them to policy iteration once its greedy policy has held for
+    ``HANDOFF_HOLD`` sweeps, before the budget, and policy iteration
+    finishes them: same certificate, same gain."""
     eps = 1e-8
     scalar, (gain, iterations, *_) = per_action_solve(T, mode, eps)
+    model = scalar.model
+    system = (model.feasible, model.transition, scalar.rewards, model.reference_index)
+    handoff = held_handoff(system, eps)
     got = solve_average_reward(scalar, eps)
-    assert iterations > RVI_SWEEP_BUDGET and got.evaluations >= 1
-    assert got.iterations == RVI_SWEEP_BUDGET + got.evaluations
+    assert iterations > RVI_SWEEP_BUDGET > handoff and got.evaluations >= 1
+    assert got.iterations == handoff + got.evaluations
     assert got.span <= eps
     assert abs(got.gain - gain) <= eps
+
+
+@pytest.mark.parametrize(
+    "T,mode", [(8, BoundaryMode.OVER_PAYING), (30, BoundaryMode.UNDER_PAYING)]
+)
+def test_held_policy_hands_over_as_the_budget_does(T, mode, monkeypatch):
+    """A solve handed over on a held greedy policy returns, bit for bit,
+    what a solve without the hold rule returns when its sweep budget ends
+    at the same sweep."""
+    eps = 1e-8
+    scalar = build_truncated(build_base_model(MiningParams(0.4, 0.5), T), mode, 0.45)
+    got = solve_average_reward(scalar, eps)
+    handoff = got.iterations - got.evaluations
+    assert got.evaluations >= 1 and handoff < RVI_SWEEP_BUDGET
+    monkeypatch.setattr(mdp, "RVI_SWEEP_BUDGET", handoff)
+    monkeypatch.setattr(mdp, "HANDOFF_HOLD", np.inf)
+    want = solve_average_reward(scalar, eps)
+    assert (got.iterations, got.evaluations, got.bracket) == (
+        want.iterations,
+        want.evaluations,
+        want.bracket,
+    )
+    assert got.actions.tobytes() == want.actions.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("start", ["hand-off", "adopt"])

@@ -210,11 +210,11 @@ class TestGainBelow:
         assert verdict.result.evaluations == 0
         assert verdict.result.iterations < RVI_SWEEP_BUDGET
 
-    @pytest.mark.parametrize("alpha,T,evaluations", [(0.3, 8, 0), (0.45, 16, 1)])
+    @pytest.mark.parametrize("alpha,T,evaluations", [(0.3, 8, 0), (0.45, 16, 2)])
     def test_midpoint_decides_inside_the_bracket(self, alpha, T, evaluations):
         """With the bound at the gain itself no bracket excludes it; at T=8
-        value iteration narrows the span to eps, at T=16 and alpha=0.45 it
-        hands over to policy iteration."""
+        value iteration narrows the span to eps, at T=16 and alpha=0.45 its
+        greedy policy holds and it hands over to two policy-iteration steps."""
         scalar = self.scalar(alpha, T)
         gain = solve_average_reward(scalar, 1e-12).gain
         verdict = gain_below(scalar, gain, 1e-12)

@@ -54,7 +54,9 @@ class TestFindOptimal:
         """The ratio iteration starts at honest mining's revenue, raises rho
         strictly, and records for each step the exact revenue of that step's
         greedy policy, replayed here solve by solve with the same warm
-        starts; the last gain is within the solver tolerance."""
+        starts: a step after one that ended in policy iteration resumes it
+        from that step's policy, with no value-iteration sweep.  The last
+        gain is within the solver tolerance."""
         eps = 1e-4
         config = OptimizeConfig(MiningParams(0.4, 0.0), T=20, eps=eps)
         model = build_base_model(config.params, config.T)
@@ -63,17 +65,25 @@ class TestFindOptimal:
         assert rhos[0] == 0.4
         assert all(small < large for small, large in zip(rhos, rhos[1:]))
         assert report.rho_final == rhos[-1]
-        values = None
+        values = actions = None
+        resumed = 0
         for probe in report.probes:
             scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, probe.rho)
-            result = solve_average_reward(scalar, eps / 8, initial_values=values)
+            result = solve_average_reward(
+                scalar, eps / 8, initial_values=values, initial_actions=actions
+            )
+            if actions is not None:
+                assert result.iterations == result.evaluations
+                resumed += 1
             values = result.values
+            actions = result.actions if result.evaluations else None
             assert (result.gain, result.iterations) == (probe.gain, probe.iterations)
             assert probe.span <= eps / 8
             greedy = Policy(model.T, result.actions)
             assert evaluate_policy_exact(model, greedy).rev == probe.rev
         assert report.probes[-1].gain <= eps / 8
         assert report.lower_bound == max(probe.rev for probe in report.probes)
+        assert resumed == len(report.probes) - 1 >= 1
 
     def test_bound_sandwich_and_honest_floor(self):
         eps = 1e-4

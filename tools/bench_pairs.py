@@ -13,7 +13,11 @@ one traced run per side and workload adds the per-layer scalarization,
 solver and simulator figures, the solver's time per Bellman sweep
 (``mdp.sweep_ms``) among them; the threshold search's decision passes are
 solves, so the traced ``mdp.solve_calls`` and ``mdp.rvi_sweeps`` count them
-too.
+too.  ``mdp.sweep_ms`` is solve time over Bellman applications, so it counts
+the LU factorizations of policy iteration as sweep time.  So ``--trace``
+also counts one round's Bellman applications and LU factorizations
+directly, in a fresh interpreter per side that wraps ``mdp._bellman`` and
+``mdp._factorized``.
 Before the workloads, five fresh interpreters per side, alternating, each
 only import ``selfish_mining.cli``; the file gets their wall time, peak RSS
 and number of loaded modules, the layer every CLI process pays before its
@@ -46,6 +50,29 @@ TRACED_LAYERS = (
     "simulate.loop_s", "simulate.loop_rounds_per_s", "cli.sim_batch_rounds_per_s",
     "model.tabulate_s", "model.policy_load_s",
 )
+# one round of a workload with the solver's sweep and LU counted, run from
+# the checkout's perfbench/ so that it imports that checkout's run.py
+COUNT_PROBE = """\
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+import run
+cli = run.import_cli()
+from selfish_mining import mdp
+counts = {"bellman": 0, "lu": 0}
+def counted(fn, key):
+    def call(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return call
+mdp._bellman = counted(mdp._bellman, "bellman")
+mdp._factorized = counted(mdp._factorized, "lu")
+with tempfile.TemporaryDirectory() as work:
+    for op in run.WORKLOADS[sys.argv[1]](int(sys.argv[2]), Path(work)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(op.argv) != 0:
+                raise SystemExit(f"failed: {op.argv}")
+print(json.dumps(counts))
+"""
 STARTUP_PROCESSES = 5
 STARTUP_PROBE = (
     "import resource, sys\n"
@@ -95,6 +122,18 @@ def startup(checkout: Path) -> dict:
         raise SystemExit(f"startup probe in {checkout} imported {path}")
     maxrss_kb, modules = map(int, figures.split())
     return {"wall_s": wall, "maxrss_mb": maxrss_kb / 1024, "modules": modules}
+
+
+def count_work(checkout: Path, workload: str, seed: int) -> dict:
+    """Bellman applications and LU factorizations of one round of
+    ``workload`` in ``checkout``, counted in a fresh interpreter."""
+    command = [sys.executable, "-c", COUNT_PROBE, workload, str(seed)]
+    done = subprocess.run(
+        command, cwd=checkout / "perfbench", capture_output=True, text=True
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"work count in {checkout} failed:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def quartiles(values: list[float]) -> dict:
@@ -196,6 +235,11 @@ def main(argv: list[str] | None = None) -> int:
                 section["traced"][side] = {
                     name: metrics[name]["value"] for name in TRACED_LAYERS
                 }
+            section["counted_per_round"] = {
+                "seed": seed,
+                **{side: count_work(checkout, workload, seed)
+                   for side, checkout in (("before", before), ("after", after))},
+            }
         key = f"{workload} seeds {args.seeds[0]}-{args.seeds[-1]}"
         bench["sections"][key] = section
         out.write_text(json.dumps(bench, indent=2) + "\n")
