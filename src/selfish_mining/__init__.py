@@ -13,7 +13,6 @@ from .chain import (
 )
 from .delay import (
     DelayParams,
-    DeviationGain,
     catchup_probability,
     deviation_gain,
     min_profitable_k,

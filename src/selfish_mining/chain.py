@@ -3,8 +3,8 @@
 The rules are computed once, over the whole grid, by :func:`transition_table`:
 for every (action, state) pair it gives each branch's next state, kind and
 block rewards, with the feasibility of the pair.  The model's transition
-operator and expected rewards, the simulator's step tables and the policy
-closures of ``render`` and ``simulate`` are all read from that table.  Every
+operator and expected rewards, the simulator's step tables and every policy
+closure, :func:`policy_closure`, are all read from that table.  Every
 per-(action, state) quantity of a built model shares one row layout: row
 ``action*n + state``, the (actions, n) arrays flattened in C order.
 
@@ -13,8 +13,10 @@ block, a race won or lost by the honest block, a plain honest block, or no
 branch), so the table stores kinds, not probabilities, and at a fixed T,
 gamma and variant it is the same for every alpha in (0, 0.5), its live
 branches included.  :meth:`TransitionTable.weigh` turns it into the model at
-any such alpha, on the operator's sparse pattern, which it sorts once per
-table; :func:`build_base_model` is the table weighed at its own alpha.
+any such alpha: the table and an operator on its sparse pattern, which it
+sorts once per table.  The model keeps no expected rewards; it weighs them
+from the table when asked.  :func:`build_base_model` is the table weighed at
+its own alpha.
 
 The built model keeps two-component block rewards untransformed.  The scalar
 reward used by the average-reward solver, ``(1-rho)*attacker - rho*honest``,
@@ -69,31 +71,50 @@ class ThresholdVariant(Enum):
 
 @dataclass(frozen=True, eq=False)
 class MiningModel:
-    """Enumerated truncated decision process: one stacked sparse transition
-    operator and per-(action, state) expected block rewards.
+    """A transition table weighed at one alpha: the truncated decision
+    process as one stacked sparse transition operator.
 
     Row ``action*n + state`` of ``transition`` is the next-state
     distribution of taking ``action`` in ``state``; it is empty where the
-    pair is infeasible.  ``feasible``, ``exp_attacker`` and ``exp_honest``
-    flatten to the same row order.
+    pair is infeasible.  ``feasible`` flattens to the same row order.  The
+    grid and its boundary are the table's, and the expected block rewards
+    are read from it on demand by :meth:`expected_blocks`.
     """
 
     params: MiningParams
-    T: int
+    table: TransitionTable
     feasible: np.ndarray  # (num actions, n) bool
     transition: sparse.csr_matrix  # (num actions * n, n), row action*n + state
-    exp_attacker: np.ndarray  # (num actions, n) expected attacker blocks
-    exp_honest: np.ndarray  # (num actions, n) expected honest blocks
-    boundary: np.ndarray  # (n,) bool, truncation-boundary states
+
+    @property
+    def T(self) -> int:
+        return self.table.T
 
     @property
     def n(self) -> int:
-        return len(self.boundary)
+        return self.feasible.shape[1]
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """(n,) bool, the truncation-boundary states."""
+        return self.table._pattern[-1]
 
     @property
     def reference_index(self) -> int:
         """Anchor state for relative value iteration: (1,0,irrelevant)."""
         return initial_states(self.T)[0]
+
+    def expected_blocks(self, actions=slice(None), states=slice(None)):
+        """Expected attacker and honest blocks of the pairs ``(actions,
+        states)``, every pair as (actions, n) arrays by default: each
+        branch's blocks times the weight of its kind at the model's alpha,
+        summed branch by branch.  Computed on each call, never kept."""
+        weights, kind = branch_weights(self.params), self.table.kind[actions, states]
+        return tuple(
+            sum(weights.take(kind[..., b]) * blocks[..., b] for b in range(3))
+            for blocks in (self.table.attacker[actions, states],
+                           self.table.honest[actions, states])
+        )
 
 
 # Branch kinds, each weighed by one entry of :func:`branch_weights`.
@@ -164,29 +185,17 @@ class TransitionTable:
         )
 
     def weigh(self, alpha: float) -> MiningModel:
-        """The base model at hashrate ``alpha``: the operator's data is the
-        branch weights summed onto the fixed pattern, and the expected block
-        rewards their products with the blocks of each branch.  Boundary
-        states keep adopt alone; :func:`build_truncated`'s boundary mode
-        decides its scalar reward."""
+        """The base model at hashrate ``alpha``: this table and an operator
+        whose data is the branch weights summed onto the fixed pattern, the
+        one array a weighing allocates.  Boundary states keep adopt alone;
+        :func:`build_truncated`'s boundary mode decides its scalar reward."""
         params = replace(self.params, alpha=alpha)
-        weights = branch_weights(params)
         live_kind, slot, indices, indptr, boundary = self._pattern
         n = len(boundary)
-        data = np.bincount(slot, weights=weights[live_kind], minlength=len(indices))
-        transition = sparse.csr_matrix(
-            (data, indices, indptr), shape=(len(Action) * n, n)
-        )
-        p = weights[self.kind]
-        return MiningModel(
-            params=params,
-            T=self.T,
-            feasible=self.feasible,
-            transition=transition,
-            exp_attacker=sum(p[..., b] * self.attacker[..., b] for b in range(3)),
-            exp_honest=sum(p[..., b] * self.honest[..., b] for b in range(3)),
-            boundary=boundary,
-        )
+        weights = branch_weights(params)[live_kind]
+        data = np.bincount(slot, weights=weights, minlength=len(indices))
+        transition = sparse.csr_matrix((data, indices, indptr), (len(Action) * n, n))
+        return MiningModel(params, self, self.feasible, transition)
 
 
 def transition_table(params: MiningParams, T: int) -> TransitionTable:
@@ -272,25 +281,29 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     )
 
 
-def forward_closure(source: np.ndarray, target: np.ndarray, T: int) -> np.ndarray:
+def forward_closure(graph: sparse.csr_matrix, T: int) -> np.ndarray:
     """Mask of the grid states reached from the two start states,
-    (1,0,irrelevant) and (0,1,irrelevant), along the edges
-    ``source[i] -> target[i]``, one per live branch."""
-    n = num_states(T)
-    graph = sparse.csr_matrix((np.ones(len(source)), (source, target)), shape=(n, n))
-    seen = np.zeros(n, dtype=bool)
+    (1,0,irrelevant) and (0,1,irrelevant), along the edges of ``graph``."""
+    seen = np.zeros(graph.shape[0], dtype=bool)
     for start in initial_states(T):
         seen[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
     return seen
 
 
 def policy_closure(table: TransitionTable, actions: np.ndarray) -> np.ndarray:
-    """The states a policy reaches: the forward closure over the live
-    branches (probability > 0) of its rows of the table.  An infeasible
-    pair has no live branch, so the trace stops there."""
-    rows = (actions, np.arange(len(actions)))
-    state, branch = np.nonzero(branch_weights(table.params)[table.kind[rows]] > 0.0)
-    return forward_closure(state, table.next_state[rows][state, branch], table.T)
+    """The states a policy reaches: the closure over the live branches
+    (probability > 0) of its table rows, where a dead branch names its own
+    state, so the trace stops at an infeasible pair, which has none live."""
+    n = len(actions)
+    states = np.arange(n, dtype=np.int32)
+    rows = actions.astype(np.int64) * n + states  # a take beats [actions, states]
+    kind = table.kind.reshape(-1, 3).take(rows, axis=0)
+    next_state = table.next_state.reshape(-1, 3).take(rows, axis=0)
+    live = branch_weights(table.params)[kind] > 0.0
+    successors = np.where(live, next_state, states[:, None])
+    edges = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
+    graph = sparse.csr_matrix((np.ones(3 * n), successors.ravel(), edges), (n, n))
+    return forward_closure(graph, table.T)
 
 
 def check_feasible(
@@ -378,12 +391,13 @@ def build_truncated(model: MiningModel, mode: BoundaryMode, rho: float) -> Scala
     ``attacker - rho*(attacker + honest)``.  Over-paying, each boundary pair
     ``(a, h)`` then gets one :func:`overpaying_terminal_reward` as the adopt
     reward of its three fork labels.  The rewards read only the model's
-    block rewards and boundary, so one scalarization serves every model that
-    differs from ``model`` only in ``feasible`` (``replace(scalar,
+    expected blocks and boundary, so one scalarization serves every model
+    that differs from ``model`` only in ``feasible`` (``replace(scalar,
     model=...)``)."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1] (got {rho})")
-    rewards = model.exp_attacker - rho * (model.exp_attacker + model.exp_honest)
+    attacker, honest = model.expected_blocks()
+    rewards = attacker - rho * (attacker + honest)
     if mode is BoundaryMode.OVER_PAYING:
         alpha = model.params.alpha
         T = model.T

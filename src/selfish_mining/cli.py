@@ -370,7 +370,7 @@ def _cmd_delay(args: argparse.Namespace) -> Outcome:
     params = DelayParams(args.alpha, args.lam, args.d_ah, args.d_ha)
     q = catchup_probability(params)
     k = min_profitable_k(params, args.rho, args.k_cap)
-    gain = deviation_gain(k, q, args.rho).lower_bound if k is not None else None
+    gain = deviation_gain(k, q, args.rho) if k is not None else None
     result = {"q": q, "min_k": k, "gain_at_min_k": gain}
     return Outcome([json.dumps(result, sort_keys=True)], [result])
 

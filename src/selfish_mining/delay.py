@@ -56,29 +56,16 @@ def catchup_probability(params: DelayParams) -> float:
     return alpha * alpha * math.exp(-(1.0 - alpha) * lam * (params.d_ah + params.d_ha))
 
 
-@dataclass(frozen=True)
-class DeviationGain:
-    """Advantage of gambling on a catch-up over adopting at deficit one.
-
-    ``lower_bound`` is the conservative form (k+1)*q - rho; ``full`` is the
-    underlying expression q*(1-rho)*(k+1) - (1-q)*rho*(k+1) + rho*k, which
-    the bound never exceeds when the gambling policy earns at least rho.
-    """
-
-    lower_bound: float
-    full: float
-
-
-def deviation_gain(k: int, q: float, rho: float) -> DeviationGain:
-    """Expected-reward advantage of the catch-up gamble at state (k-1, k)."""
+def deviation_gain(k: int, q: float, rho: float) -> float:
+    """Lower bound (k+1)*q - rho on the expected-reward advantage of the
+    catch-up gamble over adopting at state (k-1, k)."""
     if k < 1:
         raise ValueError(f"k must be >= 1 (got {k})")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1] (got {q})")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1] (got {rho})")
-    full = q * (1.0 - rho) * (k + 1) - (1.0 - q) * rho * (k + 1) + rho * k
-    return DeviationGain(lower_bound=(k + 1) * q - rho, full=full)
+    return (k + 1) * q - rho
 
 
 def min_profitable_k(
@@ -102,7 +89,7 @@ def min_profitable_k(
     # floating-point boundaries.
     k = max(1, math.ceil(start) - 1)
     while k <= k_cap:
-        if deviation_gain(k, q, rho).lower_bound > 0.0:
+        if deviation_gain(k, q, rho) > 0.0:
             return k
         k += 1
     return None

@@ -49,7 +49,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
-from .chain import MiningModel, ScalarModel, check_feasible, forward_closure
+from .chain import MiningModel, ScalarModel, check_feasible, policy_closure
 from .model import Policy
 
 DAMPING = 0.01
@@ -383,10 +383,9 @@ def gain_below(
 
 
 def reachable_mask(model: MiningModel, policy: Policy) -> np.ndarray:
-    """The states a policy reaches on a built model: the forward closure
-    over its rows of the stacked operator."""
-    rows = policy.actions.astype(np.int64) * model.n + np.arange(model.n)
-    return forward_closure(*model.transition[rows].nonzero(), model.T)
+    """The states a policy reaches on a built model: its closure on the
+    transition table the model was weighed from."""
+    return policy_closure(model.table, policy.actions)
 
 
 def _closed_classes(P: sparse.csr_matrix) -> int:
@@ -449,8 +448,9 @@ class PolicyValue:
 
 def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     """Exact relative revenue of a policy via the stationary distribution of
-    the chain it induces, its operator rows at the reachable states, from the
-    grounded LU that also gives gain and bias (:func:`stationary_distribution`).
+    the chain it induces, its operator rows at the states it reaches, from
+    the grounded LU that also gives gain and bias, and those rows' expected
+    blocks (:func:`stationary_distribution`, :meth:`~MiningModel.expected_blocks`).
 
     Only defined on models whose rewards are block pairs (base and
     under-paying truncations); over-paying compensation has no block
@@ -468,8 +468,8 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     rows = chosen.astype(np.int64) * model.n + idxs
     pi = stationary_distribution(model.transition[rows][:, idxs])
 
-    attacker = float(np.dot(pi, model.exp_attacker[chosen, idxs]))
-    honest = float(np.dot(pi, model.exp_honest[chosen, idxs]))
+    blocks = model.expected_blocks(chosen, idxs)
+    attacker, honest = (float(np.dot(pi, b)) for b in blocks)
     total = attacker + honest
     if total <= 0.0:
         raise ValueError("degenerate policy: zero long-run block rate")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -335,6 +335,25 @@ def forward_closure_all_actions(
     return seen
 
 
+def operator_closure(model: MiningModel, actions: np.ndarray) -> np.ndarray:
+    """Mask of the states a policy reaches traced on the built operator, not
+    on the table: a depth-first walk from the two start states over the
+    positive entries of the policy's rows of ``model.transition``."""
+    n = model.n
+    P = model.transition[actions.astype(np.int64) * n + np.arange(n)]
+    seen = np.zeros(n, dtype=bool)
+    frontier = list(initial_states(model.T))
+    seen[frontier] = True
+    while frontier:
+        state = frontier.pop()
+        row = slice(P.indptr[state], P.indptr[state + 1])
+        for nxt in P.indices[row][P.data[row] > 0]:
+            if not seen[nxt]:
+                seen[nxt] = True
+                frontier.append(nxt)
+    return seen
+
+
 def branch_probability(table: TransitionTable) -> np.ndarray:
     """(actions, n, 3) branch probabilities of a transition table at its
     params' alpha: the weight of each branch's kind."""
@@ -393,7 +412,22 @@ def reference_layers(
     return feasible, exp_attacker, exp_honest, matrices
 
 
-def reference_model(params: MiningParams, T: int) -> MiningModel:
+@dataclass(frozen=True, eq=False)
+class ReferenceModel:
+    """A built model's arrays as a reference build gives them: the stacked
+    operator, feasibility, the expected attacker and honest blocks of every
+    (action, state) pair and the truncation boundary."""
+
+    params: MiningParams
+    T: int
+    feasible: np.ndarray  # (num actions, n) bool
+    transition: sparse.csr_matrix  # (num actions * n, n)
+    exp_attacker: np.ndarray  # (num actions, n)
+    exp_honest: np.ndarray  # (num actions, n)
+    boundary: np.ndarray  # (n,) bool
+
+
+def reference_model(params: MiningParams, T: int) -> ReferenceModel:
     """:func:`reference_layers` as a model, its per-action matrices stacked
     into the (actions * n, n) operator."""
     feasible, exp_attacker, exp_honest, matrices = reference_layers(params, T)
@@ -404,7 +438,7 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
     for idx, state in enumerate(states):
         boundary[idx] = max(state.a, state.h) == T
 
-    return MiningModel(
+    return ReferenceModel(
         params=params,
         T=T,
         feasible=feasible,
@@ -415,7 +449,7 @@ def reference_model(params: MiningParams, T: int) -> MiningModel:
     )
 
 
-def coo_base_model(params: MiningParams, T: int) -> MiningModel:
+def coo_base_model(params: MiningParams, T: int) -> ReferenceModel:
     """The base model as built before the alpha-free table: the live
     branches of :func:`transition_table` handed to scipy as COO triplets,
     whose CSR conversion sums the two branches of a race that land on one
@@ -429,7 +463,7 @@ def coo_base_model(params: MiningParams, T: int) -> MiningModel:
         shape=(len(Action) * n, n),
     ).tocsr()
     a, h, _fork = grid_coordinates(T)
-    return MiningModel(
+    return ReferenceModel(
         params=params,
         T=T,
         feasible=table.feasible,
@@ -441,8 +475,8 @@ def coo_base_model(params: MiningParams, T: int) -> MiningModel:
 
 
 def reference_honest_disabled(
-    model: MiningModel, variant: ThresholdVariant
-) -> MiningModel:
+    model: ReferenceModel, variant: ThresholdVariant
+) -> ReferenceModel:
     """A :func:`reference_model` with override removed at (1,0) or adopt at
     (0,1), across all fork labels."""
     if variant is ThresholdVariant.OVERRIDE_DISABLED_AT_1_0:
@@ -455,11 +489,19 @@ def reference_honest_disabled(
     return replace(model, feasible=feasible)
 
 
-def assert_models_identical(got: MiningModel, want: MiningModel) -> None:
-    """Every field equal bit for bit, dtypes and sparse layouts included."""
+def assert_models_identical(got: MiningModel, want: ReferenceModel) -> None:
+    """Every array of the reference equal bit for bit to the built model's,
+    the expected blocks it gives included, dtypes and sparse layouts too."""
     assert (got.params, got.T) == (want.params, want.T)
-    for name in ("feasible", "exp_attacker", "exp_honest", "boundary"):
-        g, w = getattr(got, name), getattr(want, name)
+    exp_attacker, exp_honest = got.expected_blocks()
+    arrays = {
+        "feasible": got.feasible,
+        "exp_attacker": exp_attacker,
+        "exp_honest": exp_honest,
+        "boundary": got.boundary,
+    }
+    for name, g in arrays.items():
+        w = getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), name
     g, w = got.transition, want.transition
@@ -681,6 +723,14 @@ def reference_stationary(P: sparse.csr_matrix) -> np.ndarray:
     pi[1:] = sparse_linalg.spsolve(Q[keep][:, keep].tocsr(), rhs)
     pi = np.maximum(pi / pi.sum(), 0.0)
     return pi / pi.sum()
+
+
+def deviation_gain_full(k: int, q: float, rho: float) -> float:
+    """The catch-up gamble's advantage at state (k-1, k) before it is
+    bounded: ``q*(1-rho)*(k+1) - (1-q)*rho*(k+1) + rho*k``, which
+    ``deviation_gain``'s ``(k+1)*q - rho`` never exceeds when the gambling
+    policy earns at least rho."""
+    return q * (1.0 - rho) * (k + 1) - (1.0 - q) * rho * (k + 1) + rho * k
 
 
 def catchup_probability_quadrature(params: DelayParams) -> float:

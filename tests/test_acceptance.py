@@ -411,7 +411,7 @@ def test_criterion_9_delay_model():
         params = DelayParams(alpha, 1.0, 0.8, 0.4)
         kk = min_profitable_k(params, rho=alpha)
         assert kk is not None
-        assert deviation_gain(kk, catchup_probability(params), alpha).lower_bound > 0
+        assert deviation_gain(kk, catchup_probability(params), alpha) > 0
         finite.append(kk)
     record_criterion(
         f"criterion 9 [PASS]: quadrature worst diff {worst:.1e}; zero-delay"

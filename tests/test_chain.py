@@ -120,6 +120,20 @@ class TestModelBuild:
         names = ("next_state", "kind", "attacker", "honest", "feasible")
         assert peak <= 1.3 * sum(getattr(table, name).nbytes for name in names)
 
+    def test_weighing_keeps_only_the_operator(self):
+        """With the table's pattern built, a weighing holds on to no more
+        than 1.1 times its operator's data: the model is the table, its
+        feasibility and the operator, and no expected-block arrays."""
+        table = transition_table(MiningParams(0.45, 0.5), 75)
+        table.weigh(0.3)  # builds and caches the pattern
+        tracemalloc.start()
+        try:
+            model = table.weigh(0.35)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current <= 1.1 * model.transition.data.nbytes
+
     def test_oversized_truncation_refused_before_allocation(self, monkeypatch):
         """With memory patched to 2**24 bytes, room for T = 64, a T = 400
         table is refused before its grid-sized arrays are allocated."""
@@ -144,9 +158,23 @@ class TestModelBuild:
         params = MiningParams(0.4, 0.5)
         model = build_base_model(params, 8)
         idx = state_index(ChainState(3, 2, Fork.RELEVANT), 8)
+        attacker, honest = model.expected_blocks()
         # match: attacker wins h=2 blocks with probability 0.5 * 0.6
-        assert model.exp_attacker[Action.MATCH, idx] == pytest.approx(0.3 * 2)
-        assert model.exp_honest[Action.ADOPT, idx] == pytest.approx(2.0)
+        assert attacker[Action.MATCH, idx] == pytest.approx(0.3 * 2)
+        assert honest[Action.ADOPT, idx] == pytest.approx(2.0)
+
+    def test_expected_blocks_of_pairs_match_every_pair(self):
+        """The expected blocks of given (action, state) pairs are those of
+        every pair at the same positions, bit for bit."""
+        params = MiningParams(0.37, 0.6, Variant.UNIFORM_TIE_BREAK)
+        model = build_base_model(params, 12)
+        rng = np.random.default_rng(7)
+        actions = rng.integers(0, len(Action), size=300).astype(np.int8)
+        states = rng.integers(0, model.n, size=300)
+        every = model.expected_blocks()
+        for whole, part in zip(every, model.expected_blocks(actions, states)):
+            want = whole[actions, states]
+            assert part.dtype == want.dtype and part.tobytes() == want.tobytes()
 
 
 class TestCompensation:

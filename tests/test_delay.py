@@ -9,7 +9,7 @@ from selfish_mining.delay import (
     min_profitable_k,
 )
 
-from helpers import catchup_probability_quadrature
+from helpers import catchup_probability_quadrature, deviation_gain_full
 
 
 def scan_min_k(q: float, rho: float, k_cap: int = 10_000) -> int | None:
@@ -64,16 +64,16 @@ class TestCatchupProbability:
 
 class TestDeviationGain:
     def test_examples(self):
-        assert deviation_gain(3, 0.09, 0.3).lower_bound == pytest.approx(0.06)
-        assert deviation_gain(2, 0.09, 0.3).lower_bound == pytest.approx(-0.03)
-        assert deviation_gain(1, 0.5, 0.3).lower_bound == pytest.approx(0.7)
+        assert deviation_gain(3, 0.09, 0.3) == pytest.approx(0.06)
+        assert deviation_gain(2, 0.09, 0.3) == pytest.approx(-0.03)
+        assert deviation_gain(1, 0.5, 0.3) == pytest.approx(0.7)
 
     def test_full_expression_never_below_bound(self):
         for k in (1, 2, 5, 20):
             for q in (0.0, 0.05, 0.3, 1.0):
                 for rho in (0.0, 0.2, 0.9, 1.0):
-                    gain = deviation_gain(k, q, rho)
-                    assert gain.full >= gain.lower_bound - 1e-12
+                    bound = deviation_gain(k, q, rho)
+                    assert deviation_gain_full(k, q, rho) >= bound - 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,4 +133,4 @@ class TestMinProfitableK:
             params = DelayParams(alpha, 1.0, 1.0, 1.0)
             k = min_profitable_k(params, rho=alpha)
             assert k is not None
-            assert deviation_gain(k, catchup_probability(params), alpha).lower_bound > 0
+            assert deviation_gain(k, catchup_probability(params), alpha) > 0

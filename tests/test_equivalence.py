@@ -72,6 +72,7 @@ from helpers import (
     coo_base_model,
     feasible_actions,
     forward_closure_all_actions,
+    operator_closure,
     reference_bisection,
     reference_certify,
     reference_exhibit,
@@ -192,22 +193,26 @@ def test_step_tables_match_reference(params, T, seed):
     feasible_only=st.booleans(),
 )
 def test_table_closure_matches_operator_closure(params, T, seed, feasible_only):
-    """A policy's reachable states traced on the transition table are those
-    traced on the built model's operator rows, also where the policy takes
-    an infeasible action (the trace stops there on both); and the closure
-    over every feasible action is the per-state walk's."""
+    """A policy's reachable states traced on the transition table, as
+    ``reachable_mask`` traces them, are those the operator-side walk
+    ``helpers.operator_closure`` finds on the built model's rows, also where
+    the policy takes an infeasible action (the trace stops there on both);
+    and the closure over every feasible action is the per-state walk's."""
     model = build_base_model(params, T)
     table = transition_table(params, T)
     draws = np.random.default_rng(seed).random(model.feasible.shape)
     weights = model.feasible * draws if feasible_only else draws
     actions = np.argmax(weights, axis=0).astype(np.int8)
     got = policy_closure(table, actions)
-    want = reachable_mask(model, Policy(T=T, actions=actions))
+    want = operator_closure(model, actions)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    got = reachable_mask(model, Policy(T=T, actions=actions))
+    assert got.tobytes() == want.tobytes()
 
     live = model.feasible[:, :, None] & (branch_probability(table) > 0)
     act, state, branch = np.nonzero(live)
-    every = forward_closure(state, table.next_state[act, state, branch], T)
+    edges = (np.ones(len(state)), (state, table.next_state[act, state, branch]))
+    every = forward_closure(sparse.csr_matrix(edges, (model.n, model.n)), T)
     oracle = forward_closure_all_actions(
         params, T, lambda s, p: sorted(feasible_actions(s, p))
     )

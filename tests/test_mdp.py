@@ -353,7 +353,9 @@ class TestReachability:
             params = MiningParams(0.3, gamma)
             table = transition_table(params, T)
             act, state, branch = np.nonzero(branch_probability(table) > 0)
-            mask = forward_closure(state, table.next_state[act, state, branch], T)
+            n = table.feasible.shape[1]
+            edges = (np.ones(len(state)), (state, table.next_state[act, state, branch]))
+            mask = forward_closure(sparse.csr_matrix(edges, (n, n)), T)
             got = {state_at(int(i), T) for i in np.flatnonzero(mask)}
             want = forward_closure_all_actions(
                 params, T, lambda s, p: sorted(feasible_actions(s, p))

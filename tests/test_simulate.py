@@ -189,6 +189,7 @@ class TestAccounting:
         policy = builtin_policy("sm1", T, params)
         tables = compile_step_tables(policy, params)
         alpha = params.alpha
+        exp_attacker, exp_honest = model.expected_blocks()
         forced = policy.actions.copy()
         for idx in range(model.n):
             if model.boundary[idx]:
@@ -199,8 +200,8 @@ class TestAccounting:
             # branches: attacker block, race won, any other honest block
             probs = (alpha, win_p * (1 - alpha), (1 - win_p) * (1 - alpha))
             exp_att = sum(p * r for p, r in zip(probs, tables.attacker[idx]))
-            assert exp_att == pytest.approx(model.exp_attacker[action, idx])
-            assert tables.honest[idx] == pytest.approx(model.exp_honest[action, idx])
+            assert exp_att == pytest.approx(exp_attacker[action, idx])
+            assert tables.honest[idx] == pytest.approx(exp_honest[action, idx])
             row = action_rows(model, action)
             targets = {}
             for t, p in zip(

@@ -24,9 +24,10 @@ and number of loaded modules, the layer every CLI process pays before its
 first operation.
 
 The summary goes to ``BENCH_<name>.json`` at the root of the repository
-that holds this script.  A section is keyed by workload and seeds, so a later call with
-other seeds (say a confirmation on seeds 101-110) adds a section and one
-with the same seeds replaces it.
+that holds this script.  A workload's section is keyed by workload and
+seeds, and the startup probes by the call's seeds, so a later call with
+other seeds (say a confirmation on seeds 101-110) adds its sections and one
+with the same seeds replaces them.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         order = ("before", "after") if index % 2 == 0 else ("after", "before")
         for side in order:
             probes[side].append(startup(before if side == "before" else after))
-    bench["startup"] = {
+    seeds = f"seeds {args.seeds[0]}-{args.seeds[-1]}"
+    bench.setdefault("startup", {})[seeds] = {
         "processes": STARTUP_PROCESSES,
         "order": "before first on even indexes, after first on odd",
         **{
@@ -202,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     out.write_text(json.dumps(bench, indent=2) + "\n")
-    print(f"wrote {out.name}: startup", file=sys.stderr, flush=True)
+    print(f"wrote {out.name}: startup {seeds}", file=sys.stderr, flush=True)
 
     for workload in args.workloads.split(","):
         runs: dict[str, list[dict]] = {"before": [], "after": []}
@@ -240,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
                 **{side: count_work(checkout, workload, seed)
                    for side, checkout in (("before", before), ("after", after))},
             }
-        key = f"{workload} seeds {args.seeds[0]}-{args.seeds[-1]}"
+        key = f"{workload} {seeds}"
         bench["sections"][key] = section
         out.write_text(json.dumps(bench, indent=2) + "\n")
         print(f"wrote {out.name}: {key}", file=sys.stderr, flush=True)

@@ -29,6 +29,9 @@ COMMANDS = [
      "--out", "ev"],
     ["evaluate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "75",
      "--out", "sm1"],
+    # the smallest grid: the two start states, both on the boundary, are all
+    # the policy reaches
+    ["evaluate", "--policy", "sm1", "--alpha", "0.3", "--gamma", "0.5", "--T", "1"],
     ["simulate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "75",
      "--rounds", "200000", "--seed", "12345", "--out", "single"],
     ["simulate", "--policy", "sm1", "--alpha", "0.35", "--gamma", "0.5", "--T", "75",
