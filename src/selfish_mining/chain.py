@@ -18,7 +18,7 @@ sorts once per table.  The model keeps no expected rewards; it weighs them
 from the table when asked.  :func:`build_base_model` is the table weighed at
 its own alpha.
 
-The built model keeps two-component block rewards untransformed.  The scalar
+The built model gives two-component block rewards untransformed.  The scalar
 reward used by the average-reward solver, ``(1-rho)*attacker - rho*honest``,
 is applied lazily by :func:`build_truncated`, so one built model serves every
 rho of the optimizer's ratio iteration.  Truncation-boundary states
@@ -138,9 +138,9 @@ class TransitionTable:
     block (race won, then race lost, where a race is live).  A pair
     without a race has two branches; its third repeats the second as kind
     ``NO_BRANCH``.  Infeasible pairs, including every action but adopt at
-    the truncation boundary, hold zeros and ``NO_BRANCH``.  Block counts,
-    at most T + 1, are kept in the smallest unsigned dtype that holds that,
-    which converts to float exactly.
+    the truncation boundary, hold zeros and ``NO_BRANCH``.  Grid indices
+    and block counts, at most T + 1, are kept in the smallest unsigned
+    dtypes that hold them; the counts convert to float exactly.
 
     Nothing here depends on alpha: a branch's probability is the weight of
     its kind, ``branch_weights(params)[kind]``, and its live branches
@@ -157,28 +157,27 @@ class TransitionTable:
 
     @cached_property
     def _pattern(self) -> tuple[np.ndarray, ...]:
-        """``(live_kind, slot, indices, indptr, boundary)``, built on first
-        use and shared by every weighing: the kind of each live branch, in C order
-        over ``[action, state, branch]``, its position in the operator's
-        data, and the operator's CSR pattern.  Live branches are sorted by a
-        stable sort of their (row, column) keys; the two branches of a race
-        that land on one state share a slot."""
-        n = self.kind.shape[1]
-        live = np.flatnonzero((branch_weights(self.params) > 0.0)[self.kind])
+        """``(pair, indices, indptr, boundary)``, built on first use and
+        shared by every weighing: the operator's CSR pattern, from the
+        (row, column) keys of the live branches, and for each of its entries
+        the kinds ``first * 5 + second`` of the branches that land there:
+        ``second`` is the other branch of a race that lands on the same
+        state, or ``NO_BRANCH``."""
+        n, weights = self.kind.shape[1], branch_weights(self.params)
+        live = np.flatnonzero((weights > 0.0)[self.kind])
         keys = live // 3  # operator row
         keys *= n
         keys += self.next_state.ravel()[live]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        order = np.argsort(keys)
+        keys, kinds = keys[order], self.kind.ravel()[live[order]]
         first = np.concatenate([[True], keys[1:] != keys[:-1]])
-        slot = np.empty(len(keys), dtype=np.int32)
-        slot[order] = np.cumsum(first, dtype=np.int32) - 1
+        pair = kinds[first] * len(weights) + NO_BRANCH
+        pair[np.cumsum(first)[~first] - 1] += kinds[~first] - NO_BRANCH
         keys = keys[first]
         counts = np.bincount(keys // n, minlength=len(Action) * n)
         a, h, _fork = grid_coordinates(self.T)
         return (
-            self.kind.ravel()[live],
-            slot,
+            pair,
             (keys % n).astype(np.int32),
             np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
             np.maximum(a, h) == self.T,
@@ -190,10 +189,9 @@ class TransitionTable:
         one array a weighing allocates.  Boundary states keep adopt alone;
         :func:`build_truncated`'s boundary mode decides its scalar reward."""
         params = replace(self.params, alpha=alpha)
-        live_kind, slot, indices, indptr, boundary = self._pattern
-        n = len(boundary)
-        weights = branch_weights(params)[live_kind]
-        data = np.bincount(slot, weights=weights, minlength=len(indices))
+        pair, indices, indptr, boundary = self._pattern
+        n, weights = len(boundary), branch_weights(params)
+        data = np.add.outer(weights, weights).ravel()[pair]
         transition = sparse.csr_matrix((data, indices, indptr), (len(Action) * n, n))
         return MiningModel(params, self, self.feasible, transition)
 
@@ -255,7 +253,8 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     # without a race the third branch repeats the second as no branch
     plain = [[first, second, second[:3] + (NO_BRANCH,)] for first, second in two_branch]
     shape, blocks = (*feasible.shape, 3), np.min_scalar_type(T + 1)
-    next_state, kind = np.empty(shape, np.int32), np.empty(shape, np.int8)
+    next_state = np.empty(shape, np.min_scalar_type(rows[1] - 1))
+    kind = np.empty(shape, np.int8)
     attacker, honest = np.empty(shape, blocks), np.empty(shape, blocks)
     # Filled in place, one (action, branch) slice at a time, so that no
     # temporary as large as a slice is ever held.  Infeasible pairs hold
