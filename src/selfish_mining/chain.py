@@ -92,7 +92,7 @@ class MiningModel:
 
     @property
     def n(self) -> int:
-        return self.feasible.shape[1]
+        return self.table.feasible.shape[1]
 
     @property
     def boundary(self) -> np.ndarray:
