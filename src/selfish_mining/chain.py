@@ -3,20 +3,30 @@
 The rules are computed once, over the whole grid, by :func:`transition_table`:
 for every (action, state) pair it gives each branch's next state, kind and
 block rewards, with the feasibility of the pair.  The model's transition
-operator and expected rewards, the simulator's step tables and every policy
-closure, :func:`policy_closure`, are all read from that table.  Every
-per-(action, state) quantity of a built model shares one row layout: row
-``action*n + state``, the (actions, n) arrays flattened in C order.
+operator and expected rewards, the simulator's step tables, every policy
+closure, :func:`policy_closure`, and every policy's chain are all read from
+that table.
+
+A built model is a model on fork-label classes.  The three fork labels of an
+(a, h) cell are bisimilar wherever no race can be won at them: everywhere at
+gamma = 0 under standard tie breaking, and otherwise everywhere but the
+interior cells with a >= h >= 1 (:attr:`TransitionTable.classes`).  Lumping
+them (Kemeny & Snell 1960; Givan, Dean & Greig 2003) keeps every optimal
+gain, on a third of the states at gamma = 0.  Every per-(action, class)
+quantity of a built model shares one row layout: row ``action*k + class``,
+the (actions, k) arrays flattened in C order, for k classes.  Policies stay
+grid rules: :meth:`MiningModel.lift` writes a class policy back on the grid,
+and a grid policy is scored on the table, not on the class operator.
 
 A branch's probability is one of five weights of its kind (the attacker's
 block, a race won or lost by the honest block, a plain honest block, or no
 branch), so the table stores kinds, not probabilities, and at a fixed T,
 gamma and variant it is the same for every alpha in (0, 0.5), its live
-branches included.  :meth:`TransitionTable.weigh` turns it into the model at
-any such alpha: the table and an operator on its sparse pattern, which it
-sorts once per table.  The model keeps no expected rewards; it weighs them
-from the table when asked.  :func:`build_base_model` is the table weighed at
-its own alpha.
+branches and its classes included.  :meth:`TransitionTable.weigh` turns it
+into the model at any such alpha: the table and an operator on its sparse
+class pattern, which it sorts once per table.  The model keeps no expected
+rewards; it weighs them from the table when asked.  :func:`build_base_model`
+is the table weighed at its own alpha.
 
 The built model gives two-component block rewards untransformed.  The scalar
 reward used by the average-reward solver, ``(1-rho)*attacker - rho*honest``,
@@ -72,19 +82,23 @@ class ThresholdVariant(Enum):
 @dataclass(frozen=True, eq=False)
 class MiningModel:
     """A transition table weighed at one alpha: the truncated decision
-    process as one stacked sparse transition operator.
+    process on the table's fork-label classes as one stacked sparse
+    transition operator.
 
-    Row ``action*n + state`` of ``transition`` is the next-state
-    distribution of taking ``action`` in ``state``; it is empty where the
-    pair is infeasible.  ``feasible`` flattens to the same row order.  The
-    grid and its boundary are the table's, and the expected block rewards
-    are read from it on demand by :meth:`expected_blocks`.
+    Row ``action*k + class`` of ``transition`` is the next-class
+    distribution of taking ``action`` at the class's representative, empty
+    where the representative cannot.  ``feasible`` flattens to the same row
+    order; a class's actions are those feasible at every member, which
+    leaves out only ``match`` under uniform tie breaking at cells with
+    h = 0, where the active label cannot match and the move is ``wait``'s.
+    The class boundary is the table's, and the expected block rewards are
+    read from it on demand by :meth:`expected_blocks`.
     """
 
     params: MiningParams
     table: TransitionTable
-    feasible: np.ndarray  # (num actions, n) bool
-    transition: sparse.csr_matrix  # (num actions * n, n), row action*n + state
+    feasible: np.ndarray  # (num actions, k) bool
+    transition: sparse.csr_matrix  # (num actions * k, k), row action*k + class
 
     @property
     def T(self) -> int:
@@ -92,29 +106,67 @@ class MiningModel:
 
     @property
     def n(self) -> int:
-        return self.table.feasible.shape[1]
+        """The number of classes, k."""
+        return len(self.table.classes[1])
 
     @property
     def boundary(self) -> np.ndarray:
-        """(n,) bool, the truncation-boundary states."""
+        """(k,) bool, the truncation-boundary classes."""
         return self.table._pattern[-1]
 
     @property
     def reference_index(self) -> int:
-        """Anchor state for relative value iteration: (1,0,irrelevant)."""
-        return initial_states(self.T)[0]
+        """Anchor class for relative value iteration: (1,0,irrelevant)'s."""
+        return int(self.table.classes[0][initial_states(self.T)[0]])
 
-    def expected_blocks(self, actions=slice(None), states=slice(None)):
-        """Expected attacker and honest blocks of the pairs ``(actions,
-        states)``, every pair as (actions, n) arrays by default: each
-        branch's blocks times the weight of its kind at the model's alpha,
-        summed branch by branch.  Computed on each call, never kept."""
-        weights, kind = branch_weights(self.params), self.table.kind[actions, states]
-        return tuple(
-            sum(weights.take(kind[..., b]) * blocks[..., b] for b in range(3))
-            for blocks in (self.table.attacker[actions, states],
-                           self.table.honest[actions, states])
+    def expected_blocks(self):
+        """Expected attacker and honest blocks of every (action, class)
+        pair, as (actions, k) arrays, read at the classes' representatives:
+        each branch's blocks times the weight of its kind at the model's
+        alpha, summed branch by branch.  Computed on each call, never
+        kept."""
+        table, representatives = self.table, self.table.classes[1]
+        columns = (table.kind, table.attacker, table.honest)
+        return _expected_blocks(
+            branch_weights(self.params),
+            *(column.take(representatives, axis=1) for column in columns),
         )
+
+    def lift(self, actions: np.ndarray) -> np.ndarray:
+        """A class policy written back on the grid: each class's action at
+        every member state.  It is feasible there, since a class's actions
+        are those feasible at every member, and it moves to the same
+        classes with the same probabilities and blocks.  So where the grid
+        policy's labels of a cell could act apart, the lifted one acts
+        alike: at gamma = 0 a class cannot match, and its members wait."""
+        return np.asarray(actions).take(self.table.classes[0])
+
+    def policy_chain(self, actions: np.ndarray, states: np.ndarray):
+        """The chain a grid policy ``actions`` induces on the sorted grid
+        ``states``, which must hold every state their live branches reach,
+        read from the table's rows: its (m, m) CSR operator, the live
+        branches weighed and two that land on one state summed, and the
+        expected attacker and honest blocks of its rows."""
+        weights = branch_weights(self.params)
+        next_state, kind, attacker, honest = self.table.rows(actions[states], states)
+        p = weights.take(kind)
+        live = p > 0.0
+        m = len(states)
+        position = np.zeros(len(actions), dtype=np.int32)
+        position[states] = np.arange(m, dtype=np.int32)
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
+        P = sparse.csr_matrix((p[live], position[next_state[live]], indptr), (m, m))
+        P.sum_duplicates()
+        return P, *_expected_blocks(weights, kind, attacker, honest)
+
+
+def _expected_blocks(weights, kind, *blocks):
+    """Each block column's branch blocks times the weights of the branch
+    kinds, summed branch by branch."""
+    return tuple(
+        sum(weights.take(kind[..., b]) * column[..., b] for b in range(3))
+        for column in blocks
+    )
 
 
 # Branch kinds, each weighed by one entry of :func:`branch_weights`.
@@ -144,7 +196,8 @@ class TransitionTable:
 
     Nothing here depends on alpha: a branch's probability is the weight of
     its kind, ``branch_weights(params)[kind]``, and its live branches
-    (probability > 0) are the same for every alpha in (0, 0.5).
+    (probability > 0) and its fork-label classes are the same for every
+    alpha in (0, 0.5).
     """
 
     params: MiningParams
@@ -156,44 +209,83 @@ class TransitionTable:
     feasible: np.ndarray  # (actions, n) bool
 
     @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(class_of, representatives)``: each grid state's fork-label
+        class, and each class's lowest grid index, its representative.
+
+        A class is a run of the labels of one (a, h) cell, so classes are
+        numbered in grid order.  Where no race can be won (gamma = 0 under
+        standard tie breaking) every cell is one class.  Otherwise the
+        interior cells with a >= h >= 1, where a race can both be won and
+        change the outcome, keep their labels apart: all three under
+        standard tie breaking, and {irrelevant, relevant} and {active}
+        under uniform tie breaking, where both non-active labels may match.
+        Every other cell is one class."""
+        a, h, fork = grid_coordinates(self.T)
+        kept = (np.maximum(a, h) < self.T) & (a >= h) & (h >= 1)
+        if self.params.variant is Variant.UNIFORM_TIE_BREAK:
+            kept &= fork == Fork.ACTIVE
+        elif self.params.race_win_prob == 0.0:
+            kept = False
+        starts = (fork == Fork.IRRELEVANT) | kept
+        class_of = np.cumsum(starts, dtype=np.int64) - 1
+        return class_of.astype(np.min_scalar_type(class_of[-1])), np.flatnonzero(starts)
+
+    def rows(self, actions: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(next_state, kind, attacker, honest)`` of the pairs
+        ``(actions[i], states[i])``, each (m, 3): one ``take`` per column
+        over rows ``action*n + state`` of its (actions * n, 3) view, which
+        beats ``[actions, states]`` fancy indexing."""
+        rows = actions.astype(np.int64) * self.feasible.shape[1] + states
+        columns = (self.next_state, self.kind, self.attacker, self.honest)
+        return tuple(c.reshape(-1, 3).take(rows, axis=0) for c in columns)
+
+    @cached_property
     def _pattern(self) -> tuple[np.ndarray, ...]:
-        """``(pair, indices, indptr, boundary)``, built on first use and
-        shared by every weighing: the operator's CSR pattern, from the
-        (row, column) keys of the live branches, and for each of its entries
-        the kinds ``first * 5 + second`` of the branches that land there:
-        ``second`` is the other branch of a race that lands on the same
-        state, or ``NO_BRANCH``."""
-        n, weights = self.kind.shape[1], branch_weights(self.params)
-        live = np.flatnonzero((weights > 0.0)[self.kind])
+        """``(pair, indices, indptr, feasible, boundary)`` of the classes,
+        built on first use and shared by every weighing.  ``feasible`` holds
+        the actions feasible at every member of a class.  The operator's
+        CSR pattern comes from the (row, column) keys of the live branches
+        of the representatives' rows, each next state taken to its class,
+        and for each of its entries the kinds ``first * 5 + second`` of the
+        branches that land there: ``second`` is the other branch of a race
+        that lands on the same class, or ``NO_BRANCH``."""
+        class_of, representatives = self.classes
+        k, weights = len(representatives), branch_weights(self.params)
+        feasible = np.logical_and.reduceat(self.feasible, representatives, axis=1)
+        kind = self.kind.take(representatives, axis=1)
+        live = np.flatnonzero((weights > 0.0)[kind])
         keys = live // 3  # operator row
-        keys *= n
-        keys += self.next_state.ravel()[live]
-        order = np.argsort(keys)
-        keys, kinds = keys[order], self.kind.ravel()[live[order]]
+        keys *= k
+        keys += class_of[self.next_state.take(representatives, axis=1).ravel()[live]]
+        order = np.argsort(keys, kind="stable")  # rows come in order already
+        keys, kinds = keys[order], kind.ravel()[live[order]]
         first = np.concatenate([[True], keys[1:] != keys[:-1]])
         pair = kinds[first] * len(weights) + NO_BRANCH
         pair[np.cumsum(first)[~first] - 1] += kinds[~first] - NO_BRANCH
         keys = keys[first]
-        counts = np.bincount(keys // n, minlength=len(Action) * n)
-        a, h, _fork = grid_coordinates(self.T)
+        counts = np.bincount(keys // k, minlength=len(Action) * k)
+        cell = representatives // 3
         return (
             pair,
-            (keys % n).astype(np.int32),
+            (keys % k).astype(np.int32),
             np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
-            np.maximum(a, h) == self.T,
+            feasible,
+            np.maximum(cell // (self.T + 1), cell % (self.T + 1)) == self.T,
         )
 
     def weigh(self, alpha: float) -> MiningModel:
-        """The base model at hashrate ``alpha``: this table and an operator
-        whose data is the branch weights summed onto the fixed pattern, the
-        one array a weighing allocates.  Boundary states keep adopt alone;
-        :func:`build_truncated`'s boundary mode decides its scalar reward."""
+        """The base model at hashrate ``alpha``: this table and a class
+        operator whose data is the branch weights summed onto the fixed
+        pattern, the one array a weighing allocates.  Boundary classes keep
+        adopt alone; :func:`build_truncated`'s boundary mode decides its
+        scalar reward."""
         params = replace(self.params, alpha=alpha)
-        pair, indices, indptr, boundary = self._pattern
-        n, weights = len(boundary), branch_weights(params)
+        pair, indices, indptr, feasible, boundary = self._pattern
+        k, weights = len(boundary), branch_weights(params)
         data = np.add.outer(weights, weights).ravel()[pair]
-        transition = sparse.csr_matrix((data, indices, indptr), (len(Action) * n, n))
-        return MiningModel(params, self, self.feasible, transition)
+        transition = sparse.csr_matrix((data, indices, indptr), (len(Action) * k, k))
+        return MiningModel(params, self, feasible, transition)
 
 
 def transition_table(params: MiningParams, T: int) -> TransitionTable:
@@ -295,9 +387,7 @@ def policy_closure(table: TransitionTable, actions: np.ndarray) -> np.ndarray:
     state, so the trace stops at an infeasible pair, which has none live."""
     n = len(actions)
     states = np.arange(n, dtype=np.int32)
-    rows = actions.astype(np.int64) * n + states  # a take beats [actions, states]
-    kind = table.kind.reshape(-1, 3).take(rows, axis=0)
-    next_state = table.next_state.reshape(-1, 3).take(rows, axis=0)
+    next_state, kind, _, _ = table.rows(actions, states)
     live = branch_weights(table.params)[kind] > 0.0
     successors = np.where(live, next_state, states[:, None])
     edges = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
@@ -327,17 +417,18 @@ def build_base_model(params: MiningParams, T: int) -> MiningModel:
 
 def build_honest_disabled(model: MiningModel, variant: ThresholdVariant) -> MiningModel:
     """A built base model with one half of honest mining removed: override
-    at (1,0) or adopt at (0,1), across all fork labels.  Wait remains
-    feasible there, so the model stays well formed."""
+    at (1,0) or adopt at (0,1), in the class that holds the cell's three
+    fork labels.  Wait remains feasible there, so the model stays well
+    formed."""
     if model.T < 2:
         raise ValueError("honest-disabled models need T >= 2")
     if variant is ThresholdVariant.OVERRIDE_DISABLED_AT_1_0:
         a, h, action = 1, 0, Action.OVERRIDE
     else:
         a, h, action = 0, 1, Action.ADOPT
-    first = state_index(ChainState(a, h, Fork.IRRELEVANT), model.T)
+    state = state_index(ChainState(a, h, Fork.IRRELEVANT), model.T)
     feasible = model.feasible.copy()
-    feasible[action, first : first + len(Fork)] = False
+    feasible[action, model.table.classes[0][state]] = False
     return replace(model, feasible=feasible)
 
 
@@ -374,34 +465,38 @@ def overpaying_terminal_reward(a: int, h: int, rho: float, alpha: float) -> floa
 class ScalarModel:
     """A mining model with the ratio objective scalarized at a fixed rho.
 
-    ``rewards[action, state]`` is the expected scalar reward
+    ``rewards[action, class]`` is the expected scalar reward
     ``(1-rho)*attacker - rho*honest`` of taking the action there, except at
-    over-paying boundary states where it is the terminal compensation.
+    over-paying boundary classes where it is the terminal compensation.
     """
 
     model: MiningModel
-    rewards: np.ndarray  # (num actions, n)
+    rewards: np.ndarray  # (num actions, k)
 
 
-def build_truncated(model: MiningModel, mode: BoundaryMode, rho: float) -> ScalarModel:
+def build_truncated(
+    model: MiningModel, mode: BoundaryMode, rho: float, blocks=None
+) -> ScalarModel:
     """Scalarize a built model at ``rho`` under the given boundary mode.
 
     Every reward is ``(1-rho)*attacker - rho*honest``, computed as
-    ``attacker - rho*(attacker + honest)``.  Over-paying, each boundary pair
-    ``(a, h)`` then gets one :func:`overpaying_terminal_reward` as the adopt
-    reward of its three fork labels.  The rewards read only the model's
-    expected blocks and boundary, so one scalarization serves every model
-    that differs from ``model`` only in ``feasible`` (``replace(scalar,
-    model=...)``)."""
+    ``attacker - rho*(attacker + honest)`` from ``blocks``, the model's
+    :meth:`~MiningModel.expected_blocks`, weighed here unless a caller that
+    scalarizes one model at several rho hands them in.  Over-paying, each
+    boundary class, one (a, h) cell, then gets its
+    :func:`overpaying_terminal_reward` as its adopt reward.  The rewards
+    read only the model's expected blocks and boundary, so one
+    scalarization serves every model that differs from ``model`` only in
+    ``feasible`` (``replace(scalar, model=...)``)."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1] (got {rho})")
-    attacker, honest = model.expected_blocks()
+    attacker, honest = model.expected_blocks() if blocks is None else blocks
     rewards = attacker - rho * (attacker + honest)
     if mode is BoundaryMode.OVER_PAYING:
         alpha = model.params.alpha
-        T = model.T
-        for rest in np.flatnonzero(model.boundary[::3]):  # pair h + (T+1)*a
-            a, h = rest // (T + 1), rest % (T + 1)
-            reward = overpaying_terminal_reward(a, h, rho, alpha)
-            rewards[Action.ADOPT, 3 * rest : 3 * rest + 3] = reward
+        side = model.T + 1
+        cells = model.table.classes[1] // 3  # cell h + (T+1)*a
+        for cls in np.flatnonzero(model.boundary):
+            a, h = divmod(cells[cls], side)
+            rewards[Action.ADOPT, cls] = overpaying_terminal_reward(a, h, rho, alpha)
     return ScalarModel(model=model, rewards=rewards)

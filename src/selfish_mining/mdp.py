@@ -1,9 +1,11 @@
 """Average-reward MDP machinery: a relative value iteration that hands long
 solves to Howard policy iteration, and exact policy evaluation through the
-stationary distribution of the induced chain.  One grounded sparse LU,
-``I - P`` with the reference column replaced by ones, serves both: a solve
-gives a policy's gain and bias, a transposed solve its stationary
-distribution.
+stationary distribution of the induced chain.  The solvers are generic in
+the state count: a built model solves on its fork-label classes, while an
+exact evaluation scores a grid policy on the chain it induces on the grid.
+One grounded sparse LU, ``I - P`` with the reference column replaced by
+ones, serves both: a solve gives a policy's gain and bias, a transposed
+solve its stationary distribution.
 
 :func:`solve_average_reward` first runs a plain synchronous relative value
 iteration with a damping step ``V <- (1-tau)*Bellman(V) + tau*V`` (tau =
@@ -447,10 +449,13 @@ class PolicyValue:
 
 
 def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
-    """Exact relative revenue of a policy via the stationary distribution of
-    the chain it induces, its operator rows at the states it reaches, from
-    the grounded LU that also gives gain and bias, and those rows' expected
-    blocks (:func:`stationary_distribution`, :meth:`~MiningModel.expected_blocks`).
+    """Exact relative revenue of a grid policy via the stationary
+    distribution of the chain it induces on the states it reaches, from the
+    grounded LU that also gives gain and bias, and that chain's expected
+    blocks.  The chain is read from the rows of the table the model was
+    weighed from, at the model's alpha (:meth:`~MiningModel.policy_chain`),
+    not from the class operator, so a policy that acts apart on the labels
+    of a cell is scored as it acts.
 
     Only defined on models whose rewards are block pairs (base and
     under-paying truncations); over-paying compensation has no block
@@ -462,13 +467,9 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
             f"policy truncation {policy.T} does not match model truncation {model.T}"
         )
     reached = reachable_mask(model, policy)
-    check_feasible(model.feasible, policy.actions, reached, model.T)
-    idxs = np.flatnonzero(reached)
-    chosen = policy.actions[idxs]
-    rows = chosen.astype(np.int64) * model.n + idxs
-    pi = stationary_distribution(model.transition[rows][:, idxs])
-
-    blocks = model.expected_blocks(chosen, idxs)
+    check_feasible(model.table.feasible, policy.actions, reached, model.T)
+    P, *blocks = model.policy_chain(policy.actions, np.flatnonzero(reached))
+    pi = stationary_distribution(P)
     attacker, honest = (float(np.dot(pi, b)) for b in blocks)
     total = attacker + honest
     if total <= 0.0:

@@ -25,11 +25,13 @@ from typing import Callable
 import numpy as np
 
 # Peak resident memory per grid state of an ``optimize`` run, which holds
-# the stacked operator, a sparse LU and the value-iteration arrays at once:
-# 193-210 MB over the 189,003 states of T=250 in separate runs (about 1.1 kB
-# a state), interpreter included.  Each added state costs less (about 0.7 kB
-# from T=150 to T=250), so at the large T this rejects the figure errs on the
-# side of caution.
+# the transition table, the stacked class operator, a sparse LU and the
+# value-iteration arrays at once, interpreter included.  Over the 189,003
+# states of T=250 at alpha=0.45, in separate runs solved on the fork-label
+# classes, it was 138-141 MB at gamma=0 (about 0.75 kB a state; a third as
+# many classes as states) and 189 MB at gamma=0.5 (about 1.0 kB; two thirds).
+# Each added state costs less, so at the large T this rejects the figure
+# errs on the side of caution.
 BYTES_PER_STATE = 1300
 
 

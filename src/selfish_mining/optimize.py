@@ -7,9 +7,10 @@ monotone decreasing in ``rho`` and crosses zero exactly at the optimal
 revenue.  :func:`ratio_iteration` finds that root on the under-paying
 truncation by Dinkelbach's ratio iteration (Dinkelbach 1967): solve the
 model at ``rho``, then move ``rho`` to the exact revenue of the solve's
-greedy policy.  The best revenue met is the lower bound;
-:func:`find_optimal` adds one over-paying solve that certifies an upper
-bound.  The models of two steps differ only in ``rho``, so a step after one
+greedy policy.  Every solve runs on the model's fork-label classes, and its
+greedy class policy is lifted to the grid before it is scored or emitted.
+The best revenue met is the lower bound; :func:`find_optimal` adds one
+over-paying solve that certifies an upper bound.  The models of two steps differ only in ``rho``, so a step after one
 that ended in policy iteration resumes policy iteration from that step's
 policy, with no value-iteration sweep; the over-paying solve starts value
 iteration warm from the last step's values, which costs fewer LU
@@ -176,19 +177,22 @@ class RatioIteration:
     probes: tuple[ProbeRecord, ...]
 
 
-def ratio_iteration(model: MiningModel, eps: float) -> RatioIteration:
+def ratio_iteration(model: MiningModel, eps: float, blocks=None) -> RatioIteration:
     """Dinkelbach's ratio iteration for the revenue root of a base model.
 
-    Each step solves the under-paying model scalarized at ``rho`` to
-    ``eps/8`` and scores that solve's greedy policy exactly.  The first
-    ``rho`` is ``alpha``, honest mining's revenue, so the first gain is
-    nonnegative.  The iteration stops once the gain is at most ``eps/8`` or
-    the greedy policy earns no more than ``rho``; otherwise ``rho`` becomes
-    that policy's revenue, so ``rho`` rises strictly and the steps end.  A
-    step after one that ended in policy iteration resumes policy iteration
-    from that step's policy; any other step starts value iteration warm from
-    the previous step's value vector (the result is a pure function of the
-    inputs either way).
+    Each step solves the under-paying class model scalarized at ``rho`` to
+    ``eps/8``, lifts that solve's greedy class policy to the grid
+    (:meth:`~selfish_mining.chain.MiningModel.lift`) and scores it exactly.
+    The first ``rho`` is ``alpha``, honest mining's revenue, so the first
+    gain is nonnegative.  The iteration stops once the gain is at most
+    ``eps/8`` or the greedy policy earns no more than ``rho``; otherwise
+    ``rho`` becomes that policy's revenue, so ``rho`` rises strictly and the
+    steps end.  A step after one that ended in policy iteration resumes
+    policy iteration from that step's class policy; any other step starts
+    value iteration warm from the previous step's value vector (the result
+    is a pure function of the inputs either way).  Every step scalarizes
+    ``blocks``, the model's expected blocks, weighed once here unless the
+    caller hands them in.
     """
     solver_eps = eps / 8.0
     probes: list[ProbeRecord] = []
@@ -196,16 +200,17 @@ def ratio_iteration(model: MiningModel, eps: float) -> RatioIteration:
     lower_bound, policy = -np.inf, None
     params = model.params
     rho = params.alpha
+    if blocks is None:
+        blocks = model.expected_blocks()
     while True:
-        scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho)
+        scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho, blocks)
         result = solve_average_reward(
             scalar, solver_eps, initial_values=values, initial_actions=actions
         )
         values = result.values
         actions = result.actions if result.evaluations else None
-        greedy = Policy(
-            model.T, result.actions, params.alpha, params.gamma, params.variant
-        )
+        lifted = model.lift(result.actions)
+        greedy = Policy(model.T, lifted, params.alpha, params.gamma, params.variant)
         rev = evaluate_policy_exact(model, greedy).rev
         probes.append(ProbeRecord(rho, result.gain, rev, result.iterations, result.span))
         if rev >= lower_bound:
@@ -221,15 +226,17 @@ def find_optimal(
 ) -> BoundsReport:
     """:func:`ratio_iteration` for the lower bound, then the over-paying
     model scalarized at ``rho_prime``, solved to ``eps_prime`` by value
-    iteration warm from the last ratio step's values, for the upper bound."""
+    iteration warm from the last ratio step's values, for the upper bound.
+    Both scalarize one weighing of the model's expected blocks."""
     if model is None:
         model = build_base_model(config.params, config.T)
     elif model.T != config.T or model.params != config.params:
         raise ValueError("provided model does not match the configuration")
 
-    ratio = ratio_iteration(model, config.eps)
+    blocks = model.expected_blocks()
+    ratio = ratio_iteration(model, config.eps, blocks)
     rho_prime = max(ratio.lower_bound - config.eps / 4.0, 0.0)
-    over = build_truncated(model, BoundaryMode.OVER_PAYING, rho_prime)
+    over = build_truncated(model, BoundaryMode.OVER_PAYING, rho_prime, blocks)
     over_result = solve_average_reward(
         over, config.eps_prime, initial_values=ratio.values
     )
@@ -352,14 +359,14 @@ def _exhibit(
     its revenue exceeds rho; a decided max below 0 proves that no policy
     earns rho; a bracket narrowed to ``eps/8`` undecided is decided by its
     midpoint.  Returns (profitable, evidence, final values), the evidence
-    being the greedy policy's exact revenue, which must also exceed rho."""
+    being the exact revenue of the greedy class policy lifted to the grid,
+    which must also exceed rho."""
     model = table.weigh(alpha)
     scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho=alpha + eps)
     verdict = gain_below(scalar, 0.0, eps / 8.0, values)
     params = model.params
-    greedy = Policy(
-        model.T, verdict.result.actions, alpha, params.gamma, params.variant
-    )
+    lifted = model.lift(verdict.result.actions)
+    greedy = Policy(model.T, lifted, alpha, params.gamma, params.variant)
     rev = evaluate_policy_exact(model, greedy).rev
     return not verdict.below and rev > alpha + eps, rev, verdict.result.values
 

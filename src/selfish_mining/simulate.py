@@ -119,19 +119,18 @@ class StepTables:
 
 
 def compile_step_tables(policy: Policy, params: MiningParams) -> StepTables:
-    """Read the policy's branches out of the transition table; the policy
-    is rejected if it assigns an infeasible action anywhere it reaches."""
+    """Read the policy's branches out of the transition table, one row per
+    state; the policy is rejected if it assigns an infeasible action
+    anywhere it reaches."""
     T, actions = policy.T, policy.actions
     table = transition_table(params, T)
     check_feasible(table.feasible, actions, policy_closure(table, actions), T)
-    states = np.arange(len(actions))
+    next_state, kind, attacker, honest = table.rows(actions, np.arange(len(actions)))
     return StepTables(
-        next_state=table.next_state[actions, states].astype(np.int64),
-        attacker=table.attacker[actions, states].astype(np.int64),
-        honest=table.honest[actions, states, 0].astype(np.int64),
-        race_win_prob=np.where(
-            table.kind[actions, states, 2] == RACE_LOST, params.race_win_prob, 0.0
-        ),
+        next_state=next_state.astype(np.int64),
+        attacker=attacker.astype(np.int64),
+        honest=honest[:, 0].astype(np.int64),
+        race_win_prob=np.where(kind[:, 2] == RACE_LOST, params.race_win_prob, 0.0),
         adopt=actions == Action.ADOPT,
     )
 

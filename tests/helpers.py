@@ -15,12 +15,14 @@ from scipy.sparse import linalg as sparse_linalg
 from selfish_mining.chain import (
     BoundaryMode,
     MiningModel,
+    ScalarModel,
     ThresholdVariant,
     TransitionTable,
     branch_weights,
     build_base_model,
     build_honest_disabled,
     build_truncated,
+    overpaying_terminal_reward,
     transition_table,
 )
 from selfish_mining.delay import DelayParams
@@ -157,10 +159,60 @@ def action_at(policy: Policy, state: ChainState) -> Action:
     return Action(policy.actions[state_index(state, policy.T)])
 
 
+def class_at(model: MiningModel, state: ChainState) -> int:
+    """The class of a built model that holds one grid state."""
+    return int(model.table.classes[0][state_index(state, model.T)])
+
+
 def feasible_at(model: MiningModel, index: int) -> list[Action]:
-    """The feasible actions of a built model at one state index, in ordinal
-    order."""
-    return [action for action in Action if model.feasible[action, index]]
+    """The feasible actions of a built model at one grid state index, those
+    of the class that holds it, in ordinal order."""
+    cls = model.table.classes[0][index]
+    return [action for action in Action if model.feasible[action, cls]]
+
+
+def bisimulation_classes(params: MiningParams, T: int) -> np.ndarray:
+    """The coarsest partition of the grid into fork-label classes, within
+    (a, h) cells, that is a bisimulation of the per-state
+    :func:`transitions`: two states share a class when every feasible action
+    of one has an action of the other with the same expected attacker and
+    honest blocks and the same probability of landing in each class.
+    Partition refinement from the cells until no class splits; probabilities
+    are compared to 12 decimals, so that sums of race branches that differ
+    from a plain branch by round-off alone still match.  Returns each grid
+    state's class, the classes numbered by their lowest member."""
+    moves = []
+    for state in grid_states(T):
+        if max(state.a, state.h) == T:
+            actions = [Action.ADOPT]
+        else:
+            actions = sorted(feasible_actions(state, params))
+        per_action = []
+        for action in actions:
+            entries = [e for e in transitions(state, action, params) if e.probability > 0]
+            per_action.append((
+                round(sum(e.probability * e.reward.attacker for e in entries), 12),
+                round(sum(e.probability * e.reward.honest for e in entries), 12),
+                [(state_index(e.next_state, T), e.probability) for e in entries],
+            ))
+        moves.append(per_action)
+    label = [index // len(Fork) for index in range(len(moves))]  # the cells
+    while True:
+        signatures = []
+        for index, per_action in enumerate(moves):
+            outcomes = set()
+            for attacker, honest, branches in per_action:
+                into: dict[int, float] = defaultdict(float)
+                for target, probability in branches:
+                    into[label[target]] += probability
+                landing = tuple(sorted((c, round(p, 12)) for c, p in into.items()))
+                outcomes.add((attacker, honest, landing))
+            signatures.append((label[index], frozenset(outcomes)))
+        numbers: dict = {}
+        refined = [numbers.setdefault(sig, len(numbers)) for sig in signatures]
+        if len(numbers) == len(set(label)):
+            return np.array(refined)
+        label = refined
 
 
 def feasible_actions(state: ChainState, params: MiningParams) -> frozenset[Action]:
@@ -335,11 +387,11 @@ def forward_closure_all_actions(
     return seen
 
 
-def operator_closure(model: MiningModel, actions: np.ndarray) -> np.ndarray:
-    """Mask of the states a policy reaches traced on the built operator, not
+def operator_closure(model: ReferenceModel, actions: np.ndarray) -> np.ndarray:
+    """Mask of the states a policy reaches traced on a grid operator, not
     on the table: a depth-first walk from the two start states over the
     positive entries of the policy's rows of ``model.transition``."""
-    n = model.n
+    n = model.transition.shape[1]
     P = model.transition[actions.astype(np.int64) * n + np.arange(n)]
     seen = np.zeros(n, dtype=bool)
     frontier = list(initial_states(model.T))
@@ -360,10 +412,10 @@ def branch_probability(table: TransitionTable) -> np.ndarray:
     return branch_weights(table.params)[table.kind]
 
 
-def action_rows(model: MiningModel, action: Action) -> sparse.csr_matrix:
+def action_rows(model: MiningModel | ReferenceModel, action: Action) -> sparse.csr_matrix:
     """The (n, n) block of the stacked operator that holds ``action``'s rows."""
-    start = int(action) * model.n
-    return model.transition[start : start + model.n]
+    n = model.transition.shape[1]
+    return model.transition[int(action) * n : (int(action) + 1) * n]
 
 
 def reference_layers(
@@ -425,6 +477,12 @@ class ReferenceModel:
     exp_attacker: np.ndarray  # (num actions, n)
     exp_honest: np.ndarray  # (num actions, n)
     boundary: np.ndarray  # (n,) bool
+
+    @property
+    def reference_index(self) -> int:
+        """The grid index of (1,0,irrelevant), where a grid solve pins its
+        relative values."""
+        return initial_states(self.T)[0]
 
 
 def reference_model(params: MiningParams, T: int) -> ReferenceModel:
@@ -489,10 +547,72 @@ def reference_honest_disabled(
     return replace(model, feasible=feasible)
 
 
+def grid_truncated(
+    params: MiningParams,
+    T: int,
+    mode: BoundaryMode,
+    rho: float,
+    disabled: ThresholdVariant | None = None,
+) -> ScalarModel:
+    """The scalarized model on the whole grid, the solve the class model
+    replaced: scipy's COO build of the grid operator (:func:`coo_base_model`),
+    with honest mining ``disabled`` as :func:`reference_honest_disabled`
+    removes it, and every boundary state's adopt paid its
+    :func:`overpaying_terminal_reward` when over-paying.  It solves with
+    :func:`solve_average_reward` like a class model."""
+    grid = coo_base_model(params, T)
+    if disabled is not None:
+        grid = reference_honest_disabled(grid, disabled)
+    attacker, honest = grid.exp_attacker, grid.exp_honest
+    rewards = attacker - rho * (attacker + honest)
+    if mode is BoundaryMode.OVER_PAYING:
+        a, h, _fork = grid_coordinates(T)
+        for idx in np.flatnonzero(grid.boundary):
+            rewards[Action.ADOPT, idx] = overpaying_terminal_reward(
+                a[idx], h[idx], rho, params.alpha
+            )
+    return ScalarModel(model=grid, rewards=rewards)
+
+
+def lumped(model: ReferenceModel, table: TransitionTable) -> ReferenceModel:
+    """A grid model lumped by the table's class map: a class's actions are
+    those feasible at every member, and its rows are its representative's
+    rows with the columns of each class summed; its expected blocks and
+    boundary are its representative's."""
+    class_of, representatives = table.classes
+    n, k = len(class_of), len(representatives)
+    feasible = np.ones((len(Action), k), dtype=bool)
+    for action in Action:
+        np.logical_and.at(feasible[action], class_of, model.feasible[action])
+    rows = (np.arange(len(Action))[:, None] * n + representatives).ravel()
+    members = sparse.csr_matrix((np.ones(n), (np.arange(n), class_of)), (n, k))
+    transition = (model.transition[rows] @ members).tocsr()
+    transition.sum_duplicates()
+    return replace(
+        model,
+        feasible=feasible,
+        transition=transition,
+        exp_attacker=model.exp_attacker[:, representatives],
+        exp_honest=model.exp_honest[:, representatives],
+        boundary=model.boundary[representatives],
+    )
+
+
+def lumped_matrices(params: MiningParams, T: int) -> tuple[sparse.csr_matrix, ...]:
+    """One (k, k) class matrix per action, the per-state reference build
+    lumped by the class map: the per-action layers of the stacked class
+    operator."""
+    table = transition_table(params, T)
+    P, k = lumped(reference_model(params, T), table).transition, len(table.classes[1])
+    return tuple(P[action * k : (action + 1) * k] for action in Action)
+
+
 def assert_models_identical(got: MiningModel, want: ReferenceModel) -> None:
-    """Every array of the reference equal bit for bit to the built model's,
-    the expected blocks it gives included, dtypes and sparse layouts too."""
+    """Every array of the grid reference lumped by the built model's class
+    map (:func:`lumped`) equal bit for bit to the built class model's, the
+    expected blocks it gives included, dtypes and sparse layouts too."""
     assert (got.params, got.T) == (want.params, want.T)
+    want = lumped(want, got.table)
     exp_attacker, exp_honest = got.expected_blocks()
     arrays = {
         "feasible": got.feasible,

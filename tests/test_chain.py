@@ -27,7 +27,15 @@ from selfish_mining.model import (
     state_index,
 )
 
-from helpers import action_rows, feasible_at, overpaying_reward_exact, transitions
+from helpers import (
+    action_rows,
+    branch_probability,
+    class_at,
+    coo_base_model,
+    feasible_at,
+    overpaying_reward_exact,
+    transitions,
+)
 
 
 def entries_as_dict(entries):
@@ -101,10 +109,19 @@ class TestModelBuild:
                 assert (P.data > 0).all()  # gamma=0 race branches dropped
 
     def test_match_row_has_two_entries_at_gamma_zero(self):
-        model = build_base_model(MiningParams(0.35, 0.0), 10)
-        idx = state_index(ChainState(2, 1, Fork.RELEVANT), 10)
-        row = action_rows(model, Action.MATCH)
-        assert row.indptr[idx + 1] - row.indptr[idx] == 2
+        """At gamma = 0 the race a match starts is never won: the match at
+        (2,1,relevant) has two live branches, and its class, which holds
+        the cell's three labels, waits with the same two, and cannot
+        match."""
+        params, state = MiningParams(0.35, 0.0), ChainState(2, 1, Fork.RELEVANT)
+        idx = state_index(state, 10)
+        table = transition_table(params, 10)
+        assert (branch_probability(table)[Action.MATCH, idx] > 0).sum() == 2
+        model = table.weigh(params.alpha)
+        cls = class_at(model, state)
+        assert feasible_at(model, idx) == [Action.ADOPT, Action.OVERRIDE, Action.WAIT]
+        row = action_rows(model, Action.WAIT)
+        assert row.indptr[cls + 1] - row.indptr[cls] == 2
 
     def test_table_built_without_full_size_temporaries(self):
         """The table is filled in place: the peak traced while it is built
@@ -157,24 +174,11 @@ class TestModelBuild:
     def test_expected_rewards(self):
         params = MiningParams(0.4, 0.5)
         model = build_base_model(params, 8)
-        idx = state_index(ChainState(3, 2, Fork.RELEVANT), 8)
+        idx = class_at(model, ChainState(3, 2, Fork.RELEVANT))
         attacker, honest = model.expected_blocks()
         # match: attacker wins h=2 blocks with probability 0.5 * 0.6
         assert attacker[Action.MATCH, idx] == pytest.approx(0.3 * 2)
         assert honest[Action.ADOPT, idx] == pytest.approx(2.0)
-
-    def test_expected_blocks_of_pairs_match_every_pair(self):
-        """The expected blocks of given (action, state) pairs are those of
-        every pair at the same positions, bit for bit."""
-        params = MiningParams(0.37, 0.6, Variant.UNIFORM_TIE_BREAK)
-        model = build_base_model(params, 12)
-        rng = np.random.default_rng(7)
-        actions = rng.integers(0, len(Action), size=300).astype(np.int8)
-        states = rng.integers(0, model.n, size=300)
-        every = model.expected_blocks()
-        for whole, part in zip(every, model.expected_blocks(actions, states)):
-            want = whole[actions, states]
-            assert part.dtype == want.dtype and part.tobytes() == want.tobytes()
 
 
 class TestCompensation:
@@ -250,8 +254,8 @@ class TestCompensation:
         model = build_base_model(MiningParams(alpha, 0.5), T)
         rewards = build_truncated(model, BoundaryMode.OVER_PAYING, rho).rewards
         a, h, _ = grid_coordinates(T)
-        for idx in np.flatnonzero(model.boundary):
-            want = rewards[Action.ADOPT, idx]
+        for cls in np.flatnonzero(model.boundary):
+            want, idx = rewards[Action.ADOPT, cls], model.table.classes[1][cls]
             for kind in (int, np.int32, np.int64):
                 got = overpaying_terminal_reward(kind(a[idx]), kind(h[idx]), rho, alpha)
                 assert got == want, (kind, state_at(int(idx), T))
@@ -266,20 +270,20 @@ class TestScalarization:
     def test_underpaying_boundary_reward(self):
         model = build_base_model(MiningParams(0.3, 0.0), 5)
         scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho=0.4)
-        idx = state_index(ChainState(3, 5, Fork.IRRELEVANT), 5)
+        idx = class_at(model, ChainState(3, 5, Fork.IRRELEVANT))
         assert scalar.rewards[Action.ADOPT, idx] == pytest.approx(-0.4 * 5)
 
     def test_overpaying_boundary_reward(self):
         model = build_base_model(MiningParams(0.4, 0.0), 5)
         scalar = build_truncated(model, BoundaryMode.OVER_PAYING, rho=0.5)
-        idx = state_index(ChainState(5, 3, Fork.RELEVANT), 5)
+        idx = class_at(model, ChainState(5, 3, Fork.RELEVANT))
         # peak = 6, drift = (2/0.2 + 8)/2 = 9, both weighted by 1 - rho = 0.5
         assert scalar.rewards[Action.ADOPT, idx] == pytest.approx(7.5)
 
     def test_override_is_free_at_rho_one(self):
         model = build_base_model(MiningParams(0.3, 0.0), 6)
         scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho=1.0)
-        idx = state_index(ChainState(4, 2, Fork.IRRELEVANT), 6)
+        idx = class_at(model, ChainState(4, 2, Fork.IRRELEVANT))
         assert scalar.rewards[Action.OVERRIDE, idx] == pytest.approx(0.0)
 
     def test_interior_scalar_reward_bounds(self):
@@ -294,19 +298,23 @@ class TestScalarization:
 
     @pytest.mark.parametrize("T", [2, 8, 75])
     def test_overpaying_rewards_per_state(self, T):
-        """Every fork label of every boundary pair adopts for that pair's
-        compensation; every other reward is the under-paying one."""
+        """Every boundary pair is one class, which holds its three fork
+        labels and adopts for that pair's compensation; every other reward
+        is the under-paying one."""
         alpha, rho = 0.35, 0.3
         model = build_base_model(MiningParams(alpha, 0.5), T)
         over = build_truncated(model, BoundaryMode.OVER_PAYING, rho).rewards
         under = build_truncated(model, BoundaryMode.UNDER_PAYING, rho).rewards
         a, h, fork = grid_coordinates(T)
+        class_of, representatives = model.table.classes
         boundary = np.flatnonzero(model.boundary)
-        assert len(boundary) == 3 * (2 * T + 1)
-        assert np.bincount(fork[boundary]).tolist() == [2 * T + 1] * 3
-        for idx in boundary:
+        assert len(boundary) == 2 * T + 1
+        assert (np.bincount(class_of)[boundary] == 3).all()
+        assert np.isin(class_of, boundary).tolist() == (np.maximum(a, h) == T).tolist()
+        for cls in boundary:
+            idx = representatives[cls]
             want = overpaying_terminal_reward(a[idx], h[idx], rho, alpha)
-            assert over[Action.ADOPT, idx] == want, state_at(int(idx), T)
+            assert over[Action.ADOPT, cls] == want, state_at(int(idx), T)
         over[Action.ADOPT, boundary] = under[Action.ADOPT, boundary]
         assert over.tobytes() == under.tobytes()
 
@@ -337,9 +345,7 @@ class TestHonestDisabled:
         params = MiningParams(0.3, 0.0)
         base = build_base_model(params, 8)
         disabled = build_honest_disabled(base, ThresholdVariant.ADOPT_DISABLED_AT_0_1)
-        touched = {
-            state_index(ChainState(0, 1, fork), 8) for fork in Fork
-        }
+        touched = {class_at(base, ChainState(0, 1, fork)) for fork in Fork}
         for action in Action:
             assert (action_rows(base, action) != action_rows(disabled, action)).nnz == 0
             same = base.feasible[action] == disabled.feasible[action]
@@ -364,11 +370,11 @@ class TestVariantEquivalence:
     def test_uniform_at_gamma_half_matches_standard(self):
         """With gamma = 0.5 the uniform variant's race split equals the
         standard one; restricted to the standard-feasible actions the
-        transition lists must agree exactly."""
-        standard = build_base_model(MiningParams(0.35, 0.5), 8)
-        uniform = build_base_model(
-            MiningParams(0.35, 0.5, Variant.UNIFORM_TIE_BREAK), 8
-        )
+        transition lists of the grid must agree exactly.  The variants'
+        class models differ in their classes, so the grid operators of
+        their tables are compared."""
+        standard = coo_base_model(MiningParams(0.35, 0.5), 8)
+        uniform = coo_base_model(MiningParams(0.35, 0.5, Variant.UNIFORM_TIE_BREAK), 8)
         for action in Action:
             std_feasible = standard.feasible[action]
             # uniform only ever adds feasibility (late match), never removes

@@ -1,9 +1,10 @@
 """The grid-wide transition table against the per-state walks of
-``helpers.transitions``: built models and simulator step tables must agree
-bit for bit, as must the alpha-free table weighed at
-any alpha and scipy's COO build of the model there, and the stacked-operator
-value iteration and a per-action one, cold or warm-started and stopped by a
-bound; solves that the policy-iteration stage finishes must reach the
+``helpers.transitions``: built class models and the per-state reference
+lumped by their class map (``helpers.lumped``), and simulator step tables,
+must agree bit for bit, as must the alpha-free table weighed at any alpha
+and scipy's COO build of the grid model there lumped alike, and the
+stacked-operator value iteration and a per-action one on the lumped
+reference, cold or warm-started and stopped by a bound; solves that the policy-iteration stage finishes must reach the
 per-action loop's gain, and that stage must match per-action Howard steps bit
 for bit.  A policy's reachable
 states traced on the table must be those traced on the built operator, and
@@ -77,7 +78,7 @@ from helpers import (
     reference_certify,
     reference_exhibit,
     reference_honest_disabled,
-    reference_layers,
+    lumped_matrices,
     reference_model,
     reference_policy,
     reference_policy_iteration,
@@ -131,7 +132,8 @@ def test_fixed_grids_match_reference(T, variant):
 )
 def test_weighed_table_matches_coo_build(built_at, alpha, gamma, T):
     """A table built at one alpha and weighed at another is, bit for
-    bit, the model scipy's COO-to-CSR conversion builds at the second."""
+    bit, the grid model scipy's COO-to-CSR conversion builds at the second,
+    lumped by the class map."""
     table = transition_table(replace(built_at, gamma=gamma), T)
     params = MiningParams(alpha, gamma, built_at.variant)
     assert_models_identical(table.weigh(alpha), coo_base_model(params, T))
@@ -174,10 +176,10 @@ def test_builtin_policies_match_reference(params, T, name):
 @examples
 @given(params=params_st, T=grids, seed=st.integers(0, 2**32 - 1))
 def test_step_tables_match_reference(params, T, seed):
-    model = build_base_model(params, T)
-    draws = np.random.default_rng(seed).random(model.feasible.shape)
-    actions = np.argmax(model.feasible * draws, axis=0).astype(np.int8)
-    assert model.feasible[actions, np.arange(model.n)].all()
+    table = transition_table(params, T)
+    draws = np.random.default_rng(seed).random(table.feasible.shape)
+    actions = np.argmax(table.feasible * draws, axis=0).astype(np.int8)
+    assert table.feasible[actions, np.arange(len(actions))].all()
     policy = Policy(T=T, actions=actions)
     tables = compile_step_tables(policy, params)
     for name, want in reference_step_tables(policy, params).items():
@@ -195,24 +197,26 @@ def test_step_tables_match_reference(params, T, seed):
 def test_table_closure_matches_operator_closure(params, T, seed, feasible_only):
     """A policy's reachable states traced on the transition table, as
     ``reachable_mask`` traces them, are those the operator-side walk
-    ``helpers.operator_closure`` finds on the built model's rows, also where
-    the policy takes an infeasible action (the trace stops there on both);
-    and the closure over every feasible action is the per-state walk's."""
+    ``helpers.operator_closure`` finds on the rows of scipy's COO build of
+    the grid operator, also where the policy takes an infeasible action (the
+    trace stops there on both); and the closure over every feasible action
+    is the per-state walk's."""
     model = build_base_model(params, T)
-    table = transition_table(params, T)
-    draws = np.random.default_rng(seed).random(model.feasible.shape)
-    weights = model.feasible * draws if feasible_only else draws
+    table = model.table
+    draws = np.random.default_rng(seed).random(table.feasible.shape)
+    weights = table.feasible * draws if feasible_only else draws
     actions = np.argmax(weights, axis=0).astype(np.int8)
     got = policy_closure(table, actions)
-    want = operator_closure(model, actions)
+    want = operator_closure(coo_base_model(params, T), actions)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     got = reachable_mask(model, Policy(T=T, actions=actions))
     assert got.tobytes() == want.tobytes()
 
-    live = model.feasible[:, :, None] & (branch_probability(table) > 0)
+    live = table.feasible[:, :, None] & (branch_probability(table) > 0)
     act, state, branch = np.nonzero(live)
     edges = (np.ones(len(state)), (state, table.next_state[act, state, branch]))
-    every = forward_closure(sparse.csr_matrix(edges, (model.n, model.n)), T)
+    n = len(actions)
+    every = forward_closure(sparse.csr_matrix(edges, (n, n)), T)
     oracle = forward_closure_all_actions(
         params, T, lambda s, p: sorted(feasible_actions(s, p))
     )
@@ -224,7 +228,7 @@ def per_action_solve(T, mode, eps=1e-8, rho=0.45, **warm):
     scalar = build_truncated(build_base_model(params, T), mode, rho=rho)
     reference = reference_rvi(
         scalar.model.feasible,
-        reference_layers(params, T)[3],
+        lumped_matrices(params, T),
         scalar.rewards,
         scalar.model.reference_index,
         eps,
@@ -357,7 +361,7 @@ def test_policy_iteration_matches_per_action_howard(T, mode, start):
     steps, want_actions, values, bracket = reference_policy_iteration(
         model.feasible,
         model.transition,
-        reference_layers(params, T)[3],
+        lumped_matrices(params, T),
         scalar.rewards,
         model.reference_index,
         eps,
@@ -569,6 +573,5 @@ def test_stationary_matches_reference_on_policy_chains(T, emitted, params):
         policy = find_optimal(OptimizeConfig(params, T, 1e-4, 1e-4), model=model).policy
     else:
         policy = builtin_policy("sm1", T, params)
-    idxs = np.flatnonzero(policy_closure(transition_table(params, T), policy.actions))
-    rows = policy.actions[idxs].astype(np.int64) * model.n + idxs
-    assert_stationary_matches_reference(model.transition[rows][:, idxs])
+    idxs = np.flatnonzero(policy_closure(model.table, policy.actions))
+    assert_stationary_matches_reference(model.policy_chain(policy.actions, idxs)[0])

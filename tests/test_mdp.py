@@ -57,14 +57,16 @@ def toy_mdp(rewards_by_action, transition_rows):
 
 
 def scalar_gain(scalar, policy):
-    """Exact gain of a fixed policy on a scalarized model."""
+    """Exact gain of a fixed grid policy on a scalarized class model: the
+    gain of its actions at the class representatives, which is the grid
+    policy's own where it acts alike on every class."""
     model = scalar.model
     return evaluate_gain(
         model.feasible,
         model.transition,
         scalar.rewards,
         model.reference_index,
-        policy.actions,
+        policy.actions[model.table.classes[1]],
     )[0]
 
 
@@ -327,7 +329,7 @@ class TestExactEvaluation:
         rho = 0.45
         scalar = build_truncated(model, BoundaryMode.UNDER_PAYING, rho)
         result = solve_average_reward(scalar, eps)
-        value = evaluate_policy_exact(model, Policy(model.T, result.actions))
+        value = evaluate_policy_exact(model, Policy(model.T, model.lift(result.actions)))
         scalar_gain = value.attacker_rate - rho * (
             value.attacker_rate + value.honest_rate
         )

@@ -79,7 +79,7 @@ class TestFindOptimal:
             actions = result.actions if result.evaluations else None
             assert (result.gain, result.iterations) == (probe.gain, probe.iterations)
             assert probe.span <= eps / 8
-            greedy = Policy(model.T, result.actions)
+            greedy = Policy(model.T, model.lift(result.actions))
             assert evaluate_policy_exact(model, greedy).rev == probe.rev
         assert report.probes[-1].gain <= eps / 8
         assert report.lower_bound == max(probe.rev for probe in report.probes)

@@ -180,37 +180,36 @@ class TestAccounting:
         )
 
     def test_step_tables_agree_with_model_expectations(self):
-        """Simulator tables and model matrices come from one transition
-        source; their per-state expected rewards and branch probabilities
-        must coincide."""
+        """Simulator tables and class models come from one transition
+        source; each state's expected rewards and branch probabilities, its
+        next states taken to their classes, must coincide with those of its
+        class."""
         params = MiningParams(0.4, 0.6)
         T = 8
         model = build_base_model(params, T)
+        class_of = model.table.classes[0]
         policy = builtin_policy("sm1", T, params)
         tables = compile_step_tables(policy, params)
         alpha = params.alpha
         exp_attacker, exp_honest = model.expected_blocks()
-        forced = policy.actions.copy()
-        for idx in range(model.n):
-            if model.boundary[idx]:
-                forced[idx] = Action.ADOPT
-        for idx in range(model.n):
+        forced = np.where(model.boundary[class_of], Action.ADOPT, policy.actions)
+        for idx, cls in enumerate(class_of):
             action = forced[idx]
             win_p = tables.race_win_prob[idx]
             # branches: attacker block, race won, any other honest block
             probs = (alpha, win_p * (1 - alpha), (1 - win_p) * (1 - alpha))
             exp_att = sum(p * r for p, r in zip(probs, tables.attacker[idx]))
-            assert exp_att == pytest.approx(exp_attacker[action, idx])
-            assert tables.honest[idx] == pytest.approx(exp_honest[action, idx])
+            assert exp_att == pytest.approx(exp_attacker[action, cls])
+            assert tables.honest[idx] == pytest.approx(exp_honest[action, cls])
             row = action_rows(model, action)
             targets = {}
             for t, p in zip(
-                row.indices[row.indptr[idx] : row.indptr[idx + 1]],
-                row.data[row.indptr[idx] : row.indptr[idx + 1]],
+                row.indices[row.indptr[cls] : row.indptr[cls + 1]],
+                row.data[row.indptr[cls] : row.indptr[cls + 1]],
             ):
                 targets[int(t)] = targets.get(int(t), 0.0) + p
             got = {}
-            for target, p in zip(tables.next_state[idx], probs):
+            for target, p in zip(class_of[tables.next_state[idx]], probs):
                 got[int(target)] = got.get(int(target), 0.0) + p
             got = {k: v for k, v in got.items() if v > 0}
             assert got == pytest.approx(targets)

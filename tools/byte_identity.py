@@ -25,6 +25,9 @@ COMMANDS = [
     ["optimize", "--alpha", "0.3", "--gamma", "0.5", "--T", "8"],
     # the benchmark's bounds point; its ratio iteration ends in policy iteration
     ["optimize", "--alpha", "0.45", "--gamma", "0", "--T", "95", "--out", "opt95"],
+    # criterion 7's point: at gamma > 0 the cells with a >= h >= 1 keep their
+    # fork labels apart, and the rest of the grid solves as one class a cell
+    ["optimize", "--alpha", "0.4", "--gamma", "0.5", "--T", "75", "--out", "opt75"],
     ["evaluate", "--policy", "opt.policy.json", "--alpha", "0.4", "--gamma", "0",
      "--out", "ev"],
     ["evaluate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "75",
@@ -43,7 +46,9 @@ COMMANDS = [
     # gamma 0 and 1 and uniform tie breaking change which race branches live
     ["optimize", "--alpha", "0.35", "--gamma", "1", "--variant", "uniform",
      "--T", "20", "--out", "optu"],
-    # a uniform policy under standard tie breaking: refused, exit 2
+    # a uniform policy under standard tie breaking, run with --force: refused
+    # with exit 2 if it matches at a reachable irrelevant fork, which no
+    # standard race allows
     ["evaluate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "1",
      "--T", "20", "--force"],
     ["simulate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "1",
