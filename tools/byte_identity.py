@@ -46,12 +46,12 @@ COMMANDS = [
     # gamma 0 and 1 and uniform tie breaking change which race branches live
     ["optimize", "--alpha", "0.35", "--gamma", "1", "--variant", "uniform",
      "--T", "20", "--out", "optu"],
-    # a uniform policy under standard tie breaking, run with --force: refused
-    # with exit 2 if it matches at a reachable irrelevant fork, which no
-    # standard race allows
-    ["evaluate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "1",
+    # a uniform policy under standard tie breaking at gamma 0.5, run with
+    # --force: refused, exit 2, since it matches at a reachable irrelevant
+    # fork, which no standard race allows
+    ["evaluate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "0.5",
      "--T", "20", "--force"],
-    ["simulate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "1",
+    ["simulate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "0.5",
      "--T", "20", "--rounds", "1000", "--seed", "1", "--force"],
     ["render", "--policy", "optu.policy.json", "--t-view", "20"],
     ["threshold", "--gamma", "0", "--T", "16", "--out", "thr0"],
