@@ -15,8 +15,11 @@ them (Kemeny & Snell 1960; Givan, Dean & Greig 2003) keeps every optimal
 gain, on a third of the states at gamma = 0.  Every per-(action, class)
 quantity of a built model shares one row layout: row ``action*k + class``,
 the (actions, k) arrays flattened in C order, for k classes.  Policies stay
-grid rules: :meth:`MiningModel.lift` writes a class policy back on the grid,
-and a grid policy is scored on the table, not on the class operator.
+grid rules: :meth:`MiningModel.lift` writes a class policy back on the grid.
+A grid policy that acts alike within every class, as a lifted one does, is
+scored on the class operator's rows (:meth:`MiningModel.class_chain`), the
+grid chain lumped onto its classes; one that acts apart is scored on the
+table's rows (:meth:`MiningModel.policy_chain`).
 
 A branch's probability is one of five weights of its kind (the attacker's
 block, a race won or lost by the honest block, a plain honest block, or no
@@ -138,7 +141,10 @@ class MiningModel:
         are those feasible at every member, and it moves to the same
         classes with the same probabilities and blocks.  So where the grid
         policy's labels of a cell could act apart, the lifted one acts
-        alike: at gamma = 0 a class cannot match, and its members wait."""
+        alike: at gamma = 0 a class cannot match, and its members wait.
+        A grid policy equal to the lift of its actions at the
+        representatives acts alike within every class, and its chain lumps
+        onto the classes (:meth:`class_chain`)."""
         return np.asarray(actions).take(self.table.classes[0])
 
     def policy_chain(self, actions: np.ndarray, states: np.ndarray):
@@ -146,18 +152,55 @@ class MiningModel:
         ``states``, which must hold every state their live branches reach,
         read from the table's rows: its (m, m) CSR operator, the live
         branches weighed and two that land on one state summed, and the
-        expected attacker and honest blocks of its rows."""
+        expected attacker and honest blocks of its rows.  A policy that
+        acts alike within every class is scored on :meth:`class_chain`
+        instead, the same chain lumped onto its classes."""
         weights = branch_weights(self.params)
         next_state, kind, attacker, honest = self.table.rows(actions[states], states)
         p = weights.take(kind)
         live = p > 0.0
-        m = len(states)
-        position = np.zeros(len(actions), dtype=np.int32)
-        position[states] = np.arange(m, dtype=np.int32)
         indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
-        P = sparse.csr_matrix((p[live], position[next_state[live]], indptr), (m, m))
+        P = _restricted(p[live], next_state[live], indptr, states, len(actions))
         P.sum_duplicates()
         return P, *_expected_blocks(weights, kind, attacker, honest)
+
+    def class_closure(self, chosen: np.ndarray) -> np.ndarray:
+        """Mask of the classes a class policy ``chosen`` reaches from the
+        start states' classes along its operator rows ``chosen*k + class``.
+        A row is empty where the class's representative cannot take the
+        action, so the trace stops there."""
+        k = self.n
+        rows = self.transition[chosen.astype(np.int64) * k + np.arange(k)]
+        return forward_closure(rows, self.table.classes[0].take(initial_states(self.T)))
+
+    def class_chain(self, chosen: np.ndarray, classes: np.ndarray):
+        """The chain a class policy ``chosen`` induces on the sorted
+        ``classes``, which must hold every class their rows reach: the
+        operator's rows ``chosen*k + class`` at those classes as an (m, m)
+        CSR chain, and the expected attacker and honest blocks of those
+        pairs, read from the table's rows at the classes' representatives.
+
+        Where ``chosen`` is feasible at every member of the classes, this
+        is the chain its lift induces on the grid lumped onto the classes
+        (Kemeny & Snell 1960, sec. 6.3): the members of a class move to the
+        same classes with the same probabilities and blocks.  So the lift's
+        stationary block rates are this chain's, up to round-off."""
+        actions = chosen[classes]
+        rows = self.transition[actions.astype(np.int64) * self.n + classes]
+        P = _restricted(rows.data, rows.indices, rows.indptr, classes, self.n)
+        states = self.table.classes[1][classes]
+        _, kind, attacker, honest = self.table.rows(actions, states)
+        return P, *_expected_blocks(branch_weights(self.params), kind, attacker, honest)
+
+
+def _restricted(data, columns, indptr, nodes, n) -> sparse.csr_matrix:
+    """The (m, m) CSR matrix of the rows of the sorted ``nodes`` of an
+    n-node chain, whose entries' ``columns`` name nodes among them, taken
+    to their positions in ``nodes``."""
+    m = len(nodes)
+    position = np.zeros(n, dtype=np.int32)
+    position[nodes] = np.arange(m, dtype=np.int32)
+    return sparse.csr_matrix((data, position[columns], indptr), (m, m))
 
 
 def _expected_blocks(weights, kind, *blocks):
@@ -372,11 +415,11 @@ def transition_table(params: MiningParams, T: int) -> TransitionTable:
     )
 
 
-def forward_closure(graph: sparse.csr_matrix, T: int) -> np.ndarray:
-    """Mask of the grid states reached from the two start states,
-    (1,0,irrelevant) and (0,1,irrelevant), along the edges of ``graph``."""
+def forward_closure(graph: sparse.csr_matrix, starts) -> np.ndarray:
+    """Mask of the nodes reached from the nodes ``starts`` along the edges of
+    ``graph``."""
     seen = np.zeros(graph.shape[0], dtype=bool)
-    for start in initial_states(T):
+    for start in starts:
         seen[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
     return seen
 
@@ -392,7 +435,7 @@ def policy_closure(table: TransitionTable, actions: np.ndarray) -> np.ndarray:
     successors = np.where(live, next_state, states[:, None])
     edges = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
     graph = sparse.csr_matrix((np.ones(3 * n), successors.ravel(), edges), (n, n))
-    return forward_closure(graph, table.T)
+    return forward_closure(graph, initial_states(table.T))
 
 
 def check_feasible(

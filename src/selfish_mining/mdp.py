@@ -1,11 +1,12 @@
 """Average-reward MDP machinery: a relative value iteration that hands long
 solves to Howard policy iteration, and exact policy evaluation through the
 stationary distribution of the induced chain.  The solvers are generic in
-the state count: a built model solves on its fork-label classes, while an
-exact evaluation scores a grid policy on the chain it induces on the grid.
-One grounded sparse LU, ``I - P`` with the reference column replaced by
-ones, serves both: a solve gives a policy's gain and bias, a transposed
-solve its stationary distribution.
+the state count: a built model solves on its fork-label classes, and an
+exact evaluation scores a grid policy on the classes too where it acts
+alike within every class, and on the grid where it acts apart.  One
+grounded sparse LU, ``I - P`` with the reference column replaced by ones,
+serves both: a solve gives a policy's gain and bias, a transposed solve its
+stationary distribution.
 
 :func:`solve_average_reward` first runs a plain synchronous relative value
 iteration with a damping step ``V <- (1-tau)*Bellman(V) + tau*V`` (tau =
@@ -450,12 +451,21 @@ class PolicyValue:
 
 def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     """Exact relative revenue of a grid policy via the stationary
-    distribution of the chain it induces on the states it reaches, from the
+    distribution of the chain it induces on what it reaches, from the
     grounded LU that also gives gain and bias, and that chain's expected
-    blocks.  The chain is read from the rows of the table the model was
-    weighed from, at the model's alpha (:meth:`~MiningModel.policy_chain`),
-    not from the class operator, so a policy that acts apart on the labels
-    of a cell is scored as it acts.
+    blocks, all at the model's alpha.
+
+    A policy that acts alike within every fork-label class, as every lifted
+    class policy does, is scored on the classes: the chain of its class
+    actions on the classes reached from the start states' classes, read
+    from the class operator's rows (:meth:`~MiningModel.class_chain`).
+    That chain is the grid chain lumped onto its classes, so it gives the
+    same rates, up to round-off, on about half the states at gamma = 0.  A
+    policy that acts apart within a class, or whose action some reached
+    class cannot take at every member, is scored on the grid: on the states
+    it reaches, read from the rows of the table the model was weighed from
+    (:meth:`~MiningModel.policy_chain`), so that it is scored as it acts
+    and refused at the first reached state whose action is infeasible.
 
     Only defined on models whose rewards are block pairs (base and
     under-paying truncations); over-paying compensation has no block
@@ -466,12 +476,25 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
         raise ValueError(
             f"policy truncation {policy.T} does not match model truncation {model.T}"
         )
+    actions = policy.actions
+    chosen = actions.take(model.table.classes[1])
+    if np.array_equal(model.lift(chosen), actions):
+        classes = np.flatnonzero(model.class_closure(chosen))
+        if model.feasible[chosen[classes], classes].all():
+            return _revenue(*model.class_chain(chosen, classes))
     reached = reachable_mask(model, policy)
-    check_feasible(model.table.feasible, policy.actions, reached, model.T)
-    P, *blocks = model.policy_chain(policy.actions, np.flatnonzero(reached))
+    check_feasible(model.table.feasible, actions, reached, model.T)
+    return _revenue(*model.policy_chain(actions, np.flatnonzero(reached)))
+
+
+def _revenue(
+    P: sparse.csr_matrix, attacker: np.ndarray, honest: np.ndarray
+) -> PolicyValue:
+    """Long-run block rates and revenue share of a chain with per-state
+    expected blocks."""
     pi = stationary_distribution(P)
-    attacker, honest = (float(np.dot(pi, b)) for b in blocks)
-    total = attacker + honest
+    attacker_rate, honest_rate = float(np.dot(pi, attacker)), float(np.dot(pi, honest))
+    total = attacker_rate + honest_rate
     if total <= 0.0:
         raise ValueError("degenerate policy: zero long-run block rate")
-    return PolicyValue(attacker_rate=attacker, honest_rate=honest, rev=attacker / total)
+    return PolicyValue(attacker_rate, honest_rate, rev=attacker_rate / total)

@@ -114,7 +114,9 @@ class BoundsReport:
 
     ``lower_bound`` is the exact revenue of the attached policy, the best of
     the policies the ratio iteration met, so it is achievable and equals what
-    :func:`evaluate_policy_exact` reports for that policy bit for bit.
+    :func:`evaluate_policy_exact` reports for that policy bit for bit.  The
+    policy is a lifted class policy, so both read its revenue from the
+    stationary distribution of its chain on the classes it reaches.
     ``rho_final`` is the ``rho`` of the last under-paying solve.
     ``upper_bound`` is the smaller of the over-paying certificate
     ``rho_prime + 2*(u + eps_prime)`` and the closed-form ceiling

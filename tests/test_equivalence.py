@@ -57,6 +57,7 @@ from selfish_mining.model import (
     Policy,
     Variant,
     builtin_policy,
+    initial_states,
     state_at,
 )
 from selfish_mining.optimize import (
@@ -216,7 +217,7 @@ def test_table_closure_matches_operator_closure(params, T, seed, feasible_only):
     act, state, branch = np.nonzero(live)
     edges = (np.ones(len(state)), (state, table.next_state[act, state, branch]))
     n = len(actions)
-    every = forward_closure(sparse.csr_matrix(edges, (n, n)), T)
+    every = forward_closure(sparse.csr_matrix(edges, (n, n)), initial_states(T))
     oracle = forward_closure_all_actions(
         params, T, lambda s, p: sorted(feasible_actions(s, p))
     )

@@ -30,6 +30,7 @@ from selfish_mining.model import (
     MiningParams,
     Policy,
     builtin_policy,
+    initial_states,
     state_at,
     state_index,
 )
@@ -357,7 +358,7 @@ class TestReachability:
             act, state, branch = np.nonzero(branch_probability(table) > 0)
             n = table.feasible.shape[1]
             edges = (np.ones(len(state)), (state, table.next_state[act, state, branch]))
-            mask = forward_closure(sparse.csr_matrix(edges, (n, n)), T)
+            mask = forward_closure(sparse.csr_matrix(edges, (n, n)), initial_states(T))
             got = {state_at(int(i), T) for i in np.flatnonzero(mask)}
             want = forward_closure_all_actions(
                 params, T, lambda s, p: sorted(feasible_actions(s, p))

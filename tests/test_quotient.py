@@ -7,7 +7,12 @@ within the solve tolerance, at the reference points of criterion 1 and at
 the models of the threshold search.  A class policy lifted to the grid must
 be total and feasible at every state, and the chain a grid policy induces,
 read from the table's rows, must be the grid operator's rows and columns at
-the states it reaches, bit for bit."""
+the states it reaches, bit for bit.  A lifted policy is scored exactly on the
+classes, with the grid chain's rates, while a policy that acts apart within
+a class, or that a reached class cannot take, is scored on the grid."""
+
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 
 from selfish_mining.chain import (
     BoundaryMode,
+    MiningModel,
     ThresholdVariant,
     build_base_model,
     build_honest_disabled,
@@ -24,8 +30,20 @@ from selfish_mining.chain import (
     policy_closure,
     transition_table,
 )
-from selfish_mining.mdp import solve_average_reward
-from selfish_mining.model import MiningParams, Variant, builtin_policy
+from selfish_mining.cli import main
+from selfish_mining.mdp import (
+    evaluate_policy_exact,
+    solve_average_reward,
+    stationary_distribution,
+)
+from selfish_mining.model import (
+    ChainState,
+    Fork,
+    MiningParams,
+    Policy,
+    Variant,
+    builtin_policy,
+)
 from selfish_mining.optimize import DEFAULT_EPS, OptimizeConfig, find_optimal
 
 from helpers import bisimulation_classes, coo_base_model, grid_truncated
@@ -160,3 +178,87 @@ def test_policy_chain_matches_grid_operator(params, T, seed, name):
     for got, blocks in ((attacker, grid.exp_attacker), (honest, grid.exp_honest)):
         expected = blocks[actions[idxs], idxs]
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def grid_value(model, actions):
+    """Block rates and revenue of a grid policy from its grid chain."""
+    reached = np.flatnonzero(policy_closure(model.table, actions))
+    P, attacker, honest = model.policy_chain(actions, reached)
+    pi = stationary_distribution(P)
+    attacker_rate, honest_rate = pi @ attacker, pi @ honest
+    return attacker_rate, honest_rate, attacker_rate / (attacker_rate + honest_rate)
+
+
+def refused(name):
+    return mock.patch.object(MiningModel, name, side_effect=AssertionError(name))
+
+
+@examples
+@given(
+    params=st.builds(
+        MiningParams,
+        alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        gamma=st.sampled_from([0.0, 0.5, 1.0]),
+        variant=st.sampled_from(list(Variant)),
+    ),
+    T=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_path_matches_grid_chain(params, T, seed):
+    """A random class policy, lifted, is scored on the classes, with the
+    rates and revenue of its lift's grid chain to 1e-12, and the classes it
+    reaches are exactly the classes of the grid states its lift reaches."""
+    model = build_base_model(params, T)
+    draws = np.random.default_rng(seed).random(model.feasible.shape)
+    chosen = np.argmax(model.feasible * draws, axis=0).astype(np.int8)
+    lifted = model.lift(chosen)
+    with refused("policy_chain"):
+        value = evaluate_policy_exact(model, Policy(T, lifted))
+    class_of = model.table.classes[0]
+    grid_reached = policy_closure(model.table, lifted)
+    assert np.flatnonzero(model.class_closure(chosen)).tolist() == (
+        np.unique(class_of[grid_reached]).tolist()
+    )
+    got = (value.attacker_rate, value.honest_rate, value.rev)
+    for mine, grid in zip(got, grid_value(model, lifted)):
+        assert abs(mine - grid) <= 1e-12
+
+
+def test_acting_apart_takes_the_grid_path():
+    """SM1 at gamma = 0 matches at (1,1,relevant) and waits at the other
+    labels of that cell's class, so it is scored on the grid, bit for bit
+    as the grid chain scores it."""
+    params = MiningParams(0.45, 0.0)
+    model = build_base_model(params, 20)
+    sm1 = builtin_policy("sm1", 20, params)
+    chosen = sm1.actions.take(model.table.classes[1])
+    assert not np.array_equal(model.lift(chosen), sm1.actions)
+    with refused("class_chain"):
+        value = evaluate_policy_exact(model, sm1)
+    assert (value.attacker_rate, value.honest_rate, value.rev) == grid_value(
+        model, sm1.actions
+    )
+
+
+def test_class_infeasible_policy_is_refused_on_the_grid(tmp_path, monkeypatch, capsys):
+    """A uniform-tie-breaking policy acts alike within the standard classes
+    at gamma = 0.5 but matches at the reachable class of (2,2,irrelevant),
+    which no standard race allows: evaluated with --force it goes to the
+    grid, which refuses it naming that grid state."""
+    monkeypatch.chdir(tmp_path)
+    optimize = ["--alpha", "0.35", "--gamma", "1", "--variant", "uniform", "--T", "20"]
+    assert main(["optimize", *optimize, "--out", "optu"]) == 0
+    with open("optu.policy.json") as handle:
+        policy = Policy.from_json_dict(json.load(handle))
+    model = build_base_model(MiningParams(0.35, 0.5), 20)
+    chosen = policy.actions.take(model.table.classes[1])
+    assert np.array_equal(model.lift(chosen), policy.actions)
+    classes = np.flatnonzero(model.class_closure(chosen))
+    assert not model.feasible[chosen[classes], classes].all()
+    capsys.readouterr()
+    evaluate = ["--alpha", "0.35", "--gamma", "0.5", "--T", "20", "--force"]
+    assert main(["evaluate", "--policy", "optu.policy.json", *evaluate]) == 2
+    state = ChainState(2, 2, Fork.IRRELEVANT)
+    assert capsys.readouterr().err == (
+        f"error: policy assigns infeasible action match at reachable state {state}\n"
+    )

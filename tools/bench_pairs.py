@@ -15,9 +15,9 @@ solver and simulator figures, the solver's time per Bellman sweep
 solves, so the traced ``mdp.solve_calls`` and ``mdp.rvi_sweeps`` count them
 too.  ``mdp.sweep_ms`` is solve time over Bellman applications, so it counts
 the LU factorizations of policy iteration as sweep time.  So ``--trace``
-also counts one round's Bellman applications and LU factorizations
-directly, in a fresh interpreter per side that wraps ``mdp._bellman`` and
-``mdp._factorized``.
+also counts one round's Bellman applications and LU factorizations, and
+the states those LUs factor (``lu_states``), directly, in a fresh
+interpreter per side that wraps ``mdp._bellman`` and ``mdp._factorized``.
 Before the workloads, five fresh interpreters per side, alternating, each
 only import ``selfish_mining.cli``; the file gets their wall time, peak RSS
 and number of loaded modules, the layer every CLI process pays before its
@@ -59,14 +59,16 @@ from pathlib import Path
 import run
 cli = run.import_cli()
 from selfish_mining import mdp
-counts = {"bellman": 0, "lu": 0}
-def counted(fn, key):
+counts = {"bellman": 0, "lu": 0, "lu_states": 0}
+def counted(fn, key, states=None):
     def call(*args, **kwargs):
         counts[key] += 1
+        if states:
+            counts[states] += args[0].shape[0]
         return fn(*args, **kwargs)
     return call
 mdp._bellman = counted(mdp._bellman, "bellman")
-mdp._factorized = counted(mdp._factorized, "lu")
+mdp._factorized = counted(mdp._factorized, "lu", "lu_states")
 with tempfile.TemporaryDirectory() as work:
     for op in run.WORKLOADS[sys.argv[1]](int(sys.argv[2]), Path(work)):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -126,8 +128,9 @@ def startup(checkout: Path) -> dict:
 
 
 def count_work(checkout: Path, workload: str, seed: int) -> dict:
-    """Bellman applications and LU factorizations of one round of
-    ``workload`` in ``checkout``, counted in a fresh interpreter."""
+    """Bellman applications, LU factorizations and the states those LUs
+    factor in one round of ``workload`` in ``checkout``, counted in a fresh
+    interpreter."""
     command = [sys.executable, "-c", COUNT_PROBE, workload, str(seed)]
     done = subprocess.run(
         command, cwd=checkout / "perfbench", capture_output=True, text=True

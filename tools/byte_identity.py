@@ -30,6 +30,14 @@ COMMANDS = [
     ["optimize", "--alpha", "0.4", "--gamma", "0.5", "--T", "75", "--out", "opt75"],
     ["evaluate", "--policy", "opt.policy.json", "--alpha", "0.4", "--gamma", "0",
      "--out", "ev"],
+    # emitted policies act alike within every fork-label class, so they are
+    # scored on the classes: the benchmark's bounds evaluate, and one at a
+    # gamma where the cells with a >= h >= 1 keep their labels apart
+    ["evaluate", "--policy", "opt95.policy.json", "--alpha", "0.45", "--gamma", "0",
+     "--out", "ev95"],
+    ["evaluate", "--policy", "opt75.policy.json", "--alpha", "0.4", "--gamma", "0.5",
+     "--out", "ev75"],
+    # SM1 at gamma 0 matches at (1,1,relevant) alone and is scored on the grid
     ["evaluate", "--policy", "sm1", "--alpha", "0.45", "--gamma", "0", "--T", "75",
      "--out", "sm1"],
     # the smallest grid: the two start states, both on the boundary, are all
