@@ -4,8 +4,8 @@ The rules are computed once, over the whole grid, by :func:`transition_table`:
 for every (action, state) pair it gives each branch's next state, kind and
 block rewards, with the feasibility of the pair.  The model's transition
 operator and expected rewards, the simulator's step tables, every policy
-closure, :func:`policy_closure`, and every policy's chain are all read from
-that table.
+closure, :func:`policy_closure`, and every policy's chain,
+:meth:`MiningModel.policy_chain`, are all read from that table.
 
 A built model is a model on fork-label classes.  The three fork labels of an
 (a, h) cell are bisimilar wherever no race can be won at them: everywhere at
@@ -16,10 +16,11 @@ gain, on a third of the states at gamma = 0.  Every per-(action, class)
 quantity of a built model shares one row layout: row ``action*k + class``,
 the (actions, k) arrays flattened in C order, for k classes.  Policies stay
 grid rules: :meth:`MiningModel.lift` writes a class policy back on the grid.
-A grid policy that acts alike within every class, as a lifted one does, is
-scored on the class operator's rows (:meth:`MiningModel.class_chain`), the
-grid chain lumped onto its classes; one that acts apart is scored on the
-table's rows (:meth:`MiningModel.policy_chain`).
+A policy's closure and chain are read from the table's rows at the
+representatives of a state map's nodes, each next state taken to its node:
+a grid policy that acts alike within every class, as a lifted one does, is
+scored on the classes, the grid chain lumped onto them, and one that acts
+apart on the grid, where every state is its own node.
 
 A branch's probability is one of five weights of its kind (the attacker's
 block, a race won or lost by the honest block, a plain honest block, or no
@@ -144,63 +145,38 @@ class MiningModel:
         alike: at gamma = 0 a class cannot match, and its members wait.
         A grid policy equal to the lift of its actions at the
         representatives acts alike within every class, and its chain lumps
-        onto the classes (:meth:`class_chain`)."""
+        onto the classes (:meth:`policy_chain` with the table's classes)."""
         return np.asarray(actions).take(self.table.classes[0])
 
-    def policy_chain(self, actions: np.ndarray, states: np.ndarray):
-        """The chain a grid policy ``actions`` induces on the sorted grid
-        ``states``, which must hold every state their live branches reach,
-        read from the table's rows: its (m, m) CSR operator, the live
-        branches weighed and two that land on one state summed, and the
-        expected attacker and honest blocks of its rows.  A policy that
-        acts alike within every class is scored on :meth:`class_chain`
-        instead, the same chain lumped onto its classes."""
+    def policy_chain(self, actions: np.ndarray, reached: np.ndarray, nodes=None):
+        """The chain a policy ``actions``, one action per node, induces on
+        the sorted nodes ``reached``, which must hold every node their live
+        branches reach, read from the table's rows at the nodes'
+        representatives: its (m, m) CSR operator, the live branches weighed,
+        each next state taken to its node and two that land on one node
+        summed, and the expected attacker and honest blocks of its rows.
+
+        ``nodes`` is the state map ``(node_of, representatives)``: the
+        table's classes, or the grid, every state its own node, when None.
+        A class policy feasible at every member of the reached classes
+        induces the chain of its lift lumped onto the classes (Kemeny & Snell
+        1960, sec. 6.3), with the lift's stationary block rates up to
+        round-off."""
+        node_of, representatives = nodes or (np.arange(len(actions), dtype=np.int32),) * 2
         weights = branch_weights(self.params)
-        next_state, kind, attacker, honest = self.table.rows(actions[states], states)
-        p = weights.take(kind)
-        live = p > 0.0
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
-        P = _restricted(p[live], next_state[live], indptr, states, len(actions))
+        next_state, kind, attacker, honest = self.table.rows(
+            actions[reached], representatives[reached]
+        )
+        p = weights.take(kind).ravel()
+        live = np.flatnonzero(p > 0.0)  # branch b of the i-th row is 3*i + b
+        m = len(reached)
+        position = np.zeros(len(representatives), dtype=np.int32)
+        position[reached] = np.arange(m, dtype=np.int32)
+        columns = position.take(node_of.take(next_state.ravel().take(live)))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(live // 3, minlength=m))])
+        P = sparse.csr_matrix((p.take(live), columns, indptr), (m, m))
         P.sum_duplicates()
         return P, *_expected_blocks(weights, kind, attacker, honest)
-
-    def class_closure(self, chosen: np.ndarray) -> np.ndarray:
-        """Mask of the classes a class policy ``chosen`` reaches from the
-        start states' classes along its operator rows ``chosen*k + class``.
-        A row is empty where the class's representative cannot take the
-        action, so the trace stops there."""
-        k = self.n
-        rows = self.transition[chosen.astype(np.int64) * k + np.arange(k)]
-        return forward_closure(rows, self.table.classes[0].take(initial_states(self.T)))
-
-    def class_chain(self, chosen: np.ndarray, classes: np.ndarray):
-        """The chain a class policy ``chosen`` induces on the sorted
-        ``classes``, which must hold every class their rows reach: the
-        operator's rows ``chosen*k + class`` at those classes as an (m, m)
-        CSR chain, and the expected attacker and honest blocks of those
-        pairs, read from the table's rows at the classes' representatives.
-
-        Where ``chosen`` is feasible at every member of the classes, this
-        is the chain its lift induces on the grid lumped onto the classes
-        (Kemeny & Snell 1960, sec. 6.3): the members of a class move to the
-        same classes with the same probabilities and blocks.  So the lift's
-        stationary block rates are this chain's, up to round-off."""
-        actions = chosen[classes]
-        rows = self.transition[actions.astype(np.int64) * self.n + classes]
-        P = _restricted(rows.data, rows.indices, rows.indptr, classes, self.n)
-        states = self.table.classes[1][classes]
-        _, kind, attacker, honest = self.table.rows(actions, states)
-        return P, *_expected_blocks(branch_weights(self.params), kind, attacker, honest)
-
-
-def _restricted(data, columns, indptr, nodes, n) -> sparse.csr_matrix:
-    """The (m, m) CSR matrix of the rows of the sorted ``nodes`` of an
-    n-node chain, whose entries' ``columns`` name nodes among them, taken
-    to their positions in ``nodes``."""
-    m = len(nodes)
-    position = np.zeros(n, dtype=np.int32)
-    position[nodes] = np.arange(m, dtype=np.int32)
-    return sparse.csr_matrix((data, position[columns], indptr), (m, m))
 
 
 def _expected_blocks(weights, kind, *blocks):
@@ -424,18 +400,22 @@ def forward_closure(graph: sparse.csr_matrix, starts) -> np.ndarray:
     return seen
 
 
-def policy_closure(table: TransitionTable, actions: np.ndarray) -> np.ndarray:
-    """The states a policy reaches: the closure over the live branches
-    (probability > 0) of its table rows, where a dead branch names its own
-    state, so the trace stops at an infeasible pair, which has none live."""
-    n = len(actions)
-    states = np.arange(n, dtype=np.int32)
-    next_state, kind, _, _ = table.rows(actions, states)
-    live = branch_weights(table.params)[kind] > 0.0
-    successors = np.where(live, next_state, states[:, None])
+def policy_closure(table: TransitionTable, actions: np.ndarray, nodes=None) -> np.ndarray:
+    """The nodes a policy ``actions``, one action per node, reaches from the
+    start states' nodes over the live branches (probability > 0) of its
+    table rows at the nodes' representatives, each next state taken to its
+    node.  A dead branch names its own node, so the trace stops at an
+    infeasible pair, which has none live.  ``nodes`` is the state map of
+    :meth:`MiningModel.policy_chain`."""
+    node_of, representatives = nodes or (np.arange(len(actions), dtype=np.int32),) * 2
+    n = len(representatives)
+    next_state, kind, _, _ = table.rows(actions, representatives)
+    live = (branch_weights(table.params) > 0.0).take(kind)
+    own = np.arange(n, dtype=np.int32)
+    successors = np.where(live, node_of.take(next_state), own[:, None])
     edges = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
     graph = sparse.csr_matrix((np.ones(3 * n), successors.ravel(), edges), (n, n))
-    return forward_closure(graph, initial_states(table.T))
+    return forward_closure(graph, node_of.take(initial_states(table.T)))
 
 
 def check_feasible(

@@ -3,9 +3,10 @@ solves to Howard policy iteration, and exact policy evaluation through the
 stationary distribution of the induced chain.  The solvers are generic in
 the state count: a built model solves on its fork-label classes, and an
 exact evaluation scores a grid policy on the classes too where it acts
-alike within every class, and on the grid where it acts apart.  One
-grounded sparse LU, ``I - P`` with the reference column replaced by ones,
-serves both: a solve gives a policy's gain and bias, a transposed solve its
+alike within every class, and on the grid where it acts apart, by one
+closure and one chain read from the transition table.  One grounded
+sparse LU, ``I - P`` with the reference column replaced by ones, serves
+both: a solve gives a policy's gain and bias, a transposed solve its
 stationary distribution.
 
 :func:`solve_average_reward` first runs a plain synchronous relative value
@@ -385,10 +386,11 @@ def gain_below(
     return GainVerdict(below, high if below else low, result)
 
 
-def reachable_mask(model: MiningModel, policy: Policy) -> np.ndarray:
-    """The states a policy reaches on a built model: its closure on the
-    transition table the model was weighed from."""
-    return policy_closure(model.table, policy.actions)
+def reachable_mask(model: MiningModel, actions: np.ndarray, nodes=None) -> np.ndarray:
+    """Mask of the nodes a policy ``actions`` reaches on a built model: its
+    closure on the transition table the model was weighed from, over the
+    state map ``nodes`` (the table's classes, or the grid when None)."""
+    return policy_closure(model.table, actions, nodes)
 
 
 def _closed_classes(P: sparse.csr_matrix) -> int:
@@ -456,16 +458,14 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
     blocks, all at the model's alpha.
 
     A policy that acts alike within every fork-label class, as every lifted
-    class policy does, is scored on the classes: the chain of its class
-    actions on the classes reached from the start states' classes, read
-    from the class operator's rows (:meth:`~MiningModel.class_chain`).
-    That chain is the grid chain lumped onto its classes, so it gives the
-    same rates, up to round-off, on about half the states at gamma = 0.  A
-    policy that acts apart within a class, or whose action some reached
-    class cannot take at every member, is scored on the grid: on the states
-    it reaches, read from the rows of the table the model was weighed from
-    (:meth:`~MiningModel.policy_chain`), so that it is scored as it acts
-    and refused at the first reached state whose action is infeasible.
+    class policy does, is scored on the classes: the closure and chain of
+    its class actions over the table's classes
+    (:meth:`~MiningModel.policy_chain`), its grid chain lumped onto them,
+    with the same rates, up to round-off, on about half the states at
+    gamma = 0.  A policy that acts apart within a class, or whose action
+    some reached class cannot take at every member, is scored on the grid,
+    every state its own node, as it acts, and refused at the first reached
+    state whose action is infeasible.
 
     Only defined on models whose rewards are block pairs (base and
     under-paying truncations); over-paying compensation has no block
@@ -476,13 +476,13 @@ def evaluate_policy_exact(model: MiningModel, policy: Policy) -> PolicyValue:
         raise ValueError(
             f"policy truncation {policy.T} does not match model truncation {model.T}"
         )
-    actions = policy.actions
-    chosen = actions.take(model.table.classes[1])
+    actions, classes = policy.actions, model.table.classes
+    chosen = actions.take(classes[1])
     if np.array_equal(model.lift(chosen), actions):
-        classes = np.flatnonzero(model.class_closure(chosen))
-        if model.feasible[chosen[classes], classes].all():
-            return _revenue(*model.class_chain(chosen, classes))
-    reached = reachable_mask(model, policy)
+        reached = np.flatnonzero(reachable_mask(model, chosen, classes))
+        if model.feasible[chosen[reached], reached].all():
+            return _revenue(*model.policy_chain(chosen, reached, classes))
+    reached = reachable_mask(model, actions)
     check_feasible(model.table.feasible, actions, reached, model.T)
     return _revenue(*model.policy_chain(actions, np.flatnonzero(reached)))
 

@@ -210,7 +210,7 @@ def test_table_closure_matches_operator_closure(params, T, seed, feasible_only):
     got = policy_closure(table, actions)
     want = operator_closure(coo_base_model(params, T), actions)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    got = reachable_mask(model, Policy(T=T, actions=actions))
+    got = reachable_mask(model, actions)
     assert got.tobytes() == want.tobytes()
 
     live = table.feasible[:, :, None] & (branch_probability(table) > 0)

@@ -341,7 +341,7 @@ class TestReachability:
     def test_honest_reachable_set(self):
         params = MiningParams(0.3, 0.0)
         model = build_base_model(params, 7)
-        mask = reachable_mask(model, builtin_policy("honest", 7, params))
+        mask = reachable_mask(model, builtin_policy("honest", 7, params).actions)
         states = {state_at(int(i), 7) for i in np.flatnonzero(mask)}
         assert states == {
             ChainState(1, 0, Fork.IRRELEVANT),

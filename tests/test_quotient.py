@@ -7,9 +7,12 @@ within the solve tolerance, at the reference points of criterion 1 and at
 the models of the threshold search.  A class policy lifted to the grid must
 be total and feasible at every state, and the chain a grid policy induces,
 read from the table's rows, must be the grid operator's rows and columns at
-the states it reaches, bit for bit.  A lifted policy is scored exactly on the
-classes, with the grid chain's rates, while a policy that acts apart within
-a class, or that a reached class cannot take, is scored on the grid."""
+the states it reaches, bit for bit, and read over the classes the closure
+and chain of a class policy must be the class operator's.  A lifted policy
+is scored exactly on the classes, with the grid chain's rates, while a
+policy that acts apart within a class, or that a reached class cannot take,
+is scored on the grid, where it is refused only if a reached state cannot
+take its action."""
 
 import json
 from unittest import mock
@@ -27,6 +30,7 @@ from selfish_mining.chain import (
     build_honest_disabled,
     build_truncated,
     check_feasible,
+    forward_closure,
     policy_closure,
     transition_table,
 )
@@ -37,12 +41,15 @@ from selfish_mining.mdp import (
     stationary_distribution,
 )
 from selfish_mining.model import (
+    Action,
     ChainState,
     Fork,
     MiningParams,
     Policy,
     Variant,
     builtin_policy,
+    initial_states,
+    state_index,
 )
 from selfish_mining.optimize import DEFAULT_EPS, OptimizeConfig, find_optimal
 
@@ -180,6 +187,50 @@ def test_policy_chain_matches_grid_operator(params, T, seed, name):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
+@examples
+@given(
+    params=st.builds(
+        MiningParams,
+        alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        gamma=st.sampled_from([0.0, 0.5, 1.0]),
+        variant=st.sampled_from(list(Variant)),
+    ),
+    T=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    feasible_only=st.booleans(),
+)
+def test_class_chain_matches_class_operator(params, T, seed, feasible_only):
+    """Over the table's classes, the closure and chain of a class policy,
+    read from the table's rows at the representatives, are those of the
+    class operator's rows ``chosen*k + class``: the closure is
+    ``forward_closure`` over those rows from the start states' classes, and
+    the chain is those rows at the reached classes, bit for bit, with the
+    model's expected blocks of those pairs.  Drawn over every action, also
+    where a representative cannot take it (its row is empty), and where a
+    class's other members cannot: a match at a cell with h = 0 under
+    uniform tie breaking, whose two race branches land on one class."""
+    model = build_base_model(params, T)
+    table, k = model.table, model.n
+    class_of, representatives = table.classes
+    draws = np.random.default_rng(seed).random(model.feasible.shape)
+    weights = table.feasible[:, representatives] * draws if feasible_only else draws
+    chosen = np.argmax(weights, axis=0).astype(np.int8)
+    rows = model.transition[chosen.astype(np.int64) * k + np.arange(k)]
+    want = forward_closure(rows, class_of.take(initial_states(T)))
+    got = policy_closure(table, chosen, table.classes)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    reached = np.flatnonzero(want)
+    P, attacker, honest = model.policy_chain(chosen, reached, table.classes)
+    want = rows[reached][:, reached]
+    assert P.format == want.format == "csr" and P.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        got, expected = getattr(P, part), getattr(want, part)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), part
+    for got, blocks in zip((attacker, honest), model.expected_blocks()):
+        expected = blocks[chosen[reached], reached]
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def grid_value(model, actions):
     """Block rates and revenue of a grid policy from its grid chain."""
     reached = np.flatnonzero(policy_closure(model.table, actions))
@@ -189,8 +240,16 @@ def grid_value(model, actions):
     return attacker_rate, honest_rate, attacker_rate / (attacker_rate + honest_rate)
 
 
-def refused(name):
-    return mock.patch.object(MiningModel, name, side_effect=AssertionError(name))
+def only(path):
+    """Fail any chain read on the other path: the classes' or the grid's,
+    whose state map is None."""
+    read = MiningModel.policy_chain
+
+    def chain(self, actions, reached, nodes=None):
+        assert (nodes is None) == (path == "grid"), f"{path} path left"
+        return read(self, actions, reached, nodes)
+
+    return mock.patch.object(MiningModel, "policy_chain", chain)
 
 
 @examples
@@ -212,11 +271,12 @@ def test_class_path_matches_grid_chain(params, T, seed):
     draws = np.random.default_rng(seed).random(model.feasible.shape)
     chosen = np.argmax(model.feasible * draws, axis=0).astype(np.int8)
     lifted = model.lift(chosen)
-    with refused("policy_chain"):
+    with only("class"):
         value = evaluate_policy_exact(model, Policy(T, lifted))
     class_of = model.table.classes[0]
     grid_reached = policy_closure(model.table, lifted)
-    assert np.flatnonzero(model.class_closure(chosen)).tolist() == (
+    class_reached = policy_closure(model.table, chosen, model.table.classes)
+    assert np.flatnonzero(class_reached).tolist() == (
         np.unique(class_of[grid_reached]).tolist()
     )
     got = (value.attacker_rate, value.honest_rate, value.rev)
@@ -233,7 +293,7 @@ def test_acting_apart_takes_the_grid_path():
     sm1 = builtin_policy("sm1", 20, params)
     chosen = sm1.actions.take(model.table.classes[1])
     assert not np.array_equal(model.lift(chosen), sm1.actions)
-    with refused("class_chain"):
+    with only("grid"):
         value = evaluate_policy_exact(model, sm1)
     assert (value.attacker_rate, value.honest_rate, value.rev) == grid_value(
         model, sm1.actions
@@ -253,7 +313,7 @@ def test_class_infeasible_policy_is_refused_on_the_grid(tmp_path, monkeypatch, c
     model = build_base_model(MiningParams(0.35, 0.5), 20)
     chosen = policy.actions.take(model.table.classes[1])
     assert np.array_equal(model.lift(chosen), policy.actions)
-    classes = np.flatnonzero(model.class_closure(chosen))
+    classes = np.flatnonzero(policy_closure(model.table, chosen, model.table.classes))
     assert not model.feasible[chosen[classes], classes].all()
     capsys.readouterr()
     evaluate = ["--alpha", "0.35", "--gamma", "0.5", "--T", "20", "--force"]
@@ -262,3 +322,22 @@ def test_class_infeasible_policy_is_refused_on_the_grid(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == (
         f"error: policy assigns infeasible action match at reachable state {state}\n"
     )
+
+
+def test_class_infeasible_policy_falls_back_to_the_grid():
+    """The honest policy under uniform tie breaking at alpha = 0.3, T = 8,
+    set to match at all three labels of (1,0), acts alike within every class
+    but cannot match at (1,0,active), so the class of (1,0), which it
+    reaches first, cannot take its action.  That label is never reached, so
+    the policy is scored on the grid, not refused."""
+    params = MiningParams(0.3, 0.0, Variant.UNIFORM_TIE_BREAK)
+    model = build_base_model(params, 8)
+    actions = builtin_policy("honest", 8, params).actions.copy()
+    for fork in Fork:
+        actions[state_index(ChainState(1, 0, fork), 8)] = Action.MATCH
+    class_of, representatives = model.table.classes
+    assert np.array_equal(model.lift(actions.take(representatives)), actions)
+    assert not model.feasible[Action.MATCH, class_of[initial_states(8)[0]]]
+    with only("grid"):
+        value = evaluate_policy_exact(model, Policy(8, actions))
+    assert value.rev == 0.21599999999999997

@@ -61,6 +61,14 @@ COMMANDS = [
      "--T", "20", "--force"],
     ["simulate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "0.5",
      "--T", "20", "--rounds", "1000", "--seed", "1", "--force"],
+    # uniform tie breaking on both paths: SM1 matches at (1,1,relevant) but
+    # waits at (1,1,irrelevant), one class under uniform tie breaking, so it
+    # is scored on the grid; the emitted uniform policy acts alike within
+    # every class and is scored on the classes
+    ["evaluate", "--policy", "sm1", "--alpha", "0.4", "--gamma", "0.5",
+     "--variant", "uniform", "--T", "40", "--out", "smu"],
+    ["evaluate", "--policy", "optu.policy.json", "--alpha", "0.35", "--gamma", "1",
+     "--variant", "uniform", "--T", "20", "--out", "evu"],
     ["render", "--policy", "optu.policy.json", "--t-view", "20"],
     ["threshold", "--gamma", "0", "--T", "16", "--out", "thr0"],
     ["threshold", "--gamma", "1", "--T", "16", "--out", "thr1"],
