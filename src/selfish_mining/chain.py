@@ -250,14 +250,20 @@ class TransitionTable:
         class_of = np.cumsum(starts, dtype=np.int64) - 1
         return class_of.astype(np.min_scalar_type(class_of[-1])), np.flatnonzero(starts)
 
-    def rows(self, actions: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(next_state, kind, attacker, honest)`` of the pairs
-        ``(actions[i], states[i])``, each (m, 3): one ``take`` per column
-        over rows ``action*n + state`` of its (actions * n, 3) view, which
-        beats ``[actions, states]`` fancy indexing."""
+    def rows(
+        self,
+        actions: np.ndarray,
+        states: np.ndarray,
+        columns: tuple[str, ...] = ("next_state", "kind", "attacker", "honest"),
+    ) -> tuple[np.ndarray, ...]:
+        """The named ``columns`` of the pairs ``(actions[i], states[i])``,
+        by default all four, each (m, 3): one ``take`` per column over rows
+        ``action*n + state`` of its (actions * n, 3) view, which beats
+        ``[actions, states]`` fancy indexing."""
         rows = actions.astype(np.int64) * self.feasible.shape[1] + states
-        columns = (self.next_state, self.kind, self.attacker, self.honest)
-        return tuple(c.reshape(-1, 3).take(rows, axis=0) for c in columns)
+        return tuple(
+            getattr(self, c).reshape(-1, 3).take(rows, axis=0) for c in columns
+        )
 
     @cached_property
     def _pattern(self) -> tuple[np.ndarray, ...]:
@@ -409,7 +415,7 @@ def policy_closure(table: TransitionTable, actions: np.ndarray, nodes=None) -> n
     :meth:`MiningModel.policy_chain`."""
     node_of, representatives = nodes or (np.arange(len(actions), dtype=np.int32),) * 2
     n = len(representatives)
-    next_state, kind, _, _ = table.rows(actions, representatives)
+    next_state, kind = table.rows(actions, representatives, ("next_state", "kind"))
     live = (branch_weights(table.params) > 0.0).take(kind)
     own = np.arange(n, dtype=np.int32)
     successors = np.where(live, node_of.take(next_state), own[:, None])

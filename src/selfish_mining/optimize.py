@@ -30,14 +30,19 @@ hands over to policy iteration, is decided by the midpoint gain, as a full
 solve reports it.  A probe is certified when both models are decided below
 and refused at the first decided above; its evidence is the larger of the
 deciding figures, a bracket end (a certified bound on the gain) or a
-midpoint.  Value iteration starts warm: each model from the values at which
-the last decision ended, on the same grid.  The search builds one
-transition table (:func:`~selfish_mining.chain.transition_table`), which
-does not depend on alpha, and weighs it at each probe's alpha, so the
-transition rules are evaluated, and the operator's sparse pattern sorted,
-once per search.  Above the certified bracket, each exhibit candidate is
-decided by :func:`gain_below` too, on the under-paying model at ``rho =
-alpha + eps``, and its greedy policy scored exactly.
+midpoint.  Value iteration starts warm, on the same classes: a probe's
+first model from the mean of the first models' final values at the
+bracket's two ends (the probe is their midpoint, so this interpolates in
+alpha), or from the one end probed so far, and its second model from the
+values the first ended at.  The residual bracket holds the gain for any
+value vector, so a deciding bracket end is a certified bound whatever the
+start.  The search builds one transition table
+(:func:`~selfish_mining.chain.transition_table`), which does not depend on
+alpha, and weighs it at each probe's alpha, so the transition rules are
+evaluated, and the operator's sparse pattern sorted, once per search.
+Above the certified bracket, each exhibit candidate is decided by
+:func:`gain_below` too, on the under-paying model at ``rho = alpha + eps``,
+and its greedy policy scored exactly.
 """
 
 from __future__ import annotations
@@ -330,21 +335,23 @@ def _certify_honest(
     """Certification test at one hashrate: honest mining is optimal if both
     honest-disabled over-paying models of ``table`` weighed at
     ``alpha``, scalarized at rho = alpha, have gain at or below -eps.  Each
-    model is decided by :func:`gain_below` against -eps, warm from the
-    values the last decision ended at, the first from ``values``; a refused
-    first model leaves the second undecided.  Returns (certified, evidence,
-    final values), the evidence being the larger of the decided models'."""
+    model is decided by :func:`gain_below` against -eps, the first warm
+    from ``values`` and the second from the values the first ended at; a
+    refused first model leaves the second undecided.  Returns (certified,
+    evidence, the first model's final values), the evidence being the
+    larger of the decided models'."""
     model = table.weigh(alpha)
     # the variants differ only in feasibility, so they share one scalarization
     scalar = build_truncated(model, BoundaryMode.OVER_PAYING, rho=alpha)
-    evidence = -np.inf
+    evidence, first = -np.inf, None
     for tv in ThresholdVariant:
         disabled = replace(scalar, model=build_honest_disabled(model, tv))
         verdict = gain_below(disabled, -eps, eps, values)
         evidence, values = max(evidence, verdict.evidence), verdict.result.values
+        first = values if first is None else first
         if not verdict.below:
-            return False, evidence, values
-    return True, evidence, values
+            return False, evidence, first
+    return True, evidence, first
 
 
 def _exhibit(
@@ -389,13 +396,15 @@ def profit_threshold(
     certified at the first sweep whose residual max is below ``-eps``,
     refused at the first whose residual min is above it, and by the
     midpoint gain when the span narrows to ``eps`` undecided or the solve
-    hands over to policy iteration.  Each model's value iteration starts
-    from the values the last one ended at, the first probe's from zero.
-    Every probe weighs one transition table, built once at ``gamma``,
-    ``variant`` and ``T``.  Afterwards a short outward sweep of exhibit
-    tests (:func:`_exhibit`) on the same table, warm from the last
-    certification's values, looks for a concrete profitable deviation to
-    pin ``alpha_upper``.  It stops after 0.499, and before any ``rho =
+    hands over to policy iteration.  A probe's value iteration starts from
+    the mean of the values its first model ended at on the two bracket
+    ends, or from the one end probed so far, the first probe's from zero;
+    only those two vectors are held.  Every probe weighs one transition
+    table, built once at ``gamma``, ``variant`` and ``T``.  Afterwards a
+    short outward sweep of exhibit tests (:func:`_exhibit`) on the same
+    table, warm from the last probe's first-model values, each candidate
+    from the last one's, looks for a concrete profitable deviation to pin
+    ``alpha_upper``.  It stops after 0.499, and before any ``rho =
     candidate + eps`` of 1 or more, which no policy earns.  ``eps`` must be
     positive and finite, checked before any solve.
     """
@@ -407,17 +416,24 @@ def profit_threshold(
     # any alpha in (0, 0.5) gives the same table
     table = transition_table(MiningParams(0.25, gamma, variant), T)
     probes: list[ThresholdProbe] = []
-    values = None
+    # at_low, at_high: the first model's final values at the bracket ends
+    values = at_low = at_high = None
     low, high = 0.0, 0.5
     while high - low > alpha_tol:
         mid = 0.5 * (low + high)
-        certified, worst, values = _certify_honest(table, mid, eps, values)
+        if at_low is None or at_high is None:
+            start = at_high if at_low is None else at_low
+        else:
+            # mid is the ends' mean, so their values' mean interpolates in alpha
+            start = np.add(at_low, at_high)
+            start *= 0.5
+        certified, worst, values = _certify_honest(table, mid, eps, start)
         if certified:
             probes.append(ThresholdProbe(mid, "certified", worst))
-            low = mid
+            low, at_low = mid, values
         else:
             probes.append(ThresholdProbe(mid, "not-certified", worst))
-            high = mid
+            high, at_high = mid, values
 
     # Exhibit a profitable deviation above the bracket: a policy whose exact
     # revenue exceeds alpha + eps beats honest mining's revenue alpha.  The

@@ -26,7 +26,7 @@ from selfish_mining.chain import (
     transition_table,
 )
 from selfish_mining.delay import DelayParams
-from selfish_mining.mdp import evaluate_gain, solve_average_reward
+from selfish_mining.mdp import evaluate_gain, gain_below, solve_average_reward
 from selfish_mining.model import (
     Action,
     ChainState,
@@ -40,7 +40,7 @@ from selfish_mining.model import (
     state_index,
     upper_bound_revenue,
 )
-from selfish_mining.optimize import OptimizeConfig, find_optimal
+from selfish_mining.optimize import OptimizeConfig, _exhibit, find_optimal
 
 ACCEPTANCE_LINES: list[str] = []
 QUADRATURE_TOL = 1e-10
@@ -825,6 +825,52 @@ def reference_exhibit(
     it exhibits a profitable deviation when it exceeds ``alpha + eps``."""
     config = OptimizeConfig(MiningParams(alpha, gamma, variant), T, eps, eps)
     return find_optimal(config).lower_bound
+
+
+def warm_certify(
+    table: TransitionTable, alpha: float, eps: float, values: np.ndarray | None
+) -> tuple[bool, np.ndarray]:
+    """The certification test with each model decided warm from the values
+    the last decision ended at, the first from ``values``.  Returns
+    (certified, the last decided model's final values)."""
+    model = table.weigh(alpha)
+    scalar = build_truncated(model, BoundaryMode.OVER_PAYING, rho=alpha)
+    for tv in ThresholdVariant:
+        disabled = replace(scalar, model=build_honest_disabled(model, tv))
+        verdict = gain_below(disabled, -eps, eps, values)
+        values = verdict.result.values
+        if not verdict.below:
+            return False, values
+    return True, values
+
+
+def reference_threshold_warm(
+    gamma: float, variant: Variant, T: int, eps: float, alpha_tol: float = 1e-3
+) -> tuple[list[tuple[float, str]], float, float]:
+    """The threshold search starting every decision from the values the last
+    one ended at, across probes, and each exhibit from the last decision's:
+    the start rule the bracket ends' mean replaced, and the oracle for its
+    decisions.  Returns the probes' (alpha, kind), alpha_lower and
+    alpha_upper."""
+    table = transition_table(MiningParams(0.25, gamma, variant), T)
+    probes, values = [], None
+    low, high = 0.0, 0.5
+    while high - low > alpha_tol:
+        mid = 0.5 * (low + high)
+        certified, values = warm_certify(table, mid, eps, values)
+        probes.append((mid, "certified" if certified else "not-certified"))
+        low, high = (mid, high) if certified else (low, mid)
+    exhibited, step, candidate = False, alpha_tol, min(high, 0.499)
+    for _ in range(10):
+        if candidate + eps >= 1.0:
+            break
+        exhibited, _rev, values = _exhibit(table, candidate, eps, values)
+        probes.append((candidate, "profitable" if exhibited else "not-profitable"))
+        if exhibited or candidate == 0.499:
+            break
+        candidate = min(candidate + step, 0.499)
+        step *= 2.0
+    return probes, low, candidate if exhibited else 0.5
 
 
 def reference_stationary(P: sparse.csr_matrix) -> np.ndarray:

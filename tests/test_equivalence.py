@@ -16,7 +16,10 @@ by its residual bracket where it can, must decide as two cold solves do, and
 its exhibit step, decided by the bracket of one under-paying model, as a
 cold bound computation does; its reports must be what they were with them,
 up to the evidence: a certified bound that lies between -eps and the cold
-worst gain, or an exhibited revenue within eps of the cold lower bound.  The
+worst gain, or an exhibited revenue within eps of the cold lower bound.
+Started at each probe from the mean of its bracket ends' values, the search
+must decide as one that starts every decision from the last one's values
+(``helpers.reference_threshold_warm``), in no more certification sweeps.  The
 stationary distribution, a transposed solve of the grounded gain-and-bias
 system, must match a second direct solver."""
 
@@ -68,6 +71,7 @@ from selfish_mining.optimize import (
 )
 from selfish_mining.simulate import compile_step_tables
 
+import helpers
 from helpers import (
     assert_models_identical,
     branch_probability,
@@ -478,6 +482,71 @@ def test_threshold_report_matches_cold_certification(monkeypatch, T, gamma, vari
             profitable = probe["kind"] == "profitable"
             assert (probe["evidence"] > probe["alpha"] + DEFAULT_EPS) == profitable
     assert got == want
+
+
+def certification_sweeps(monkeypatch, *tests):
+    """Bellman applications of the solves each certification test runs,
+    keyed by its name: wraps ``mdp.solve_average_reward``, whose
+    ``iterations`` count both stages, and each ``(module, name)`` test so
+    that the solves it runs are charged to it."""
+    sweeps = {name: 0 for _module, name in tests}
+    running = [None]
+    solve = mdp.solve_average_reward
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        if running[0] is not None:
+            sweeps[running[0]] += result.iterations
+        return result
+
+    def charged(name, certify):
+        def wrapper(*args, **kwargs):
+            running[0] = name
+            try:
+                return certify(*args, **kwargs)
+            finally:
+                running[0] = None
+
+        return wrapper
+
+    monkeypatch.setattr(mdp, "solve_average_reward", counted)
+    for module, name in tests:
+        monkeypatch.setattr(module, name, charged(name, getattr(module, name)))
+    return sweeps
+
+
+def threshold_and_warm_oracle(monkeypatch, T, gamma, variant):
+    """Run the search and the warm-start oracle, assert that they decide
+    alike, and return their certification sweeps (search, oracle)."""
+    sweeps = certification_sweeps(
+        monkeypatch, (helpers, "warm_certify"), (optimize, "_certify_honest")
+    )
+    probes, alpha_lower, alpha_upper = helpers.reference_threshold_warm(
+        gamma, variant, T, DEFAULT_EPS
+    )
+    report = profit_threshold(gamma, variant, T)
+    assert [(p.alpha, p.kind) for p in report.probes] == probes
+    assert (report.alpha_lower, report.alpha_upper) == (alpha_lower, alpha_upper)
+    return sweeps["_certify_honest"], sweeps["warm_certify"]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("T", [16, 24])
+def test_mean_start_decides_as_warm_start(monkeypatch, T, gamma, variant):
+    """Starting each probe from the mean of its bracket ends' values gives
+    the probes, kinds and bracket of starting every decision from the last
+    one's values, in no more certification sweeps."""
+    mean, warm = threshold_and_warm_oracle(monkeypatch, T, gamma, variant)
+    assert mean <= warm
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_mean_start_halves_certification_sweeps(monkeypatch, variant):
+    """On the benchmark's searches (gamma = 0.5, T = 75) the start from the
+    bracket ends' mean certifies in at most half the warm start's sweeps."""
+    mean, warm = threshold_and_warm_oracle(monkeypatch, 75, 0.5, variant)
+    assert 2 * mean <= warm
 
 
 @pytest.mark.parametrize("alpha,above", [(0.3, True), (0.2, False)])

@@ -47,7 +47,8 @@ TRACED_LAYERS = (
     "chain.build_calls", "chain.scalarize_calls", "chain.scalarize_s",
     "optimize.find_optimal_calls",
     "mdp.solve_calls", "mdp.solve_s", "mdp.rvi_sweeps", "mdp.sweep_ms",
-    "mdp.evaluate_calls", "mdp.evaluate_s", "mdp.stationary_s",
+    "mdp.evaluate_calls", "mdp.evaluate_s", "mdp.reachable_s",
+    "mdp.reachable_states", "mdp.stationary_s",
     "simulate.loop_s", "simulate.loop_rounds_per_s", "cli.sim_batch_rounds_per_s",
     "model.tabulate_s", "model.policy_load_s",
 )

@@ -74,6 +74,9 @@ COMMANDS = [
     ["threshold", "--gamma", "1", "--T", "16", "--out", "thr1"],
     ["threshold", "--gamma", "0.5", "--variant", "uniform", "--T", "16",
      "--out", "thru"],
+    # the benchmark's uniform search
+    ["threshold", "--gamma", "0.5", "--variant", "uniform", "--T", "75",
+     "--out", "thru75"],
     # an eps so large that rho = candidate + eps reaches 1 within the sweep
     ["threshold", "--gamma", "0.5", "--T", "8", "--eps", "0.7", "--out", "thrbig"],
     ["simulate", "--policy", "sm1", "--alpha", "0.4", "--gamma", "0.5",
